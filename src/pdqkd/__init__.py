@@ -15,8 +15,8 @@ from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
                               ProtocolParams, ScanResult, SinglePhotonBounds,
                               binary_entropy, e1_upper, fluctuation_bounds,
                               key_rate, scan_loss, single_photon_gains, y1_lower)
-from .event_sim import (CarResult, EventRecord, HbtHistogram, SimConfig, Tally,
-                        end_to_end, simulate_car, simulate_hbt, simulate_run)
+from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
+                        simulate_car, simulate_hbt, simulate_run)
 from .link_model import (AnalyticObservables, LinkParams, db_to_linear, error_n,
                          gain_series, gains_analytic, linear_to_db, yield_n)
 from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
@@ -26,7 +26,7 @@ from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalyticObservables", "CarResult", "EventRecord", "FluctuationBounds",
+    "AnalyticObservables", "CarResult", "FluctuationBounds",
     "HbtHistogram", "KeyRateResult", "LinkParams", "ObservedStats",
     "PhotonNumberPmf", "ProtocolParams", "ScanResult", "SimConfig",
     "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",

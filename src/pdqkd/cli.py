@@ -23,7 +23,7 @@ from .errors import (ConfigError, DataFormatError, DegenerateStatisticsError,
                      UndefinedRatioError)
 from .photon_source import (calibrate_eta_a, calibrate_mu0_from_car,
                             multimode_thermal_pmf, poisson_pmf, thermal_pmf)
-from .presets import PRESET_NAMES, REFERENCE_RUNS, preset_manifest
+from .presets import PRESET_NAMES, preset_manifest, table1_rows
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -83,6 +83,17 @@ def load_manifest(name_or_path: str | None, overrides: list[str]) -> dataio.RunM
     return manifest.with_overrides(parsed)
 
 
+def _run_manifest(args) -> dataio.RunManifest:
+    """Config of an engine command, with its --pulses/--seed/--mu0 flags applied."""
+    manifest = load_manifest(args.config, args.set)
+    flags = {"n_pulses": args.pulses, "seed": args.seed, "mu0": getattr(args, "mu0", None)}
+    manifest = manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
+    # only simulate writes event logs; it carries an --events flag (None when not given)
+    if manifest["record_events"] and getattr(args, "events", "") is None:
+        raise ConfigError("record_events = true needs --events to name the event log")
+    return manifest
+
+
 def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
     if spec == "calibrated":
         return manifest["y0_bob"]
@@ -107,12 +118,8 @@ def _print_keyrate(result, protocol) -> None:
 
 
 def cmd_simulate(args) -> int:
-    manifest = load_manifest(args.config, args.set)
-    if args.pulses is not None:
-        manifest = manifest.with_overrides({"n_pulses": str(args.pulses)})
-    if args.seed is not None:
-        manifest = manifest.with_overrides({"seed": str(args.seed)})
-    config = manifest.to_sim_config(record_events=bool(args.events) or manifest["record_events"])
+    manifest = _run_manifest(args)
+    config = manifest.to_sim_config(record_events=bool(args.events))
     source = manifest.to_source_params()
     link = manifest.to_link_params()
     tally, events = event_sim.simulate_run(source, link, config, workers=args.workers)
@@ -217,8 +224,7 @@ def _fmt_cutoff(value) -> str:
     return f"{value:.3f} dB"
 
 
-def _hbt_pmf(args, manifest):
-    mu0 = args.mu0 if args.mu0 is not None else manifest["mu0"]
+def _hbt_pmf(args, mu0: float):
     if args.source == "poisson":
         return poisson_pmf(mu0)
     if args.source == "thermal":
@@ -227,17 +233,11 @@ def _hbt_pmf(args, manifest):
 
 
 def cmd_hbt(args) -> int:
-    manifest = load_manifest(args.config, args.set)
-    if args.mu0 is not None:
-        manifest = manifest.with_overrides({"mu0": repr(args.mu0)})
+    manifest = _run_manifest(args)
     source = manifest.to_source_params()
     config = manifest.to_sim_config(record_events=False)
-    if args.pulses is not None:
-        config = replace(config, n_pulses=int(args.pulses))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     hist = event_sim.simulate_hbt(source, args.detector_eff, config,
-                                  pmf=_hbt_pmf(args, manifest), workers=args.workers)
+                                  pmf=_hbt_pmf(args, manifest["mu0"]), workers=args.workers)
     print(f"pulses         : {hist.n_pulses}")
     print(f"singles        : {hist.singles_1} / {hist.singles_2}")
     print(f"g2(0)          : {hist.g2_zero:.4f} +/- {hist.g2_zero_sigma:.4f}")
@@ -248,15 +248,9 @@ def cmd_hbt(args) -> int:
 
 
 def cmd_car(args) -> int:
-    manifest = load_manifest(args.config, args.set)
-    if args.mu0 is not None:
-        manifest = manifest.with_overrides({"mu0": repr(args.mu0)})
+    manifest = _run_manifest(args)
     source = manifest.to_source_params()
     config = manifest.to_sim_config(record_events=False)
-    if args.pulses is not None:
-        config = replace(config, n_pulses=int(args.pulses))
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
     res = event_sim.simulate_car(source, args.signal_eff, config, workers=args.workers)
     bound = " (lower bound: no accidentals recorded)" if res.is_lower_bound else ""
     print(f"coincidences   : {res.coincidences}")
@@ -288,19 +282,11 @@ def cmd_reproduce(args) -> int:
 
 
 def _reproduce_table(args) -> int:
-    from .link_model import gains_analytic
-
     print(f"{'run':<10} {'quantity':<5} {'model':>12} {'published':>12} {'rel.dev':>9}")
-    worst = 0.0
-    for name, run in REFERENCE_RUNS.items():
-        manifest = run.manifest()
-        ao = gains_analytic(manifest.to_source_params(), manifest.to_link_params())
-        for label, model, published in (("Q_N", ao.q_n, run.q_n), ("Q_T", ao.q_t, run.q_t),
-                                        ("E_N", ao.e_n, run.e_n), ("E_T", ao.e_t, run.e_t)):
-            dev = model / published - 1.0
-            worst = max(worst, abs(dev))
-            print(f"{name:<10} {label:<5} {model:>12.4e} {published:>12.4e} {dev:>+8.1%}")
-    print(f"largest relative deviation: {worst:.1%}")
+    rows = table1_rows()
+    for name, label, model, published, dev in rows:
+        print(f"{name:<10} {label:<5} {model:>12.4e} {published:>12.4e} {dev:>+8.1%}")
+    print(f"largest relative deviation: {max(abs(row[4]) for row in rows):.1%}")
     return EXIT_OK
 
 

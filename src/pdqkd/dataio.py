@@ -23,9 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoy_estimator import KeyRateResult, ObservedStats, ProtocolParams, ScanPoint
+from .decoy_estimator import KeyRateResult, ProtocolParams, ScanPoint
 from .errors import ConfigError, DataFormatError, ParameterError
-from .event_sim import EVENT_DTYPE, EventRecord, SimConfig, Tally
+from .event_sim import EVENT_DTYPE, SimConfig, Tally, count_tally
 from .link_model import LinkParams, db_to_linear
 from .photon_source import SourceParams
 
@@ -237,6 +237,15 @@ def read_config(path) -> RunManifest:
     return RunManifest(**kwargs)
 
 
+def _skip_tag(lines: list[str], tag: str, what: str, path: Path) -> int:
+    """Index of the first line after the optional version tag ``tag``."""
+    if lines and lines[0].startswith(tag.rpartition(":")[0] + ":"):
+        if lines[0].strip() != tag:
+            raise DataFormatError(f"unsupported {what} version {lines[0]!r}", str(path), 1)
+        return 1
+    return 0
+
+
 _TALLY_FIELDS = [f.name for f in fields(Tally)]
 TALLY_HEADER = ",".join(_TALLY_FIELDS)
 
@@ -250,11 +259,7 @@ def write_tally(tally: Tally, path) -> None:
 def read_tally(path) -> Tally:
     path = Path(path)
     lines = [l for l in path.read_text().splitlines() if l.strip()]
-    pos = 0
-    if pos < len(lines) and lines[pos].startswith("# pdqkd:tally:"):
-        if lines[pos].strip() != _TALLY_TAG:
-            raise DataFormatError(f"unsupported tally version {lines[pos]!r}", str(path), 1)
-        pos += 1
+    pos = _skip_tag(lines, _TALLY_TAG, "tally", path)
     if pos >= len(lines):
         raise DataFormatError("missing tally header", str(path), pos + 1)
     header = [h.strip() for h in lines[pos].split(",")]
@@ -284,36 +289,25 @@ def read_tally(path) -> Tally:
         raise DataFormatError(str(exc), str(path)) from exc
 
 
-def _as_event_array(events) -> np.ndarray:
-    if isinstance(events, np.ndarray):
-        if events.dtype != EVENT_DTYPE:
-            raise DataFormatError(f"event array dtype must be {EVENT_DTYPE}")
-        return events
-    records = list(events)
-    arr = np.empty(len(records), dtype=EVENT_DTYPE)
-    for i, r in enumerate(records):
-        arr[i] = (r.pulse_id, r.triggered, r.alice_basis, r.alice_bit,
-                  r.bob_basis, r.bob_clicked, r.bob_bit if r.bob_clicked else 0,
-                  r.dark_origin, r.double_click)
-    return arr
-
-
-def _check_event_order(arr: np.ndarray, path=None) -> None:
+def _checked_events(arr, path=None) -> np.ndarray:
+    """``arr`` itself, once it is an ``EVENT_DTYPE`` array in strictly increasing pulse order."""
+    where = None if path is None else str(path)
+    if not (isinstance(arr, np.ndarray) and arr.dtype == EVENT_DTYPE):
+        raise DataFormatError(f"events must be an array of dtype {EVENT_DTYPE}", where)
     ids = arr["pulse_id"]
     if len(ids) > 1 and np.any(ids[1:] <= ids[:-1]):
         bad = int(np.argmax(ids[1:] <= ids[:-1])) + 1
-        raise DataFormatError(f"pulse_id not strictly increasing at record {bad}",
-                              None if path is None else str(path), bad + 2)
+        raise DataFormatError(f"pulse_id not strictly increasing at record {bad}", where, bad + 2)
+    return arr
 
 
 def write_events(events, path, fmt: str = "csv") -> None:
-    """Write an event log; ``events`` is a structured array or EventRecord iterable.
+    """Write an event log; ``events`` is a structured array of ``EVENT_DTYPE``.
 
     ``fmt="csv"`` is the auditable interchange format; ``fmt="npy"`` packs
     the same logical schema into a binary array for large logs.
     """
-    arr = _as_event_array(events)
-    _check_event_order(arr)
+    arr = _checked_events(events)
     path = Path(path)
     if fmt == "npy":
         np.save(path, arr)
@@ -334,18 +328,9 @@ def read_events(path, fmt: str | None = None) -> np.ndarray:
     if fmt is None:
         fmt = "npy" if path.suffix == ".npy" else "csv"
     if fmt == "npy":
-        arr = np.load(path)
-        if arr.dtype != EVENT_DTYPE:
-            raise DataFormatError(f"unexpected event dtype {arr.dtype}", str(path))
-        _check_event_order(arr, path)
-        return arr
+        return _checked_events(np.load(path), path)
     lines = path.read_text().splitlines()
-    pos = 0
-    if pos < len(lines) and lines[pos].startswith("# pdqkd:events:"):
-        if lines[pos].strip() != _EVENTS_TAG:
-            raise DataFormatError(f"unsupported event log version {lines[pos]!r}",
-                                  str(path), 1)
-        pos += 1
+    pos = _skip_tag(lines, _EVENTS_TAG, "event log", path)
     if pos >= len(lines) or lines[pos].strip() != EVENTS_HEADER:
         raise DataFormatError("missing or wrong event header", str(path), pos + 1)
     pos += 1
@@ -360,41 +345,17 @@ def read_events(path, fmt: str | None = None) -> np.ndarray:
             arr[i] = tuple(int(p) for p in parts)
         except ValueError as exc:
             raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
-    _check_event_order(arr, path)
-    return arr
-
-
-def events_to_records(arr: np.ndarray) -> list[EventRecord]:
-    return [EventRecord(pulse_id=int(r["pulse_id"]), triggered=bool(r["triggered"]),
-                        alice_basis=int(r["alice_basis"]), alice_bit=int(r["alice_bit"]),
-                        bob_basis=int(r["bob_basis"]), bob_clicked=bool(r["bob_clicked"]),
-                        bob_bit=int(r["bob_bit"]), dark_origin=bool(r["dark_origin"]),
-                        double_click=bool(r["double_click"])) for r in arr]
+    return _checked_events(arr, path)
 
 
 def tally_from_events(events) -> Tally:
     """Recount a full event log into a Tally, exactly as the engine would."""
-    arr = _as_event_array(events)
-    _check_event_order(arr)
-    trig = arr["triggered"].astype(bool)
-    clicked = arr["bob_clicked"].astype(bool)
-    matched = arr["alice_basis"] == arr["bob_basis"]
-    error = clicked & matched & (arr["bob_bit"] != arr["alice_bit"])
-    return Tally(
-        n_pulses=len(arr),
-        sent_n_match=int(np.count_nonzero(~trig & matched)),
-        sent_n_mismatch=int(np.count_nonzero(~trig & ~matched)),
-        sent_t_match=int(np.count_nonzero(trig & matched)),
-        sent_t_mismatch=int(np.count_nonzero(trig & ~matched)),
-        det_n_match=int(np.count_nonzero(clicked & ~trig & matched)),
-        det_n_mismatch=int(np.count_nonzero(clicked & ~trig & ~matched)),
-        det_t_match=int(np.count_nonzero(clicked & trig & matched)),
-        det_t_mismatch=int(np.count_nonzero(clicked & trig & ~matched)),
-        err_n=int(np.count_nonzero(error & ~trig)),
-        err_t=int(np.count_nonzero(error & trig)),
-        double_clicks=int(np.count_nonzero(arr["double_click"].astype(bool) & clicked)),
-        dark_detections=int(np.count_nonzero(arr["dark_origin"].astype(bool) & clicked)),
-    )
+    arr = _checked_events(events)
+    clicked = arr["bob_clicked"] != 0
+    hits = arr[clicked]
+    return count_tally(arr["triggered"] != 0, arr["alice_basis"] == arr["bob_basis"], clicked,
+                       hits["bob_bit"] != hits["alice_bit"], hits["double_click"] != 0,
+                       hits["dark_origin"] != 0)
 
 
 @dataclass(frozen=True)
@@ -454,11 +415,7 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
 def read_results(path) -> list[ResultsRow]:
     path = Path(path)
     lines = path.read_text().splitlines()
-    pos = 0
-    if pos < len(lines) and lines[pos].startswith("# pdqkd:results:"):
-        if lines[pos].strip() != _RESULTS_TAG:
-            raise DataFormatError(f"unsupported results version {lines[pos]!r}", str(path), 1)
-        pos += 1
+    pos = _skip_tag(lines, _RESULTS_TAG, "results", path)
     if pos >= len(lines) or lines[pos].strip() != RESULTS_HEADER:
         raise DataFormatError("missing or wrong results header", str(path), pos + 1)
     pos += 1
@@ -477,7 +434,3 @@ def read_results(path) -> list[ResultsRow]:
             raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
         rows.append(ResultsRow(**floats, **flags))
     return rows
-
-
-def observed_stats_from_tally_file(path) -> ObservedStats:
-    return read_tally(path).to_observed_stats()

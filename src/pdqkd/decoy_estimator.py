@@ -211,11 +211,15 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
     ``u = 0`` reduces every bound to its central value (the dark-count yield
     then becomes its central estimate, still derived from the observations).
     Raises :class:`DegenerateStatisticsError` naming the offending observable
-    if a bound would divide by ``sqrt(N * 0)``.
+    if a bound would divide by ``sqrt(N * 0)``, and :class:`ParameterError`
+    if ``obs`` counts a different number of pulses than ``protocol``.
     """
     u = protocol.u_alpha if u_alpha is None else u_alpha
     if u < 0.0:
         raise ParameterError(f"u_alpha must be >= 0, got {u!r}")
+    if obs.n_pulses != protocol.n_pulses:
+        raise ParameterError(f"observations hold {obs.n_pulses} pulses, "
+                             f"the protocol N = {protocol.n_pulses}")
     n = protocol.n_pulses
     enqn_up = _shift(obs.e_n * obs.q_n, n, u, +1, "E_N*Q_N")
     mu, mu0, eta_a = source.mu, source.mu0, source.eta_a

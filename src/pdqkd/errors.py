@@ -70,7 +70,3 @@ class DataFormatError(ValueError):
         if path is not None:
             where = f"{path}:" if row is None else f"{path}:row {row}:"
         super().__init__(f"{where} {message}" if where else message)
-
-
-class ClampWarning(UserWarning):
-    """A computed quantity was clamped into its physical range."""

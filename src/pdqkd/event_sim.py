@@ -83,21 +83,6 @@ class SimConfig:
 
 
 @dataclass(frozen=True)
-class EventRecord:
-    """One pulse of an event log (bob_bit is meaningful only when bob_clicked)."""
-
-    pulse_id: int
-    triggered: bool
-    alice_basis: int
-    alice_bit: int
-    bob_basis: int
-    bob_clicked: bool
-    bob_bit: int
-    dark_origin: bool
-    double_click: bool
-
-
-@dataclass(frozen=True)
 class Tally:
     """Event counts split by heralding outcome and basis match.
 
@@ -125,8 +110,16 @@ class Tally:
         for name in self.__dataclass_fields__:
             if getattr(self, name) < 0:
                 raise ParameterError(f"tally counter {name} must be non-negative")
+        sent = (self.sent_n_match, self.sent_n_mismatch, self.sent_t_match, self.sent_t_mismatch)
+        det = (self.det_n_match, self.det_n_mismatch, self.det_t_match, self.det_t_mismatch)
+        if sum(sent) != self.n_pulses:
+            raise ParameterError("sent cells must sum to n_pulses")
+        if any(d > s for d, s in zip(det, sent)):
+            raise ParameterError("detections cannot exceed the pulses sent in their cell")
         if self.err_n > self.det_n_match or self.err_t > self.det_t_match:
             raise ParameterError("errors cannot exceed matched detections")
+        if max(self.double_clicks, self.dark_detections) > sum(det):
+            raise ParameterError("double clicks and dark detections cannot exceed detections")
 
     def __add__(self, other: "Tally") -> "Tally":
         return Tally(**{name: getattr(self, name) + getattr(other, name)
@@ -163,6 +156,30 @@ class Tally:
                              e_n=e_n, e_t=e_t, n_pulses=n, n_triggers=self.n_triggers)
 
 
+def count_tally(triggered, matched, clicked, error, double, dark) -> Tally:
+    """Reduce per-pulse outcomes to a :class:`Tally`.
+
+    ``triggered`` and ``matched`` are boolean per pulse and ``clicked``
+    selects the detected pulses (a mask or their indices); ``error``,
+    ``double`` and ``dark`` (dark-only) hold one flag per detection, in pulse
+    order.  Errors count in the matched cells only.
+    """
+    # cell index 2 * triggered + matched: [N mismatch, N match, T mismatch, T match]
+    cell = np.left_shift(triggered, 1, dtype=np.uint8) | matched
+    sent = np.bincount(cell, minlength=4).tolist()
+    hit = cell[clicked]
+    det = np.bincount(hit, minlength=4).tolist()
+    err = np.bincount(hit[error], minlength=4).tolist()
+    return Tally(n_pulses=len(cell),
+                 sent_n_match=sent[1], sent_n_mismatch=sent[0],
+                 sent_t_match=sent[3], sent_t_mismatch=sent[2],
+                 det_n_match=det[1], det_n_mismatch=det[0],
+                 det_t_match=det[3], det_t_mismatch=det[2],
+                 err_n=err[1], err_t=err[3],
+                 double_clicks=int(np.count_nonzero(double)),
+                 dark_detections=int(np.count_nonzero(dark)))
+
+
 def _source_cdf(source: SourceParams, pmf: PhotonNumberPmf | None) -> np.ndarray:
     if pmf is None:
         pmf = poisson_pmf(source.mu0)
@@ -175,9 +192,19 @@ def _sample_pairs(cdf: np.ndarray, seed: int, start: int, count: int) -> np.ndar
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _batch_ranges(n_pulses: int, batch_size: int):
-    for lo in range(0, n_pulses, batch_size):
-        yield lo, min(lo + batch_size, n_pulses)
+def _map_batches(work, config: SimConfig, workers: int) -> list:
+    """``work(lo, hi)`` over the run's batches, results in batch order.
+
+    ``workers`` threads share the batches; no output depends on them.
+    """
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers!r}")
+    los = range(0, config.n_pulses, config.batch_size)
+    his = [min(lo + config.batch_size, config.n_pulses) for lo in los]
+    if workers == 1 or len(los) == 1:
+        return list(map(work, los, his))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, los, his))
 
 
 def _pulse_tables(cdf: np.ndarray, source: SourceParams, link: LinkParams):
@@ -211,57 +238,32 @@ def _run_batch(lo: int, hi: int, cdf: np.ndarray, tables, source: SourceParams,
     basis_b = uniform_stream(seed, _SLOT_BOB_BASIS, lo, count) >= config.basis_bias
     matched = basis_a == basis_b
 
-    # bits only matter for detections (and for the event log)
-    ids = np.nonzero(clicked)[0].astype(np.uint64) + np.uint64(lo)
-    if config.record_events:
-        ids = np.arange(lo, hi, dtype=np.uint64)
-    bit_a_sel = uniform_at(seed, _SLOT_ALICE_BIT, ids) < 0.5
+    # bits only matter for detections; draw them at the clicked pulses alone
+    hits = np.nonzero(clicked)[0]
+    ids = hits.astype(np.uint64) + np.uint64(lo)
+    bit_a = uniform_at(seed, _SLOT_ALICE_BIT, ids) < 0.5
     u_flip = uniform_at(seed, _SLOT_FLIP, ids)
     u_squash = uniform_at(seed, _SLOT_SQUASH, ids)
-    sel = slice(None) if config.record_events else (clicked,)
-    photon_s, dark_s, double_s = photon[sel], dark[sel], double[sel]
-    matched_s = matched[sel]
-    flip_prob = np.where(matched_s, link.e_d, 0.5)
+    photon_c, double_c, matched_c = photon[hits], double[hits], matched[hits]
+    dark_only_c = dark[hits] & ~photon_c
+    flip_prob = np.where(matched_c, link.e_d, 0.5)
     bob_bit = np.where(
-        double_s, u_squash < 0.5,
-        np.where(photon_s, bit_a_sel ^ (u_flip < flip_prob), u_flip < 0.5))
-    error_sel = (bob_bit != bit_a_sel) & clicked[sel] & matched_s
-
-    # scatter per-click errors back onto the pulse axis for tallying
-    error = np.zeros(count, dtype=bool)
-    if config.record_events:
-        error = error_sel
-    else:
-        error[clicked] = error_sel
-
-    t = Tally(
-        n_pulses=count,
-        sent_n_match=int(np.count_nonzero(~triggered & matched)),
-        sent_n_mismatch=int(np.count_nonzero(~triggered & ~matched)),
-        sent_t_match=int(np.count_nonzero(triggered & matched)),
-        sent_t_mismatch=int(np.count_nonzero(triggered & ~matched)),
-        det_n_match=int(np.count_nonzero(clicked & ~triggered & matched)),
-        det_n_mismatch=int(np.count_nonzero(clicked & ~triggered & ~matched)),
-        det_t_match=int(np.count_nonzero(clicked & triggered & matched)),
-        det_t_mismatch=int(np.count_nonzero(clicked & triggered & ~matched)),
-        err_n=int(np.count_nonzero(error & ~triggered & matched)),
-        err_t=int(np.count_nonzero(error & triggered & matched)),
-        double_clicks=int(np.count_nonzero(double & clicked)),
-        dark_detections=int(np.count_nonzero(dark & ~photon)),
-    )
+        double_c, u_squash < 0.5,
+        np.where(photon_c, bit_a ^ (u_flip < flip_prob), u_flip < 0.5))
+    tally = count_tally(triggered, matched, hits, bob_bit != bit_a, double_c, dark_only_c)
     if not config.record_events:
-        return t, None
-    events = np.empty(count, dtype=EVENT_DTYPE)
+        return tally, None
+    events = np.zeros(count, dtype=EVENT_DTYPE)  # bob_bit is canonical 0 when not clicked
     events["pulse_id"] = np.arange(lo, hi, dtype=np.uint64)
     events["triggered"] = triggered
     events["alice_basis"] = basis_a
-    events["alice_bit"] = bit_a_sel
+    events["alice_bit"] = uniform_stream(seed, _SLOT_ALICE_BIT, lo, count) < 0.5
     events["bob_basis"] = basis_b
     events["bob_clicked"] = clicked
-    events["bob_bit"] = np.where(clicked, bob_bit, False)  # canonical 0 when not clicked
-    events["dark_origin"] = dark & ~photon & clicked
-    events["double_click"] = double & clicked
-    return t, events
+    events["bob_bit"][hits] = bob_bit
+    events["dark_origin"][hits] = dark_only_c
+    events["double_click"][hits] = double_c
+    return tally, events
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
@@ -272,20 +274,11 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     ``mu0``).  ``workers`` parallelizes over batches without affecting any
     output value.
     """
-    if workers < 1:
-        raise ParameterError(f"workers must be >= 1, got {workers!r}")
     cdf = _source_cdf(source, pmf)
     tables = _pulse_tables(cdf, source, link)
-    ranges = list(_batch_ranges(config.n_pulses, config.batch_size))
-    if workers == 1 or len(ranges) == 1:
-        parts = [_run_batch(lo, hi, cdf, tables, source, link, config) for lo, hi in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda r: _run_batch(r[0], r[1], cdf, tables, source, link, config),
-                                  ranges))
-    tally = Tally()
-    for t, _ in parts:
-        tally = tally + t
+    parts = _map_batches(lambda lo, hi: _run_batch(lo, hi, cdf, tables, source, link, config),
+                         config, workers)
+    tally = sum((t for t, _ in parts), Tally())
     if not config.record_events:
         return tally, None
     return tally, np.concatenate([ev for _, ev in parts])
@@ -331,10 +324,7 @@ def _hbt_batch(lo: int, hi: int, n_total: int, cdf, eff: float, seed: int, max_d
     n2 = int(np.count_nonzero(c2[core]))
     cc = {}
     for k in range(0, max_delay + 1):
-        limit = min(hi, n_total - k) - lo
-        if limit <= 0:
-            cc[k] = 0
-            continue
+        limit = max(min(hi, n_total - k) - lo, 0)
         cc[k] = int(np.count_nonzero(c1[:limit] & c2[k:limit + k]))
     return n1, n2, cc
 
@@ -355,17 +345,9 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
     if max_delay < 1:
         raise ParameterError("max_delay must be >= 1")
     cdf = _source_cdf(source, pmf)
-    ranges = list(_batch_ranges(config.n_pulses, config.batch_size))
-
-    def work(r):
-        return _hbt_batch(r[0], r[1], config.n_pulses, cdf, detector_eff,
-                          config.seed, max_delay)
-
-    if workers == 1 or len(ranges) == 1:
-        parts = [work(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, ranges))
+    parts = _map_batches(lambda lo, hi: _hbt_batch(lo, hi, config.n_pulses, cdf, detector_eff,
+                                                   config.seed, max_delay),
+                         config, workers)
     n1 = sum(p[0] for p in parts)
     n2 = sum(p[1] for p in parts)
     cc = {k: sum(p[2][k] for p in parts) for k in range(0, max_delay + 1)}
@@ -419,8 +401,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     cdf = _source_cdf(source, pmf)
     p_sig = source.eta_s * signal_eff
 
-    def work(r):
-        lo, hi = r
+    def work(lo, hi):
         ext = min(hi + 1, config.n_pulses)
         count = ext - lo
         n = _sample_pairs(cdf, config.seed, lo, count).astype(np.float64)
@@ -434,12 +415,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
         acc = int(np.count_nonzero(signal[:limit] & idler[1:limit + 1])) if limit > 0 else 0
         return coinc, acc
 
-    ranges = list(_batch_ranges(config.n_pulses, config.batch_size))
-    if workers == 1 or len(ranges) == 1:
-        parts = [work(r) for r in ranges]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(work, ranges))
+    parts = _map_batches(work, config, workers)
     coinc = sum(p[0] for p in parts)
     acc = sum(p[1] for p in parts)
     if acc == 0:

@@ -283,14 +283,6 @@ def trigger_prob_given_n(i, s: SourceParams):
     return p_n, p_t
 
 
-def _joint_prefactors(s: SourceParams):
-    """Common pieces of the closed-form joint laws."""
-    mu, mu0, eta_a = s.mu, s.mu0, s.eta_a
-    # exp(-(mu0 - mu) * eta_a): heralding leakage from signal photons lost inside Alice
-    leak = math.exp(-(mu0 - mu) * eta_a)
-    return mu, leak
-
-
 def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None,
                      tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> PhotonNumberPmf:
     """Joint law of (heralding outcome, i photons entering the channel).
@@ -307,7 +299,8 @@ def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None,
     if outcome not in ("N", "T"):
         raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
     marginal = poisson_pmf(s.mu, n_max, tail_cutoff)
-    mu, leak = _joint_prefactors(s)
+    # heralding leakage from signal photons lost inside Alice
+    leak = math.exp(-(s.mu0 - s.mu) * s.eta_a)
     k = np.arange(marginal.n_max + 1, dtype=np.float64)
     thin = np.power(1.0 - s.eta_a, k)
     p_n = (1.0 - s.y0_alice) * marginal.probs * thin * leak

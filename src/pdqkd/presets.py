@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from .dataio import RunManifest
 from .decoy_estimator import ObservedStats
-from .link_model import db_to_linear
+from .link_model import db_to_linear, gains_analytic
 from .photon_source import calibrate_eta_a
 
 #: sender internal loss (source transmission + encoder), common to all runs
@@ -126,3 +126,19 @@ def preset_manifest(name: str) -> RunManifest:
     if run is None:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
     return run.manifest()
+
+
+def table1_rows() -> list[tuple[str, str, float, float, float]]:
+    """Closed-form model against the published Table 1, one row per observable.
+
+    Rows are ``(run, quantity, model, published, model / published - 1)``
+    for Q_N, Q_T, E_N and E_T of every reference run.
+    """
+    rows = []
+    for name, run in REFERENCE_RUNS.items():
+        manifest = run.manifest()
+        ao = gains_analytic(manifest.to_source_params(), manifest.to_link_params())
+        for label, model, published in (("Q_N", ao.q_n, run.q_n), ("Q_T", ao.q_t, run.q_t),
+                                        ("E_N", ao.e_n, run.e_n), ("E_T", ao.e_t, run.e_t)):
+            rows.append((name, label, model, published, model / published - 1.0))
+    return rows

@@ -1,11 +1,12 @@
 """Command-line surface: determinism, exit codes, published-value presets."""
 
+import hashlib
 import math
 
 import pytest
 
 from pdqkd.cli import main
-from pdqkd.dataio import read_results
+from pdqkd.dataio import TALLY_HEADER, read_results
 from pdqkd.presets import REFERENCE_RUNS, Y0_BOB, preset_manifest
 
 
@@ -37,6 +38,29 @@ class TestSimulate:
                 == paths[1].with_suffix(".tally").read_bytes())
         assert (paths[0].with_suffix(".events").read_bytes()
                 == paths[1].with_suffix(".events").read_bytes())
+
+    def test_output_bytes_pinned(self, tmp_path, capsys):
+        # digests of the tally and CSV event log; any change to a simulated value fails here
+        tally, events = tmp_path / "pin.tally", tmp_path / "pin.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--config", "paper0km", "--pulses", "20000",
+                             "--seed", "7", "--set", "batch_size=7777",
+                             "--out", str(tally), "--events", str(events))
+        assert code == 0
+        assert hashlib.sha256(tally.read_bytes()).hexdigest() == (
+            "83a7614769623513271b873200bdb12abf7d80ac6d1b3828f013659fd153b37a")
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == (
+            "54e6233b35735a9fc9c16d49346e529652612df73ca5db98cb05d96d678e1eee")
+
+    def test_record_events_needs_events_path(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses", "1000",
+                               "--set", "record_events=true")
+        assert code == 2 and "--events" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "hbt", "car"])
+    @pytest.mark.parametrize("pulses", ["200000.7", "0"])
+    def test_bad_pulse_count_is_a_data_error(self, capsys, command, pulses):
+        code, _, err = run_cli(capsys, command, "--pulses", pulses)
+        assert code == 2 and "n_pulses" in err
 
     def test_invalid_override_exits_with_schema_error(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--config", "paper50km",
@@ -109,6 +133,15 @@ class TestEstimate:
                                   "--mode", "asymptotic")
         assert code == 0
         assert "R " in stdout or "R    " in stdout
+
+    def test_corrupt_tally_file_is_a_data_error(self, tmp_path, capsys):
+        # every field present and non-negative, but 1000 pulses sent out of 10
+        path = tmp_path / "bad.tally"
+        counts = {"n_pulses": 10, "sent_n_match": 1000, "det_n_match": 5000}
+        row = ",".join(str(counts.get(name, 0)) for name in TALLY_HEADER.split(","))
+        path.write_text(f"{TALLY_HEADER}\n{row}\n")
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--tally", str(path))
+        assert code == 2 and "sum to n_pulses" in err
 
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km")

@@ -8,7 +8,7 @@ from pdqkd.dataio import (EVENTS_HEADER, ResultsRow, RunManifest,
                           tally_from_events, write_config, write_events,
                           write_results, write_tally)
 from pdqkd.errors import ConfigError, DataFormatError, ParameterError
-from pdqkd.event_sim import EVENT_DTYPE, EventRecord, SimConfig, simulate_run
+from pdqkd.event_sim import EVENT_DTYPE, SimConfig, simulate_run
 from pdqkd.presets import preset_manifest
 
 
@@ -112,19 +112,6 @@ class TestEvents:
         path = tmp_path / "ev.csv"
         write_events(events, path)
         assert tally_from_events(read_events(path)) == tally
-
-    def test_record_list_input(self, tmp_path):
-        records = [EventRecord(pulse_id=0, triggered=False, alice_basis=0, alice_bit=1,
-                               bob_basis=0, bob_clicked=True, bob_bit=1,
-                               dark_origin=False, double_click=False),
-                   EventRecord(pulse_id=1, triggered=True, alice_basis=1, alice_bit=0,
-                               bob_basis=0, bob_clicked=False, bob_bit=0,
-                               dark_origin=False, double_click=False)]
-        path = tmp_path / "recs.csv"
-        write_events(records, path)
-        back = read_events(path)
-        assert back["pulse_id"].tolist() == [0, 1]
-        assert back["bob_clicked"].tolist() == [1, 0]
 
     def test_malformed_row_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -89,8 +89,16 @@ class TestFluctuationBounds:
         obs = ObservedStats(q_n=1e-5, q_t=0.0, e_n=0.04, e_t=0.0,
                             n_pulses=10**9)
         with pytest.raises(DegenerateStatisticsError) as err:
-            fluctuation_bounds(obs, proto50(), src50())
+            fluctuation_bounds(obs, proto50(n_pulses=10**9), src50())
         assert "E_T*Q_T" in str(err.value)
+
+    def test_pulse_count_mismatch_rejected(self):
+        # observations of 1e6 pulses cannot carry a 6e10-pulse protocol's bounds or key
+        obs = replace(obs50(), n_pulses=10**6)
+        with pytest.raises(ParameterError, match="pulses"):
+            fluctuation_bounds(obs, proto50(), src50())
+        with pytest.raises(ParameterError, match="pulses"):
+            key_rate(obs, proto50(), src50(), "asymptotic")
 
 
 class TestY1Lower:
@@ -101,7 +109,7 @@ class TestY1Lower:
             link = LinkParams(eta=float(eta), y0=1.6e-6, e_d=0.012)
             ao = gains_analytic(src, link)
             obs = ObservedStats.from_analytic(ao, src, 10**9)
-            b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src, u_alpha=0.0)
+            b = fluctuation_bounds(obs, proto50(u_alpha=0.0, n_pulses=10**9), src, u_alpha=0.0)
             y1, _ = y1_lower(b.q_n_low, b.q_up, b.y0_up, src)
             assert y1 <= yield_n(1, link) * (1 + 1e-12)
 

@@ -1,6 +1,7 @@
 """Monte Carlo engine against the closed-form oracles, plus determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,9 +74,15 @@ class TestSimulateRun:
 
     def test_deterministic_across_workers_and_batching(self, source50, link50):
         base = simulate_run(source50, link50, SimConfig(n_pulses=1_500_000, seed=5))[0]
+        logged = SimConfig(n_pulses=1_500_000, seed=5, record_events=True)
+        base_tally, base_events = simulate_run(source50, link50, logged)
+        assert base_tally == base
         for workers, batch in ((4, 1_000_000), (2, 123_457), (3, 77_777)):
             config = SimConfig(n_pulses=1_500_000, seed=5, batch_size=batch)
             assert simulate_run(source50, link50, config, workers=workers)[0] == base
+            tally, events = simulate_run(source50, link50, replace(logged, batch_size=batch),
+                                         workers=workers)
+            assert tally == base and np.array_equal(events, base_events)
 
     def test_custom_pmf_changes_statistics(self, source50, link50):
         config = SimConfig(n_pulses=1_000_000, seed=9)
@@ -110,6 +117,21 @@ class TestTally:
     def test_invalid_counts_rejected(self):
         with pytest.raises(ParameterError):
             Tally(n_pulses=1, err_n=2, det_n_match=1)
+
+    def test_structure_checked(self):
+        cells = dict(n_pulses=10, sent_n_match=4, sent_n_mismatch=3, sent_t_match=2,
+                     sent_t_mismatch=1, det_n_match=2, det_t_match=1)
+        Tally(**cells, double_clicks=3, dark_detections=3)
+        with pytest.raises(ParameterError, match="sum to n_pulses"):
+            Tally(n_pulses=10, sent_n_match=1000, det_n_match=5000)
+        with pytest.raises(ParameterError, match="sum to n_pulses"):
+            Tally(**{**cells, "n_pulses": 11})
+        with pytest.raises(ParameterError, match="pulses sent in their cell"):
+            Tally(**cells, det_t_mismatch=2)
+        with pytest.raises(ParameterError, match="exceed detections"):
+            Tally(**cells, double_clicks=4)
+        with pytest.raises(ParameterError, match="exceed detections"):
+            Tally(**cells, dark_detections=4)
 
     def test_observed_stats_rates(self):
         t = Tally(n_pulses=1000, sent_n_match=460, sent_n_mismatch=440,
