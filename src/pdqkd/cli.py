@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 ``calibrate``, ``reproduce``.  Every subcommand is deterministic given
-(config, overrides, seed); ``--workers`` only parallelizes batches and never
+(config, overrides, seed); ``--workers``, taken by the Monte Carlo commands
+``simulate``, ``hbt`` and ``car``, only parallelizes batches and never
 changes any output byte.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
@@ -134,7 +135,7 @@ def cmd_simulate(args) -> int:
         dataio.write_tally(tally, args.out)
         print(f"tally written  : {args.out}")
     if args.events:
-        dataio.write_events(events, args.events, fmt=args.events_format)
+        dataio.write_events(events, args.events)
         print(f"events written : {args.events}")
     return EXIT_OK
 
@@ -153,6 +154,9 @@ def _observed_from_args(args, manifest) -> ObservedStats:
                                     ("--e-n", args.e_n), ("--e-t", args.e_t)) if v is None]
     if missing:
         raise ConfigError(f"direct input needs all four rates; missing {', '.join(missing)}")
+    for flag, value in (("--pulses", args.pulses), ("--triggers", args.triggers)):
+        if value is not None and not value.is_integer():
+            raise ConfigError(f"{flag} must be a whole number, got {value!r}")
     n_pulses = int(args.pulses) if args.pulses is not None else manifest["n_pulses"]
     n_triggers = int(args.triggers) if args.triggers is not None else 0
     return ObservedStats(q_n=args.q_n, q_t=args.q_t, e_n=args.e_n, e_t=args.e_t,
@@ -306,13 +310,19 @@ def _reproduce_fig(args) -> int:
     return EXIT_OK
 
 
-def _add_common(p: argparse.ArgumentParser, config: bool = True) -> None:
-    if config:
-        p.add_argument("--config", help="preset name or config file path")
-        p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
-                       help="override a config key (validated against the schema)")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", help="preset name or config file path")
+    p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                   help="override a config key (validated against the schema)")
+
+
+def _add_engine(p: argparse.ArgumentParser) -> None:
+    """Flags of the Monte Carlo commands ``simulate``, ``hbt`` and ``car``."""
+    _add_common(p)
     p.add_argument("--workers", type=int, default=1,
                    help="worker threads; never changes numeric output")
+    p.add_argument("--pulses", type=float, help="override n_pulses")
+    p.add_argument("--seed", type=int, help="override seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -325,18 +335,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run the pulse-level Monte Carlo engine",
                        epilog=_config_keys_epilog(),
                        formatter_class=argparse.RawDescriptionHelpFormatter)
-    _add_common(p)
-    p.add_argument("--pulses", type=float, help="override n_pulses")
-    p.add_argument("--seed", type=int, help="override seed")
+    _add_engine(p)
     p.add_argument("--out", help="write the tally summary here")
-    p.add_argument("--events", help="write the per-pulse event log here")
-    p.add_argument("--events-format", choices=("csv", "npy"), default="csv")
+    p.add_argument("--events", help="write the per-pulse event log here (.npy: packed, else CSV)")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="key rate from a tally, event log, or direct rates")
     _add_common(p)
     p.add_argument("--tally", help="tally summary file")
-    p.add_argument("--events", help="event log file")
+    p.add_argument("--events", help="event log file (.npy: packed, else CSV)")
     p.add_argument("--q-n", type=float, help="direct non-trigger gain")
     p.add_argument("--q-t", type=float, help="direct trigger gain")
     p.add_argument("--e-n", type=float, help="direct non-trigger QBER")
@@ -364,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan_loss)
 
     p = sub.add_parser("hbt", help="virtual beam-splitter correlation experiment")
-    _add_common(p)
-    p.add_argument("--pulses", type=float, help="override n_pulses")
-    p.add_argument("--seed", type=int, help="override seed")
+    _add_engine(p)
     p.add_argument("--mu0", type=float, help="override the mean pair number")
     p.add_argument("--detector-eff", type=float, default=0.15)
     p.add_argument("--source", choices=("poisson", "thermal", "multimode"),
@@ -375,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_hbt)
 
     p = sub.add_parser("car", help="virtual signal/idler coincidence experiment")
-    _add_common(p)
-    p.add_argument("--pulses", type=float, help="override n_pulses")
-    p.add_argument("--seed", type=int, help="override seed")
+    _add_engine(p)
     p.add_argument("--mu0", type=float, help="override the mean pair number")
     p.add_argument("--signal-eff", type=float, default=0.15)
     p.set_defaults(func=cmd_car)
@@ -393,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=0.1, help="loss grid step for fig4, dB")
     p.add_argument("--vacuum-credit", default="zero")
     p.add_argument("--out", help="results CSV path for fig4")
-    _add_common(p, config=False)
     p.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -4,8 +4,8 @@ All formats are text-first and versioned:
 
 - configs and tallies are flat ``key = value`` files (losses always in dB,
   never linear);
-- event logs are CSV with a fixed header, or an equivalent packed ``.npy``
-  with the same logical schema;
+- event logs are CSV with a fixed header or, at a ``.npy`` path, an
+  equivalent packed array with the same logical schema;
 - results tables are CSV with one row per loss point, serialized at full
   double precision so re-reading reproduces every value exactly.
 
@@ -290,7 +290,7 @@ def read_tally(path) -> Tally:
 
 
 def _checked_events(arr, path=None) -> np.ndarray:
-    """``arr`` itself, once it is an ``EVENT_DTYPE`` array in strictly increasing pulse order."""
+    """``arr`` itself, once it is an ``EVENT_DTYPE`` array in pulse order with 0/1 flags."""
     where = None if path is None else str(path)
     if not (isinstance(arr, np.ndarray) and arr.dtype == EVENT_DTYPE):
         raise DataFormatError(f"events must be an array of dtype {EVENT_DTYPE}", where)
@@ -298,22 +298,25 @@ def _checked_events(arr, path=None) -> np.ndarray:
     if len(ids) > 1 and np.any(ids[1:] <= ids[:-1]):
         bad = int(np.argmax(ids[1:] <= ids[:-1])) + 1
         raise DataFormatError(f"pulse_id not strictly increasing at record {bad}", where, bad + 2)
+    for name in EVENT_DTYPE.names[1:]:
+        bad = np.flatnonzero(arr[name] > 1)
+        if len(bad):
+            raise DataFormatError(f"{name} must be 0 or 1, got {arr[name][bad[0]]} "
+                                  f"at record {bad[0]}", where)
     return arr
 
 
-def write_events(events, path, fmt: str = "csv") -> None:
+def write_events(events, path) -> None:
     """Write an event log; ``events`` is a structured array of ``EVENT_DTYPE``.
 
-    ``fmt="csv"`` is the auditable interchange format; ``fmt="npy"`` packs
-    the same logical schema into a binary array for large logs.
+    A ``.npy`` path gets the same logical schema packed into a binary array,
+    for large logs; any other path gets the auditable CSV interchange format.
     """
     arr = _checked_events(events)
     path = Path(path)
-    if fmt == "npy":
+    if path.suffix == ".npy":
         np.save(path, arr)
         return
-    if fmt != "csv":
-        raise ParameterError(f"unknown event format {fmt!r}")
     with path.open("w") as fh:
         fh.write(_EVENTS_TAG + "\n")
         fh.write(EVENTS_HEADER + "\n")
@@ -322,13 +325,15 @@ def write_events(events, path, fmt: str = "csv") -> None:
             fh.write(",".join(str(int(v)) for v in row) + "\n")
 
 
-def read_events(path, fmt: str | None = None) -> np.ndarray:
-    """Read an event log back into a structured array (order-checked)."""
+def read_events(path) -> np.ndarray:
+    """Read a packed (``.npy`` path) or CSV event log back into a checked structured array."""
     path = Path(path)
-    if fmt is None:
-        fmt = "npy" if path.suffix == ".npy" else "csv"
-    if fmt == "npy":
-        return _checked_events(np.load(path), path)
+    if path.suffix == ".npy":
+        try:
+            arr = np.load(path)
+        except ValueError as exc:
+            raise DataFormatError(f"not a packed event array ({exc})", str(path)) from exc
+        return _checked_events(arr, path)
     lines = path.read_text().splitlines()
     pos = _skip_tag(lines, _EVENTS_TAG, "event log", path)
     if pos >= len(lines) or lines[pos].strip() != EVENTS_HEADER:
@@ -343,7 +348,7 @@ def read_events(path, fmt: str | None = None) -> np.ndarray:
                                   str(path), pos + i + 1)
         try:
             arr[i] = tuple(int(p) for p in parts)
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
     return _checked_events(arr, path)
 

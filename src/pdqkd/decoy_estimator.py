@@ -159,7 +159,7 @@ class BranchDiagnostics:
 class KeyRateResult:
     """Two-branch key rate with full diagnostics.
 
-    ``r = r_n + r_t`` (bits per pulse) and ``key_bits = r * N * duty``.
+    ``r = r_n + r_t`` (bits per pulse) and ``key_bits = r * N``.
     ``clamps`` lists every quantity that was pushed back into its physical
     range; an empty tuple means the formulas evaluated cleanly.
     """
@@ -330,7 +330,7 @@ def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
 
 def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
              mode: str = "finite", *, vacuum_credit: float = 0.0,
-             e0: float = 0.5, duty: float = 1.0) -> KeyRateResult:
+             e0: float = 0.5) -> KeyRateResult:
     """Two-branch secret key rate from observed rates.
 
     Parameters
@@ -346,8 +346,6 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
         evaluations, or 0 (default) for a conservative rate.  The
         subtraction inside the yield bound is unaffected (it always uses the
         estimated upper bound).
-    duty : float
-        Wall-time duty factor applied to ``key_bits`` only.
 
     Returns a :class:`KeyRateResult`; negative branch rates clamp to zero and
     every clamp is listed in ``clamps``.
@@ -382,7 +380,7 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     r_t = max(0.0, branch_t.raw_rate)
     r = r_n + r_t
     return KeyRateResult(r_n=r_n, r_t=r_t, r=r,
-                         key_bits=r * protocol.n_pulses * duty, mode=mode,
+                         key_bits=r * protocol.n_pulses, mode=mode,
                          y1_low=y1, bounds=bounds, single=single,
                          branch_n=branch_n, branch_t=branch_t,
                          clamps=tuple(clamps))
@@ -431,8 +429,7 @@ def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
 
 def scan_loss(source: SourceParams, link_template: LinkParams,
               protocol: ProtocolParams, loss_db_grid: Sequence[float],
-              mode: str = "finite", *, vacuum_credit: float = 0.0,
-              refine: bool = True) -> ScanResult:
+              mode: str = "finite", *, vacuum_credit: float = 0.0) -> ScanResult:
     """Evaluate the key rate over an ascending grid of total loss figures.
 
     Each grid point feeds the closed-form observables at that loss into
@@ -459,8 +456,6 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
         last_pos = positive[-1]
         if last_pos == len(grid) - 1:
             return math.inf
-        if not refine:
-            return grid[last_pos]
         return _refine_cutoff(
             grid[last_pos], grid[last_pos + 1],
             lambda L: component(_rate_at(L, source, link_template, protocol,

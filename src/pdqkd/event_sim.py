@@ -54,6 +54,7 @@ _SLOT_SQUASH = 8
 _SLOT_HBT_ARMS = 1
 _SLOT_CAR_IDLER = 1
 _SLOT_CAR_SIGNAL = 2
+_HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 
 EVENT_DTYPE = np.dtype([
     ("pulse_id", "<u8"), ("triggered", "u1"),
@@ -304,55 +305,58 @@ class HbtHistogram:
     car: float
 
 
-def _hbt_batch(lo: int, hi: int, n_total: int, cdf, eff: float, seed: int, max_delay: int):
-    # overlap recomputation keeps delayed products independent of batching
-    ext = min(hi + max_delay, n_total)
-    count = ext - lo
-    n = _sample_pairs(cdf, seed, lo, count)
-    u = uniform_stream(seed, _SLOT_HBT_ARMS, lo, count)
-    # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
-    # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n
-    k = np.arange(len(cdf), dtype=np.float64)
-    t0 = np.power(1.0 - eff, k)
-    t1 = np.power(1.0 - eff / 2.0, k)
-    b0, b1 = t0[n], t1[n]
-    b2 = 2.0 * b1 - b0
-    c1 = ((u >= b0) & (u < b1)) | (u >= b2)
-    c2 = (u >= b1)
-    core = slice(0, hi - lo)
-    n1 = int(np.count_nonzero(c1[core]))
-    n2 = int(np.count_nonzero(c2[core]))
-    cc = {}
-    for k in range(0, max_delay + 1):
-        limit = max(min(hi, n_total - k) - lo, 0)
-        cc[k] = int(np.count_nonzero(c1[:limit] & c2[k:limit + k]))
-    return n1, n2, cc
+def _coincidences(clicks, config: SimConfig, max_delay: int, workers: int) -> list[int]:
+    """``[singles_a, singles_b, cc_0, .., cc_max_delay]`` of two click streams.
+
+    ``clicks(lo, hi)`` returns the click masks ``(a, b)`` of pulses
+    ``lo..hi-1``; ``cc_k`` counts pulses ``i`` with ``a[i] & b[i + k]``.  Each
+    batch recomputes the ``max_delay`` pulses past its end, so no count
+    depends on batching.
+    """
+    n_total = config.n_pulses
+
+    def work(lo, hi):
+        a, b = clicks(lo, min(hi + max_delay, n_total))
+        counts = [np.count_nonzero(a[:hi - lo]), np.count_nonzero(b[:hi - lo])]
+        for k in range(max_delay + 1):
+            limit = max(min(hi, n_total - k) - lo, 0)
+            counts.append(np.count_nonzero(a[:limit] & b[k:limit + k]))
+        return counts
+
+    return [int(sum(c)) for c in zip(*_map_batches(work, config, workers))]
 
 
 def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
-                 pmf: PhotonNumberPmf | None = None, max_delay: int = 5,
-                 workers: int = 1) -> HbtHistogram:
+                 pmf: PhotonNumberPmf | None = None, workers: int = 1) -> HbtHistogram:
     """Virtual intensity-correlation experiment on the signal mode.
 
     Each photon routes independently to one of two arms of a balanced
     splitter and is detected with probability ``detector_eff``; threshold
-    clicks are correlated across pulse delays ``-max_delay .. max_delay``.
-    Poisson pair statistics give a flat histogram at 1; single-mode thermal
-    statistics double the zero-delay bin.
+    clicks are correlated across pulse delays ``-5 .. 5``.  Poisson pair
+    statistics give a flat histogram at 1; single-mode thermal statistics
+    double the zero-delay bin.
     """
     if not (0.0 < detector_eff <= 1.0):
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
-    if max_delay < 1:
-        raise ParameterError("max_delay must be >= 1")
     cdf = _source_cdf(source, pmf)
-    parts = _map_batches(lambda lo, hi: _hbt_batch(lo, hi, config.n_pulses, cdf, detector_eff,
-                                                   config.seed, max_delay),
-                         config, workers)
-    n1 = sum(p[0] for p in parts)
-    n2 = sum(p[1] for p in parts)
-    cc = {k: sum(p[2][k] for p in parts) for k in range(0, max_delay + 1)}
+    # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
+    # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n
+    k = np.arange(len(cdf), dtype=np.float64)
+    t0 = np.power(1.0 - detector_eff, k)
+    t1 = np.power(1.0 - detector_eff / 2.0, k)
+
+    def clicks(lo, hi):
+        n = _sample_pairs(cdf, config.seed, lo, hi - lo)
+        u = uniform_stream(config.seed, _SLOT_HBT_ARMS, lo, hi - lo)
+        b0, b1 = t0[n], t1[n]
+        b2 = 2.0 * b1 - b0
+        return ((u >= b0) & (u < b1)) | (u >= b2), u >= b1
+
+    n1, n2, *cc = _coincidences(clicks, config, _HBT_MAX_DELAY, workers)
     if n1 == 0 or n2 == 0:
         raise UndefinedRatioError("no singles recorded on one arm; g2 undefined")
+    if not any(cc[1:]):
+        raise UndefinedRatioError("no off-zero coincidences recorded; zero/off ratio undefined")
     n_pulses = config.n_pulses
     norm = n_pulses / (float(n1) * float(n2))
 
@@ -360,14 +364,14 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
         pairs = n_pulses - abs(k)
         return cc[abs(k)] * norm * (n_pulses / pairs)
 
-    delays = tuple(range(-max_delay, max_delay + 1))
+    delays = tuple(range(-_HBT_MAX_DELAY, _HBT_MAX_DELAY + 1))
     # negative delays mirror positive ones for a stationary source
     coincidences = tuple(cc[abs(k)] for k in delays)
     g2_zero = g2_at(0)
     # first-order counting error: Poisson on the coincidence and singles counts
     rel = math.sqrt(1.0 / max(cc[0], 1) + 1.0 / n1 + 1.0 / n2)
-    off_zero = [g2_at(k) for k in range(1, max_delay + 1)]
-    car = g2_zero / (sum(off_zero) / len(off_zero)) if off_zero else math.inf
+    off_zero = [g2_at(k) for k in range(1, _HBT_MAX_DELAY + 1)]
+    car = g2_zero / (sum(off_zero) / len(off_zero))
     return HbtHistogram(delays=delays, coincidences=coincidences,
                         singles_1=n1, singles_2=n2, n_pulses=n_pulses,
                         g2_zero=g2_zero, g2_zero_sigma=g2_zero * rel, car=car)
@@ -401,23 +405,15 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     cdf = _source_cdf(source, pmf)
     p_sig = source.eta_s * signal_eff
 
-    def work(lo, hi):
-        ext = min(hi + 1, config.n_pulses)
-        count = ext - lo
-        n = _sample_pairs(cdf, config.seed, lo, count).astype(np.float64)
-        idler = (uniform_stream(config.seed, _SLOT_CAR_IDLER, lo, count)
+    def clicks(lo, hi):
+        n = _sample_pairs(cdf, config.seed, lo, hi - lo).astype(np.float64)
+        idler = (uniform_stream(config.seed, _SLOT_CAR_IDLER, lo, hi - lo)
                  >= (1.0 - source.y0_alice) * np.power(1.0 - source.eta_a, n))
-        signal = (uniform_stream(config.seed, _SLOT_CAR_SIGNAL, lo, count)
+        signal = (uniform_stream(config.seed, _SLOT_CAR_SIGNAL, lo, hi - lo)
                   >= np.power(1.0 - p_sig, n))
-        core = hi - lo
-        coinc = int(np.count_nonzero(signal[:core] & idler[:core]))
-        limit = min(hi, config.n_pulses - 1) - lo
-        acc = int(np.count_nonzero(signal[:limit] & idler[1:limit + 1])) if limit > 0 else 0
-        return coinc, acc
+        return signal, idler
 
-    parts = _map_batches(work, config, workers)
-    coinc = sum(p[0] for p in parts)
-    acc = sum(p[1] for p in parts)
+    _, _, coinc, acc = _coincidences(clicks, config, 1, workers)
     if acc == 0:
         return CarResult(car=float(coinc), coincidences=coinc, accidentals=0,
                          is_lower_bound=True)

@@ -150,25 +150,24 @@ class PhotonNumberPmf:
         return PhotonNumberPmf(self.probs / mass, self.n_max, self.tail_mass / mass, 1.0)
 
 
-def _auto_n_max(cumulative, cutoff: float, start: int = 8) -> int:
-    """Truncation order with tail below cutoff, probing by doubling up to MAX_N_CAP."""
+def _auto_n_max(cumulative, start: int = 8) -> int:
+    """Truncation order with tail below the cutoff, probing by doubling up to MAX_N_CAP."""
     n = start
     while n <= MAX_N_CAP:
-        if 1.0 - cumulative(n) <= cutoff:
+        if 1.0 - cumulative(n) <= DEFAULT_TAIL_CUTOFF:
             return n
         n *= 2
-    if 1.0 - cumulative(MAX_N_CAP) <= cutoff:
+    if 1.0 - cumulative(MAX_N_CAP) <= DEFAULT_TAIL_CUTOFF:
         return MAX_N_CAP
     raise TruncationError(
-        f"tail above cutoff {cutoff:g} even at the n_max cap {MAX_N_CAP}")
+        f"tail above cutoff {DEFAULT_TAIL_CUTOFF:g} even at the n_max cap {MAX_N_CAP}")
 
 
-def poisson_pmf(mu: float, n_max: int | None = None,
-                tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> PhotonNumberPmf:
+def poisson_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
     """Poisson photon-number distribution p[n] = mu^n e^-mu / n!.
 
     ``n_max=None`` selects the smallest truncation order whose tail is below
-    ``tail_cutoff`` (capped at MAX_N_CAP).
+    ``DEFAULT_TAIL_CUTOFF`` (capped at MAX_N_CAP).
     """
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
@@ -182,7 +181,7 @@ def poisson_pmf(mu: float, n_max: int | None = None,
         k = np.arange(n + 1, dtype=np.float64)
         return math.fsum(np.exp(k * math.log(mu) - mu - gammaln(k + 1.0)).tolist())
 
-    n = _auto_n_max(cdf, tail_cutoff) if n_max is None else int(n_max)
+    n = _auto_n_max(cdf) if n_max is None else int(n_max)
     if n < 0:
         raise ParameterError("n_max must be non-negative")
     if n > MAX_N_CAP:
@@ -190,13 +189,12 @@ def poisson_pmf(mu: float, n_max: int | None = None,
     k = np.arange(n + 1, dtype=np.float64)
     probs = np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
     tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    if n_max is None and tail > tail_cutoff:
-        raise TruncationError(f"poisson tail {tail:g} above cutoff {tail_cutoff:g} at n_max={n}")
+    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
+        raise TruncationError(f"poisson tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
     return PhotonNumberPmf(probs, n, tail)
 
 
-def thermal_pmf(mu: float, n_max: int | None = None,
-                tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> PhotonNumberPmf:
+def thermal_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
     """Single-mode thermal (Bose-Einstein) distribution p[n] = mu^n / (1+mu)^(n+1)."""
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
@@ -208,10 +206,10 @@ def thermal_pmf(mu: float, n_max: int | None = None,
     ratio = mu / (1.0 + mu)
     if n_max is None:
         # geometric tail is exactly ratio^(n+1)
-        n = min(MAX_N_CAP, max(8, math.ceil(math.log(tail_cutoff) / math.log(ratio)) - 1))
-        if ratio ** (n + 1) > tail_cutoff:
-            raise TruncationError(
-                f"thermal tail {ratio ** (n + 1):g} above cutoff {tail_cutoff:g} at the cap {MAX_N_CAP}")
+        n = min(MAX_N_CAP, max(8, math.ceil(math.log(DEFAULT_TAIL_CUTOFF) / math.log(ratio)) - 1))
+        if ratio ** (n + 1) > DEFAULT_TAIL_CUTOFF:
+            raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
+                                  f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
     else:
         n = int(n_max)
         if n < 0:
@@ -224,8 +222,7 @@ def thermal_pmf(mu: float, n_max: int | None = None,
     return PhotonNumberPmf(probs, n, tail)
 
 
-def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None,
-                          tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> PhotonNumberPmf:
+def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> PhotonNumberPmf:
     """K-fold convolution of thermal modes carrying mu/K each (negative binomial).
 
     Models a pump pulse spanning ``k_modes`` independent temporal modes; the
@@ -237,7 +234,7 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None,
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
     if k_modes == 1:
-        return thermal_pmf(mu, n_max, tail_cutoff)
+        return thermal_pmf(mu, n_max)
     if mu == 0.0:
         n = 0 if n_max is None else int(n_max)
         probs = np.zeros(n + 1)
@@ -255,15 +252,15 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None,
     def cdf(n):
         return math.fsum(body(n).tolist())
 
-    n = _auto_n_max(cdf, tail_cutoff, start=16) if n_max is None else int(n_max)
+    n = _auto_n_max(cdf, start=16) if n_max is None else int(n_max)
     if n < 0:
         raise ParameterError("n_max must be non-negative")
     if n > MAX_N_CAP:
         raise TruncationError(f"n_max {n} exceeds the cap {MAX_N_CAP}")
     probs = body(n)
     tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    if n_max is None and tail > tail_cutoff:
-        raise TruncationError(f"multimode tail {tail:g} above cutoff {tail_cutoff:g} at n_max={n}")
+    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
+        raise TruncationError(f"multimode tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
     return PhotonNumberPmf(probs, n, tail)
 
 
@@ -283,8 +280,7 @@ def trigger_prob_given_n(i, s: SourceParams):
     return p_n, p_t
 
 
-def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None,
-                     tail_cutoff: float = DEFAULT_TAIL_CUTOFF) -> PhotonNumberPmf:
+def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None) -> PhotonNumberPmf:
     """Joint law of (heralding outcome, i photons entering the channel).
 
     ``outcome`` is ``"N"`` (no trigger) or ``"T"`` (trigger).  The result is
@@ -298,7 +294,7 @@ def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None,
     """
     if outcome not in ("N", "T"):
         raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
-    marginal = poisson_pmf(s.mu, n_max, tail_cutoff)
+    marginal = poisson_pmf(s.mu, n_max)
     # heralding leakage from signal photons lost inside Alice
     leak = math.exp(-(s.mu0 - s.mu) * s.eta_a)
     k = np.arange(marginal.n_max + 1, dtype=np.float64)
@@ -314,8 +310,7 @@ def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None,
     return PhotonNumberPmf(probs, marginal.n_max, tail, norm)
 
 
-def joint_signal_pmf_series(s: SourceParams, outcome: str, n_max: int,
-                            j_max: int | None = None) -> np.ndarray:
+def joint_signal_pmf_series(s: SourceParams, outcome: str, n_max: int) -> np.ndarray:
     """Joint law evaluated from its defining sum over the pair number j.
 
     Independent cross-check of :func:`joint_signal_pmf`: for each channel
@@ -324,8 +319,7 @@ def joint_signal_pmf_series(s: SourceParams, outcome: str, n_max: int,
     """
     if outcome not in ("N", "T"):
         raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
-    if j_max is None:
-        j_max = max(4 * n_max, int(8 * (1 + s.mu0)), 64)
+    j_max = max(4 * n_max, int(8 * (1 + s.mu0)), 64)
     j = np.arange(j_max + 1, dtype=np.float64)
     if s.mu0 > 0:
         log_pois = j * math.log(s.mu0) - s.mu0 - gammaln(j + 1.0)

@@ -3,10 +3,12 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
 
 from pdqkd.cli import main
-from pdqkd.dataio import TALLY_HEADER, read_results
+from pdqkd.dataio import (EVENTS_HEADER, TALLY_HEADER, read_results, read_tally,
+                          tally_from_events)
 from pdqkd.presets import REFERENCE_RUNS, Y0_BOB, preset_manifest
 
 
@@ -143,6 +145,40 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--tally", str(path))
         assert code == 2 and "sum to n_pulses" in err
 
+    def test_packed_log_gives_the_csv_tally(self, tmp_path, capsys):
+        stdouts = []
+        for log in ("ev.csv", "ev.npy"):
+            code, _, _ = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses", "100000",
+                                 "--seed", "5", "--set", "eta_db=8.0",
+                                 "--out", str(tmp_path / f"{log}.tally"),
+                                 "--events", str(tmp_path / log))
+            assert code == 0
+            code, stdout, _ = run_cli(capsys, "estimate", "--config", "paper50km",
+                                      "--events", str(tmp_path / log), "--mode", "asymptotic")
+            assert code == 0
+            stdouts.append(stdout)
+        assert stdouts[0] == stdouts[1]
+        assert (tmp_path / "ev.csv.tally").read_bytes() == (tmp_path / "ev.npy.tally").read_bytes()
+        assert read_tally(tmp_path / "ev.csv.tally") == tally_from_events(np.load(tmp_path / "ev.npy"))
+
+    @pytest.mark.parametrize("name, flags, where", [
+        ("bad.csv", "7,3,0,0,0,0,9,0", "triggered must be 0 or 1, got 7 at record 1"),
+        ("bad.csv", "0,0,0,0,1,300,0,0", "row 4"),
+        ("bad.npy", "0,0,0,0,0,0,0,0", "not a packed event array"),  # CSV text in a .npy file
+    ])
+    def test_corrupt_event_log_is_a_data_error(self, tmp_path, capsys, name, flags, where):
+        path = tmp_path / name
+        path.write_text(f"# pdqkd:events:v1\n{EVENTS_HEADER}\n0,0,0,0,0,0,0,0,0\n1,{flags}\n")
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--events", str(path))
+        assert code == 2 and where in err
+
+    @pytest.mark.parametrize("flag, value", [("--pulses", "60000000000.7"), ("--triggers", "3.5")])
+    def test_fractional_count_is_a_data_error(self, capsys, flag, value):
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km",
+                               "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+                               "--e-n", "0.0399", "--e-t", "0.0306", flag, value)
+        assert code == 2 and flag in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km")
         assert code == 2
@@ -260,6 +296,21 @@ class TestHelp:
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "nonsense-command")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+         "--e-n", "0.0399", "--e-t", "0.0306", "--workers", "2"],
+        ["scan-loss", "--config", "paper50km", "--workers", "2"],
+        ["reproduce", "table1", "--workers", "0"],
+        ["simulate", "--pulses", "1000", "--events", "x.csv", "--events-format", "npy"],
+    ])
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 1 and "unrecognized arguments" in err
+
+    def test_hbt_without_off_zero_coincidences(self, capsys):
+        code, _, err = run_cli(capsys, "hbt", "--pulses", "1000")
+        assert code == 3 and "off-zero" in err
 
     def test_numeric_error_exit_code(self, capsys):
         # a dark source gives no beam-splitter singles: g2 is undefined

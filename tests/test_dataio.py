@@ -99,7 +99,7 @@ class TestEvents:
     def test_npy_round_trip(self, tmp_path):
         events = self._sample_events(2_000)
         path = tmp_path / "events.npy"
-        write_events(events, path, fmt="npy")
+        write_events(events, path)
         assert np.array_equal(read_events(path), events)
 
     def test_pipeline_identity(self, tmp_path):
@@ -130,6 +130,16 @@ class TestEvents:
         path.write_text("pulse,stuff\n")
         with pytest.raises(DataFormatError, match="header"):
             read_events(path)
+
+    def test_bad_flag_rejected_in_packed_log(self, tmp_path):
+        events = np.zeros(3, dtype=EVENT_DTYPE)
+        events["pulse_id"] = [0, 1, 2]
+        events["bob_basis"][2] = 2
+        with pytest.raises(DataFormatError, match="bob_basis must be 0 or 1, got 2 at record 2"):
+            write_events(events, tmp_path / "x.npy")
+        np.save(tmp_path / "x.npy", events)
+        with pytest.raises(DataFormatError, match="bob_basis"):
+            read_events(tmp_path / "x.npy")
 
 
 class TestTallyFile:
@@ -193,7 +203,7 @@ class TestResults:
         scan = scan_loss(manifest.to_source_params(), manifest.to_link_params(),
                          manifest.to_protocol_params(),
                          [float(x) for x in np.arange(0.0, 35.5, 0.5)],
-                         vacuum_credit=0.0, refine=False)
+                         vacuum_credit=0.0)
         rows = [ResultsRow.from_scan_point(p) for p in scan.points]
         path = tmp_path / "scan.csv"
         write_results(rows, path)

@@ -215,12 +215,6 @@ class TestKeyRate:
         # non-triggered branch carries the fluctuation-raised bound
         assert result.branch_n.e1_up > result.branch_t.e1_up
 
-    def test_duty_scales_key_bits_only(self):
-        a = key_rate(obs50(), proto50(), src50(), "finite")
-        b = key_rate(obs50(), proto50(), src50(), "finite", duty=0.5)
-        assert b.key_bits == pytest.approx(0.5 * a.key_bits, rel=1e-12)
-        assert b.r == a.r
-
     def test_r_is_branch_sum(self):
         result = key_rate(obs50(), proto50(), src50(), "finite", vacuum_credit=1.6e-6)
         assert result.r == result.r_n + result.r_t
@@ -260,7 +254,7 @@ class TestScanLoss:
         src = src50()
         link = RUN50.manifest().to_link_params()
         proto = proto50()
-        scan = scan_loss(src, link, proto, [0.0], vacuum_credit=0.0, refine=False)
+        scan = scan_loss(src, link, proto, [0.0], vacuum_credit=0.0)
         ao = gains_analytic(src, replace(link, eta=1.0))
         obs = ObservedStats.from_analytic(ao, src, proto.n_pulses)
         direct = key_rate(obs, proto, src, "finite", vacuum_credit=0.0)
@@ -271,7 +265,7 @@ class TestScanLoss:
         src = src50()
         link = RUN50.manifest().to_link_params()
         scan = scan_loss(src, link, proto50(), list(np.arange(0.0, 35.5, 0.5)),
-                         vacuum_credit=0.0, refine=False)
+                         vacuum_credit=0.0)
         rates = [p.result.r for p in scan.points]
         assert all(b <= a + 1e-18 for a, b in zip(rates, rates[1:]))
 

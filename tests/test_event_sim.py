@@ -223,7 +223,7 @@ class TestEndToEnd:
         link = scaled_link(0.0)
         protocol = ProtocolParams(n_pulses=10_000_000, u_alpha=5.0)
         scan = scan_loss(source50, link, protocol, [6.0, 9.0, 12.0],
-                         mode="asymptotic", vacuum_credit=0.0, refine=False)
+                         mode="asymptotic", vacuum_credit=0.0)
         for point in scan.points:
             config = SimConfig(n_pulses=protocol.n_pulses, seed=int(101 + point.loss_db))
             result = end_to_end(source50, scaled_link(point.loss_db), protocol, config,
