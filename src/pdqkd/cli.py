@@ -88,11 +88,7 @@ def _run_manifest(args) -> dataio.RunManifest:
     """Config of an engine command, with its --pulses/--seed/--mu0 flags applied."""
     manifest = load_manifest(args.config, args.set)
     flags = {"n_pulses": args.pulses, "seed": args.seed, "mu0": getattr(args, "mu0", None)}
-    manifest = manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
-    # only simulate writes event logs; it carries an --events flag (None when not given)
-    if manifest["record_events"] and getattr(args, "events", "") is None:
-        raise ConfigError("record_events = true needs --events to name the event log")
-    return manifest
+    return manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
 
 
 def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
@@ -120,10 +116,10 @@ def _print_keyrate(result, protocol) -> None:
 
 def cmd_simulate(args) -> int:
     manifest = _run_manifest(args)
-    config = manifest.to_sim_config(record_events=bool(args.events))
+    config = manifest.to_sim_config()
     source = manifest.to_source_params()
     link = manifest.to_link_params()
-    tally, events = event_sim.simulate_run(source, link, config, workers=args.workers)
+    tally, log = event_sim.simulate_run(source, link, config, workers=args.workers)
     obs = tally.to_observed_stats()
     print(f"pulses         : {tally.n_pulses}")
     print(f"triggers       : {tally.n_triggers} "
@@ -135,7 +131,7 @@ def cmd_simulate(args) -> int:
         dataio.write_tally(tally, args.out)
         print(f"tally written  : {args.out}")
     if args.events:
-        dataio.write_events(events, args.events)
+        dataio.write_events(log, args.events)
         print(f"events written : {args.events}")
     return EXIT_OK
 
@@ -146,9 +142,13 @@ def _observed_from_args(args, manifest) -> ObservedStats:
     if sources != 1:
         raise ConfigError("provide exactly one input: --tally, --events, "
                           "or the direct --q-n/--q-t/--e-n/--e-t rates")
-    if args.tally:
-        return dataio.read_tally(args.tally).to_observed_stats()
-    if args.events:
+    if args.tally or args.events:
+        for flag, value in (("--pulses", args.pulses), ("--triggers", args.triggers)):
+            if value is not None:
+                raise ConfigError(f"{flag} is for direct rates; a tally or event log "
+                                  "carries its own counts")
+        if args.tally:
+            return dataio.read_tally(args.tally).to_observed_stats()
         return dataio.tally_from_events(dataio.read_events(args.events)).to_observed_stats()
     missing = [name for name, v in (("--q-n", args.q_n), ("--q-t", args.q_t),
                                     ("--e-n", args.e_n), ("--e-t", args.e_t)) if v is None]
@@ -239,7 +239,7 @@ def _hbt_pmf(args, mu0: float):
 def cmd_hbt(args) -> int:
     manifest = _run_manifest(args)
     source = manifest.to_source_params()
-    config = manifest.to_sim_config(record_events=False)
+    config = manifest.to_sim_config()
     hist = event_sim.simulate_hbt(source, args.detector_eff, config,
                                   pmf=_hbt_pmf(args, manifest["mu0"]), workers=args.workers)
     print(f"pulses         : {hist.n_pulses}")
@@ -254,7 +254,7 @@ def cmd_hbt(args) -> int:
 def cmd_car(args) -> int:
     manifest = _run_manifest(args)
     source = manifest.to_source_params()
-    config = manifest.to_sim_config(record_events=False)
+    config = manifest.to_sim_config()
     res = event_sim.simulate_car(source, args.signal_eff, config, workers=args.workers)
     bound = " (lower bound: no accidentals recorded)" if res.is_lower_bound else ""
     print(f"coincidences   : {res.coincidences}")
@@ -337,13 +337,14 @@ def build_parser() -> argparse.ArgumentParser:
                        formatter_class=argparse.RawDescriptionHelpFormatter)
     _add_engine(p)
     p.add_argument("--out", help="write the tally summary here")
-    p.add_argument("--events", help="write the per-pulse event log here (.npy: packed, else CSV)")
+    p.add_argument("--events", help="write the event log here: CSV of the detections "
+                   "and the pulses sent per trigger/basis cell")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("estimate", help="key rate from a tally, event log, or direct rates")
     _add_common(p)
     p.add_argument("--tally", help="tally summary file")
-    p.add_argument("--events", help="event log file (.npy: packed, else CSV)")
+    p.add_argument("--events", help="event log file (CSV, as simulate --events writes it)")
     p.add_argument("--q-n", type=float, help="direct non-trigger gain")
     p.add_argument("--q-t", type=float, help="direct trigger gain")
     p.add_argument("--e-n", type=float, help="direct non-trigger QBER")

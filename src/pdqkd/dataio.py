@@ -4,8 +4,8 @@ All formats are text-first and versioned:
 
 - configs and tallies are flat ``key = value`` files (losses always in dB,
   never linear);
-- event logs are CSV with a fixed header or, at a ``.npy`` path, an
-  equivalent packed array with the same logical schema;
+- event logs are CSV: the pulses sent per trigger/basis cell on one line,
+  then one row per detection under a fixed header;
 - results tables are CSV with one row per loss point, serialized at full
   double precision so re-reading reproduces every value exactly.
 
@@ -16,6 +16,7 @@ out-of-range keys by name.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,26 +26,24 @@ import numpy as np
 
 from .decoy_estimator import KeyRateResult, ProtocolParams, ScanPoint
 from .errors import ConfigError, DataFormatError, ParameterError
-from .event_sim import EVENT_DTYPE, SimConfig, Tally, count_tally
+from .event_sim import CELLS, EVENT_DTYPE, EventLog, SimConfig, Tally, count_tally
 from .link_model import LinkParams, db_to_linear
 from .photon_source import SourceParams
 
 ARTIFACT_VERSION = "1"
 _CONFIG_TAG = "# pdqkd:config:v1"
 _TALLY_TAG = "# pdqkd:tally:v1"
-_EVENTS_TAG = "# pdqkd:events:v1"
+_EVENTS_TAG = "# pdqkd:events:v2"
 _RESULTS_TAG = "# pdqkd:results:v1"
 
-EVENTS_HEADER = ("pulse_id,triggered,alice_basis,alice_bit,bob_basis,"
-                 "bob_clicked,bob_bit,dark_origin,double_click")
+EVENTS_HEADER = ",".join(EVENT_DTYPE.names)
+_SENT_LINE = re.compile(",".join(f"sent_{cell}=([0-9]+)" for cell in CELLS))
 
 RESULTS_HEADER = ("loss_db,q_n,q_t,e_n,e_t,y1_low,e1_up,r_n,r_t,r,key_bits,"
                   "clamped_y1,clamped_e1,clamped_r_n,clamped_r_t")
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -68,7 +67,6 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object]] = {
     "seed": (int, None, 0),
     "batch_size": (int, (1, math.inf), 1_000_000),
     "basis_bias": (float, (0.0, 1.0), 0.5),
-    "record_events": (bool, None, False),
 }
 
 
@@ -89,7 +87,6 @@ KEY_DOCS: dict[str, str] = {
     "seed": "64-bit random seed",
     "batch_size": "pulses per Monte Carlo batch",
     "basis_bias": "probability of the X basis, linear in [0,1]",
-    "record_events": "write per-pulse event records (true/false)",
 }
 
 
@@ -147,24 +144,14 @@ class RunManifest:
         return ProtocolParams(n_pulses=self["n_pulses"], q=self["q"],
                               f=self["f"], u_alpha=self["u_alpha"])
 
-    def to_sim_config(self, **overrides) -> SimConfig:
-        kw = dict(n_pulses=self["n_pulses"], seed=self["seed"],
-                  batch_size=self["batch_size"], basis_bias=self["basis_bias"],
-                  record_events=self["record_events"])
-        kw.update(overrides)
-        return SimConfig(**kw)
+    def to_sim_config(self) -> SimConfig:
+        return SimConfig(n_pulses=self["n_pulses"], seed=self["seed"],
+                         batch_size=self["batch_size"], basis_bias=self["basis_bias"])
 
 
 def _coerce(key: str, text: str):
     kind = _SCHEMA[key][0]
     try:
-        if kind is bool:
-            lowered = text.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
         if kind is int:
             as_float = float(text)
             if not as_float.is_integer():
@@ -177,10 +164,6 @@ def _coerce(key: str, text: str):
 
 def _validate_key(key: str, value) -> None:
     kind, bounds, _ = _SCHEMA[key]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"key {key}: expected a boolean, got {value!r}")
-        return
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"key {key}: expected a number, got {value!r}")
     if kind is int and not float(value).is_integer():
@@ -190,6 +173,14 @@ def _validate_key(key: str, value) -> None:
         if not (lo <= value <= hi):
             rng = f"[{lo}, {hi}]" if math.isfinite(hi) else f">= {lo}"
             raise ConfigError(f"key {key}: value {value!r} out of range {rng}")
+
+
+def _read_lines(path: Path, error=DataFormatError) -> list[str]:
+    """The lines of a text file; an unreadable or non-UTF-8 file raises ``error``."""
+    try:
+        return path.read_text().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"not a readable text file ({exc})", str(path)) from exc
 
 
 def write_config(manifest: RunManifest, path) -> None:
@@ -207,7 +198,7 @@ def read_config(path) -> RunManifest:
     values: dict = {}
     explicit: set[str] = set()
     version, created = ARTIFACT_VERSION, None
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(_read_lines(path, ConfigError), start=1):
         line = raw.strip()
         if line.startswith("# version ="):
             version = line.split("=", 1)[1].strip()
@@ -258,7 +249,7 @@ def write_tally(tally: Tally, path) -> None:
 
 def read_tally(path) -> Tally:
     path = Path(path)
-    lines = [l for l in path.read_text().splitlines() if l.strip()]
+    lines = [l for l in _read_lines(path) if l.strip()]
     pos = _skip_tag(lines, _TALLY_TAG, "tally", path)
     if pos >= len(lines):
         raise DataFormatError("missing tally header", str(path), pos + 1)
@@ -289,78 +280,75 @@ def read_tally(path) -> Tally:
         raise DataFormatError(str(exc), str(path)) from exc
 
 
-def _checked_events(arr, path=None) -> np.ndarray:
-    """``arr`` itself, once it is an ``EVENT_DTYPE`` array in pulse order with 0/1 flags."""
-    where = None if path is None else str(path)
-    if not (isinstance(arr, np.ndarray) and arr.dtype == EVENT_DTYPE):
-        raise DataFormatError(f"events must be an array of dtype {EVENT_DTYPE}", where)
-    ids = arr["pulse_id"]
-    if len(ids) > 1 and np.any(ids[1:] <= ids[:-1]):
-        bad = int(np.argmax(ids[1:] <= ids[:-1])) + 1
-        raise DataFormatError(f"pulse_id not strictly increasing at record {bad}", where, bad + 2)
-    for name in EVENT_DTYPE.names[1:]:
-        bad = np.flatnonzero(arr[name] > 1)
-        if len(bad):
-            raise DataFormatError(f"{name} must be 0 or 1, got {arr[name][bad[0]]} "
-                                  f"at record {bad[0]}", where)
-    return arr
+def _checked_events(log, path=None, first_line=None) -> EventLog:
+    """``log`` itself, once it is an :class:`EventLog` that a tally can be made of.
 
-
-def write_events(events, path) -> None:
-    """Write an event log; ``events`` is a structured array of ``EVENT_DTYPE``.
-
-    A ``.npy`` path gets the same logical schema packed into a binary array,
-    for large logs; any other path gets the auditable CSV interchange format.
+    Its rows must be ``EVENT_DTYPE`` with 0/1 flags and pulse ids that
+    increase strictly and stay below ``n_pulses``, and no cell may hold more
+    rows than pulses sent.  A bad record ``r`` of a file is reported on line
+    ``first_line + r``.
     """
-    arr = _checked_events(events)
-    path = Path(path)
-    if path.suffix == ".npy":
-        np.save(path, arr)
-        return
-    with path.open("w") as fh:
-        fh.write(_EVENTS_TAG + "\n")
-        fh.write(EVENTS_HEADER + "\n")
-        cols = [arr[name] for name in EVENT_DTYPE.names]
-        for row in zip(*cols):
-            fh.write(",".join(str(int(v)) for v in row) + "\n")
+    where = None if path is None else str(path)
+
+    def fail(message, record=None):
+        line = None if record is None or first_line is None else first_line + record
+        raise DataFormatError(message if record is None else f"{message} at record {record}",
+                              where, line)
+
+    if not (isinstance(log, EventLog) and len(log.sent) == len(CELLS)
+            and getattr(log.rows, "dtype", None) == EVENT_DTYPE):
+        fail(f"events must be an EventLog of {len(CELLS)} sent counts and {EVENT_DTYPE} rows")
+    ids, n_pulses = log.rows["pulse_id"], sum(log.sent)
+    for message, bad in (("pulse_id not strictly increasing",
+                          1 + np.flatnonzero(ids[1:] <= ids[:-1])),
+                         (f"pulse_id not below the {n_pulses} pulses sent",
+                          np.flatnonzero(ids >= n_pulses))):
+        if len(bad):
+            fail(message, int(bad[0]))
+    for name in EVENT_DTYPE.names[1:]:
+        bad = np.flatnonzero(log.rows[name] > 1)
+        if len(bad):
+            fail(f"{name} must be 0 or 1, got {log.rows[name][bad[0]]}", int(bad[0]))
+    try:
+        count_tally(log)
+    except ParameterError as exc:
+        fail(str(exc))
+    return log
 
 
-def read_events(path) -> np.ndarray:
-    """Read a packed (``.npy`` path) or CSV event log back into a checked structured array."""
+def write_events(events: EventLog, path) -> None:
+    """Write an event log as CSV: tag, per-cell sent counts, header, one line per detection."""
+    log = _checked_events(events)
+    sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, log.sent))
+    with Path(path).open("w") as fh:
+        fh.write(f"{_EVENTS_TAG}\n{sent}\n{EVENTS_HEADER}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in log.rows.tolist())
+
+
+def read_events(path) -> EventLog:
+    """Read a CSV event log back into a checked :class:`EventLog`."""
     path = Path(path)
-    if path.suffix == ".npy":
-        try:
-            arr = np.load(path)
-        except ValueError as exc:
-            raise DataFormatError(f"not a packed event array ({exc})", str(path)) from exc
-        return _checked_events(arr, path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     pos = _skip_tag(lines, _EVENTS_TAG, "event log", path)
-    if pos >= len(lines) or lines[pos].strip() != EVENTS_HEADER:
-        raise DataFormatError("missing or wrong event header", str(path), pos + 1)
-    pos += 1
-    n_cols = len(EVENT_DTYPE.names)
-    arr = np.empty(len(lines) - pos, dtype=EVENT_DTYPE)
+    sent = _SENT_LINE.fullmatch(lines[pos].strip()) if pos < len(lines) else None
+    if sent is None:
+        raise DataFormatError("missing or malformed sent-count line", str(path), pos + 1)
+    if pos + 1 >= len(lines) or lines[pos + 1].strip() != EVENTS_HEADER:
+        raise DataFormatError("missing or wrong event header", str(path), pos + 2)
+    pos += 2
+    rows = np.empty(len(lines) - pos, dtype=EVENT_DTYPE)
     for i, line in enumerate(lines[pos:]):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise DataFormatError(f"expected {n_cols} fields, got {len(parts)}",
-                                  str(path), pos + i + 1)
-        try:
-            arr[i] = tuple(int(p) for p in parts)
+        try:  # a wrong field count is a ValueError of the assignment
+            rows[i] = tuple(int(p) for p in line.split(","))
         except (ValueError, OverflowError) as exc:
             raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
-    return _checked_events(arr, path)
+    log = EventLog(sent=tuple(int(n) for n in sent.groups()), rows=rows)
+    return _checked_events(log, path, first_line=pos + 1)
 
 
-def tally_from_events(events) -> Tally:
-    """Recount a full event log into a Tally, exactly as the engine would."""
-    arr = _checked_events(events)
-    clicked = arr["bob_clicked"] != 0
-    hits = arr[clicked]
-    return count_tally(arr["triggered"] != 0, arr["alice_basis"] == arr["bob_basis"], clicked,
-                       hits["bob_bit"] != hits["alice_bit"], hits["double_click"] != 0,
-                       hits["dark_origin"] != 0)
+def tally_from_events(events: EventLog) -> Tally:
+    """Recount an event log into a Tally, exactly as the engine does."""
+    return count_tally(_checked_events(events))
 
 
 @dataclass(frozen=True)
@@ -419,7 +407,7 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
 
 def read_results(path) -> list[ResultsRow]:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    lines = _read_lines(path)
     pos = _skip_tag(lines, _RESULTS_TAG, "results", path)
     if pos >= len(lines) or lines[pos].strip() != RESULTS_HEADER:
         raise DataFormatError("missing or wrong results header", str(path), pos + 1)

@@ -56,12 +56,15 @@ _SLOT_CAR_IDLER = 1
 _SLOT_CAR_SIGNAL = 2
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 
+#: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
     ("pulse_id", "<u8"), ("triggered", "u1"),
     ("alice_basis", "u1"), ("alice_bit", "u1"), ("bob_basis", "u1"),
-    ("bob_clicked", "u1"), ("bob_bit", "u1"),
-    ("dark_origin", "u1"), ("double_click", "u1"),
+    ("bob_bit", "u1"), ("dark_origin", "u1"), ("double_click", "u1"),
 ])
+
+#: the four trigger/basis cells of a run, indexed by ``2 * triggered + matched``
+CELLS = ("n_mismatch", "n_match", "t_mismatch", "t_match")
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class SimConfig:
     seed: int = 0
     batch_size: int = 1_000_000
     basis_bias: float = 0.5
-    record_events: bool = False
 
     def __post_init__(self):
         if not (isinstance(self.n_pulses, int) and self.n_pulses >= 1):
@@ -157,28 +159,42 @@ class Tally:
                              e_n=e_n, e_t=e_t, n_pulses=n, n_triggers=self.n_triggers)
 
 
-def count_tally(triggered, matched, clicked, error, double, dark) -> Tally:
-    """Reduce per-pulse outcomes to a :class:`Tally`.
+@dataclass(frozen=True, eq=False)
+class EventLog:
+    """The detections of a run, with the pulses sent per cell.
 
-    ``triggered`` and ``matched`` are boolean per pulse and ``clicked``
-    selects the detected pulses (a mask or their indices); ``error``,
-    ``double`` and ``dark`` (dark-only) hold one flag per detection, in pulse
-    order.  Errors count in the matched cells only.
+    ``sent`` counts the pulses sent in each of :data:`CELLS`; ``rows`` holds
+    one ``EVENT_DTYPE`` row per detected pulse, in pulse order, and ``len()``
+    counts them.  A tally needs nothing of the undetected pulses but ``sent``.
     """
-    # cell index 2 * triggered + matched: [N mismatch, N match, T mismatch, T match]
-    cell = np.left_shift(triggered, 1, dtype=np.uint8) | matched
-    sent = np.bincount(cell, minlength=4).tolist()
-    hit = cell[clicked]
-    det = np.bincount(hit, minlength=4).tolist()
-    err = np.bincount(hit[error], minlength=4).tolist()
-    return Tally(n_pulses=len(cell),
-                 sent_n_match=sent[1], sent_n_mismatch=sent[0],
-                 sent_t_match=sent[3], sent_t_mismatch=sent[2],
-                 det_n_match=det[1], det_n_mismatch=det[0],
-                 det_t_match=det[3], det_t_mismatch=det[2],
+
+    sent: tuple[int, int, int, int]
+    rows: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, EventLog) and self.sent == other.sent
+                and np.array_equal(self.rows, other.rows))
+
+
+def count_tally(log: EventLog) -> Tally:
+    """Reduce an event log to a :class:`Tally`.
+
+    The sent cells come from ``log.sent``; detections, errors (matched cells
+    only), double clicks and dark-only detections from its rows.
+    """
+    rows = log.rows
+    cell = np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
+    det = np.bincount(cell, minlength=4).tolist()
+    err = np.bincount(cell[rows["alice_bit"] != rows["bob_bit"]], minlength=4).tolist()
+    return Tally(n_pulses=sum(log.sent),
+                 **{f"sent_{c}": n for c, n in zip(CELLS, log.sent)},
+                 **{f"det_{c}": n for c, n in zip(CELLS, det)},
                  err_n=err[1], err_t=err[3],
-                 double_clicks=int(np.count_nonzero(double)),
-                 dark_detections=int(np.count_nonzero(dark)))
+                 double_clicks=int(np.count_nonzero(rows["double_click"])),
+                 dark_detections=int(np.count_nonzero(rows["dark_origin"])))
 
 
 def _source_cdf(source: SourceParams, pmf: PhotonNumberPmf | None) -> np.ndarray:
@@ -220,6 +236,7 @@ def _pulse_tables(cdf: np.ndarray, source: SourceParams, link: LinkParams):
 
 def _run_batch(lo: int, hi: int, cdf: np.ndarray, tables, source: SourceParams,
                link: LinkParams, config: SimConfig):
+    """Per-cell sent counts and the event-log rows of pulses ``lo..hi-1``."""
     count = hi - lo
     seed = config.seed
     n = _sample_pairs(cdf, seed, lo, count)
@@ -230,46 +247,38 @@ def _run_batch(lo: int, hi: int, cdf: np.ndarray, tables, source: SourceParams,
     u_surv = uniform_stream(seed, _SLOT_SURVIVORS, lo, count)
     photon = u_surv >= t_none[n]
     multi = u_surv >= t_single[n]
+    del n, u_surv  # unused below; kept through the next three draws, they would set the peak
 
     dark = uniform_stream(seed, _SLOT_DARK, lo, count) < link.y0
-    clicked = photon | dark
-    double = (photon & dark) | multi
 
     basis_a = uniform_stream(seed, _SLOT_ALICE_BASIS, lo, count) >= config.basis_bias
     basis_b = uniform_stream(seed, _SLOT_BOB_BASIS, lo, count) >= config.basis_bias
-    matched = basis_a == basis_b
+    sent = np.bincount(np.left_shift(triggered, 1, dtype=np.uint8) | (basis_a == basis_b),
+                       minlength=4)
 
-    # bits only matter for detections; draw them at the clicked pulses alone
-    hits = np.nonzero(clicked)[0]
-    ids = hits.astype(np.uint64) + np.uint64(lo)
-    bit_a = uniform_at(seed, _SLOT_ALICE_BIT, ids) < 0.5
+    # the rest only matters for detections; draw it at the clicked pulses alone
+    hits = np.flatnonzero(photon | dark)
+    rows = np.empty(len(hits), dtype=EVENT_DTYPE)
+    rows["pulse_id"] = ids = hits.astype(np.uint64) + np.uint64(lo)
+    for name, col in (("triggered", triggered), ("alice_basis", basis_a), ("bob_basis", basis_b)):
+        rows[name] = col[hits]
+    rows["alice_bit"] = bit_a = uniform_at(seed, _SLOT_ALICE_BIT, ids) < 0.5
     u_flip = uniform_at(seed, _SLOT_FLIP, ids)
     u_squash = uniform_at(seed, _SLOT_SQUASH, ids)
-    photon_c, double_c, matched_c = photon[hits], double[hits], matched[hits]
-    dark_only_c = dark[hits] & ~photon_c
-    flip_prob = np.where(matched_c, link.e_d, 0.5)
-    bob_bit = np.where(
+    photon_c, dark_c = photon[hits], dark[hits]
+    double_c = (photon_c & dark_c) | multi[hits]
+    flip_prob = np.where(rows["alice_basis"] == rows["bob_basis"], link.e_d, 0.5)
+    rows["bob_bit"] = np.where(
         double_c, u_squash < 0.5,
         np.where(photon_c, bit_a ^ (u_flip < flip_prob), u_flip < 0.5))
-    tally = count_tally(triggered, matched, hits, bob_bit != bit_a, double_c, dark_only_c)
-    if not config.record_events:
-        return tally, None
-    events = np.zeros(count, dtype=EVENT_DTYPE)  # bob_bit is canonical 0 when not clicked
-    events["pulse_id"] = np.arange(lo, hi, dtype=np.uint64)
-    events["triggered"] = triggered
-    events["alice_basis"] = basis_a
-    events["alice_bit"] = uniform_stream(seed, _SLOT_ALICE_BIT, lo, count) < 0.5
-    events["bob_basis"] = basis_b
-    events["bob_clicked"] = clicked
-    events["bob_bit"][hits] = bob_bit
-    events["dark_origin"][hits] = dark_only_c
-    events["double_click"][hits] = double_c
-    return tally, events
+    rows["dark_origin"] = dark_c & ~photon_c
+    rows["double_click"] = double_c
+    return sent, rows
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
-                 pmf: PhotonNumberPmf | None = None, workers: int = 1):
-    """Simulate a protocol run; returns ``(Tally, events-or-None)``.
+                 pmf: PhotonNumberPmf | None = None, workers: int = 1) -> tuple[Tally, EventLog]:
+    """Simulate a protocol run; returns ``(count_tally(log), log)``.
 
     ``pmf`` overrides the pair-number distribution (default: Poisson of mean
     ``mu0``).  ``workers`` parallelizes over batches without affecting any
@@ -279,10 +288,9 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     tables = _pulse_tables(cdf, source, link)
     parts = _map_batches(lambda lo, hi: _run_batch(lo, hi, cdf, tables, source, link, config),
                          config, workers)
-    tally = sum((t for t, _ in parts), Tally())
-    if not config.record_events:
-        return tally, None
-    return tally, np.concatenate([ev for _, ev in parts])
+    log = EventLog(sent=tuple(sum(sent for sent, _ in parts).tolist()),
+                   rows=np.concatenate([rows for _, rows in parts]))
+    return count_tally(log), log
 
 
 @dataclass(frozen=True)
@@ -338,6 +346,8 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
     """
     if not (0.0 < detector_eff <= 1.0):
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
+    if config.n_pulses <= _HBT_MAX_DELAY:
+        raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
     cdf = _source_cdf(source, pmf)
     # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
     # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n

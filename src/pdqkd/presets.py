@@ -86,7 +86,6 @@ class ReferenceRun:
             "seed": 0,
             "batch_size": 4_000_000,
             "basis_bias": 0.5,
-            "record_events": False,
         }
         return RunManifest(values=values, explicit=frozenset(values),
                            created="preset")

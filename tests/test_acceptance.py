@@ -293,13 +293,13 @@ def test_criterion_8_roundtrip_io(tmp_path, capsys):
     write_config(read_config(c1), c2)
     config_ok = c1.read_bytes() == c2.read_bytes()
 
-    # events: 1e4-record log round-trips exactly
-    link = LinkParams(eta=0.1, y0=1.6e-6, e_d=0.012)
-    _, events = simulate_run(manifest.to_source_params(), link,
-                             SimConfig(n_pulses=10_000, seed=4, record_events=True))
+    # events: a log of >= 1e4 detections round-trips exactly (0 dB, so 4e5 pulses suffice)
+    link = LinkParams(eta=1.0, y0=1.6e-6, e_d=0.012)
+    _, log = simulate_run(manifest.to_source_params(), link,
+                          SimConfig(n_pulses=400_000, seed=4))
     epath = tmp_path / "ev.csv"
-    write_events(events, epath)
-    events_ok = np.array_equal(read_events(epath), events)
+    write_events(log, epath)
+    events_ok = len(log) >= 10_000 and read_events(epath) == log
 
     # results: 1e4 synthetic rows, exact float fidelity
     rng = np.random.default_rng(5)
@@ -318,6 +318,6 @@ def test_criterion_8_roundtrip_io(tmp_path, capsys):
     ok = config_ok and events_ok and results_ok
     with capsys.disabled():
         report(8, "round-trip I/O identities", ok,
-               f"config byte-identity {config_ok}, 1e4 events {events_ok}, "
+               f"config byte-identity {config_ok}, {len(log)} events {events_ok}, "
                f"1e4 result rows {results_ok}")
     assert ok

@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from pdqkd.cli import main
-from pdqkd.dataio import (EVENTS_HEADER, TALLY_HEADER, read_results, read_tally,
-                          tally_from_events)
+from pdqkd.dataio import EVENTS_HEADER, TALLY_HEADER, read_results, read_tally
 from pdqkd.presets import REFERENCE_RUNS, Y0_BOB, preset_manifest
+
+# an event-log head: tag, 13 pulses sent (one in the N match cell), header
+V2_HEAD = ("# pdqkd:events:v2\nsent_n_mismatch=12,sent_n_match=1,sent_t_mismatch=0,"
+           f"sent_t_match=0\n{EVENTS_HEADER}\n")
 
 
 def run_cli(capsys, *argv):
@@ -43,6 +46,7 @@ class TestSimulate:
 
     def test_output_bytes_pinned(self, tmp_path, capsys):
         # digests of the tally and CSV event log; any change to a simulated value fails here
+        # (the log digest was re-pinned when logs came to hold the detections alone)
         tally, events = tmp_path / "pin.tally", tmp_path / "pin.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config", "paper0km", "--pulses", "20000",
                              "--seed", "7", "--set", "batch_size=7777",
@@ -51,12 +55,7 @@ class TestSimulate:
         assert hashlib.sha256(tally.read_bytes()).hexdigest() == (
             "83a7614769623513271b873200bdb12abf7d80ac6d1b3828f013659fd153b37a")
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
-            "54e6233b35735a9fc9c16d49346e529652612df73ca5db98cb05d96d678e1eee")
-
-    def test_record_events_needs_events_path(self, capsys):
-        code, _, err = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses", "1000",
-                               "--set", "record_events=true")
-        assert code == 2 and "--events" in err
+            "f1e729ab53910d561d8a507a2f06094c9497ad2ad5d48700cd925b9cbba58edc")
 
     @pytest.mark.parametrize("command", ["simulate", "hbt", "car"])
     @pytest.mark.parametrize("pulses", ["200000.7", "0"])
@@ -145,32 +144,63 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--tally", str(path))
         assert code == 2 and "sum to n_pulses" in err
 
-    def test_packed_log_gives_the_csv_tally(self, tmp_path, capsys):
-        stdouts = []
-        for log in ("ev.csv", "ev.npy"):
-            code, _, _ = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses", "100000",
-                                 "--seed", "5", "--set", "eta_db=8.0",
-                                 "--out", str(tmp_path / f"{log}.tally"),
-                                 "--events", str(tmp_path / log))
-            assert code == 0
-            code, stdout, _ = run_cli(capsys, "estimate", "--config", "paper50km",
-                                      "--events", str(tmp_path / log), "--mode", "asymptotic")
-            assert code == 0
-            stdouts.append(stdout)
-        assert stdouts[0] == stdouts[1]
-        assert (tmp_path / "ev.csv.tally").read_bytes() == (tmp_path / "ev.npy.tally").read_bytes()
-        assert read_tally(tmp_path / "ev.csv.tally") == tally_from_events(np.load(tmp_path / "ev.npy"))
-
-    @pytest.mark.parametrize("name, flags, where", [
-        ("bad.csv", "7,3,0,0,0,0,9,0", "triggered must be 0 or 1, got 7 at record 1"),
+    @pytest.mark.parametrize("name, row, where", [
+        ("bad.csv", "7,3,0,0,0,0,9,0", "triggered must be 0 or 1, got 3 at record 0"),
         ("bad.csv", "0,0,0,0,1,300,0,0", "row 4"),
-        ("bad.npy", "0,0,0,0,0,0,0,0", "not a packed event array"),  # CSV text in a .npy file
     ])
-    def test_corrupt_event_log_is_a_data_error(self, tmp_path, capsys, name, flags, where):
+    def test_corrupt_event_log_is_a_data_error(self, tmp_path, capsys, name, row, where):
         path = tmp_path / name
-        path.write_text(f"# pdqkd:events:v1\n{EVENTS_HEADER}\n0,0,0,0,0,0,0,0,0\n1,{flags}\n")
+        path.write_text(f"{V2_HEAD}{row}\n")
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--events", str(path))
         assert code == 2 and where in err
+
+    @pytest.mark.parametrize("body, where", [
+        ("# pdqkd:events:v1\n", "unsupported event log version '# pdqkd:events:v1'"),
+        (f"# pdqkd:events:v2\n{EVENTS_HEADER}\n", "row 2: missing or malformed sent-count line"),
+        ("# pdqkd:events:v2\nsent_n_mismatch=10,sent_n_match=x,sent_t_mismatch=0,sent_t_match=0\n",
+         "row 2: missing or malformed sent-count line"),
+        (f"{V2_HEAD}3,0,1,0,1,0,0,0\n4,0,1,0,1,1,0,0\n", "detections cannot exceed the pulses sent"),
+        (f"{V2_HEAD}3,0,0,0,0,0,0,0\n5,0,0,0,0,0,0,0\n4,0,0,0,0,0,0,0\n",
+         "row 6: pulse_id not strictly increasing at record 2"),
+        (f"{V2_HEAD}3,0,0,0,0,0,0,0\n13,0,0,0,0,0,0,0\n",
+         "row 5: pulse_id not below the 13 pulses sent at record 1"),
+    ], ids=["v1 tag", "no sent line", "bad sent count", "cell overflow", "out of order",
+            "beyond n_pulses"])
+    def test_bad_event_log_exits_2(self, tmp_path, capsys, body, where):
+        path = tmp_path / "bad.csv"
+        path.write_text(body)
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--events", str(path))
+        assert code == 2 and where in err
+
+    @pytest.mark.parametrize("flag", ["--config", "--tally", "--events"])
+    @pytest.mark.parametrize("head", [None, 100], ids=["v1 npy log", "its first 100 bytes"])
+    def test_binary_input_file_exits_2(self, tmp_path, capsys, flag, head):
+        # a packed log of the earlier per-pulse format, which is no longer read
+        v1 = np.dtype([("pulse_id", "<u8")] + [(name, "u1") for name in (
+            "triggered", "alice_basis", "alice_bit", "bob_basis", "bob_clicked", "bob_bit",
+            "dark_origin", "double_click")])
+        path = tmp_path / "old.npy"
+        np.save(path, np.ones(1000, dtype=v1))
+        path.write_bytes(path.read_bytes()[:head])
+        argv = ["--config", "paper50km"] if flag != "--config" else []
+        code, _, err = run_cli(capsys, "estimate", *argv, flag, str(path))
+        assert code == 2 and f"{path}: not a readable text file" in err
+
+    @pytest.mark.parametrize("flag", ["--tally", "--events"])
+    def test_missing_input_file_exits_2(self, tmp_path, capsys, flag):
+        path = tmp_path / "absent.csv"
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", flag, str(path))
+        assert code == 2 and f"{path}: not a readable text file" in err
+
+    @pytest.mark.parametrize("flag", ["--pulses", "--triggers"])
+    @pytest.mark.parametrize("source", ["--tally", "--events"])
+    def test_counts_with_file_input_are_rejected(self, tmp_path, capsys, flag, source):
+        code, _, _ = run_cli(capsys, "simulate", "--pulses", "1000", "--out", str(tmp_path / "t"),
+                             "--events", str(tmp_path / "e"))
+        assert code == 0
+        path = tmp_path / ("t" if source == "--tally" else "e")
+        code, _, err = run_cli(capsys, "estimate", source, str(path), flag, "7")
+        assert code == 2 and flag in err
 
     @pytest.mark.parametrize("flag, value", [("--pulses", "60000000000.7"), ("--triggers", "3.5")])
     def test_fractional_count_is_a_data_error(self, capsys, flag, value):
@@ -311,6 +341,13 @@ class TestHelp:
     def test_hbt_without_off_zero_coincidences(self, capsys):
         code, _, err = run_cli(capsys, "hbt", "--pulses", "1000")
         assert code == 3 and "off-zero" in err
+
+    @pytest.mark.parametrize("pulses", ["1", "5"])
+    def test_hbt_delay_without_pulse_pairs(self, capsys, pulses):
+        # every pulse clicks both arms, so only the empty delay-5 bin is undefined
+        code, _, err = run_cli(capsys, "hbt", "--pulses", pulses, "--mu0", "30",
+                               "--detector-eff", "0.9")
+        assert code == 3 and "no pulse pairs" in err
 
     def test_numeric_error_exit_code(self, capsys):
         # a dark source gives no beam-splitter singles: g2 is undefined

@@ -8,7 +8,7 @@ from pdqkd.dataio import (EVENTS_HEADER, ResultsRow, RunManifest,
                           tally_from_events, write_config, write_events,
                           write_results, write_tally)
 from pdqkd.errors import ConfigError, DataFormatError, ParameterError
-from pdqkd.event_sim import EVENT_DTYPE, SimConfig, simulate_run
+from pdqkd.event_sim import EVENT_DTYPE, EventLog, SimConfig, simulate_run
 from pdqkd.presets import preset_manifest
 
 
@@ -74,72 +74,77 @@ class TestConfig:
 
 class TestEvents:
     @staticmethod
-    def _sample_events(n=10_000):
+    def _sample_log(n=10_000):
         manifest = preset_manifest("paper50km")
         source = manifest.to_source_params()
         from pdqkd.link_model import LinkParams, db_to_linear
         link = LinkParams(eta=db_to_linear(8.0), y0=1.6e-6, e_d=0.012)
-        _, events = simulate_run(source, link,
-                                 SimConfig(n_pulses=n, seed=99, record_events=True))
-        return events
+        tally, log = simulate_run(source, link, SimConfig(n_pulses=n, seed=99))
+        return tally, log
 
     def test_empty_stream_gives_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_events(np.empty(0, dtype=EVENT_DTYPE), path)
+        write_events(EventLog(sent=(0, 0, 0, 0), rows=np.empty(0, dtype=EVENT_DTYPE)), path)
         lines = path.read_text().splitlines()
-        assert lines[1] == EVENTS_HEADER and len(lines) == 2
+        assert lines[2] == EVENTS_HEADER and len(lines) == 3
         assert len(read_events(path)) == 0
 
     def test_csv_round_trip_10k(self, tmp_path):
-        events = self._sample_events()
+        _, log = self._sample_log()
         path = tmp_path / "events.csv"
-        write_events(events, path)
-        assert np.array_equal(read_events(path), events)
+        write_events(log, path)
+        assert read_events(path) == log
 
-    def test_npy_round_trip(self, tmp_path):
-        events = self._sample_events(2_000)
-        path = tmp_path / "events.npy"
-        write_events(events, path)
-        assert np.array_equal(read_events(path), events)
+    def test_log_holds_the_detections_and_sent_cells(self):
+        tally, log = self._sample_log()
+        assert len(log) == tally.detections_n + tally.detections_t > 0
+        assert log.sent == (tally.sent_n_mismatch, tally.sent_n_match,
+                            tally.sent_t_mismatch, tally.sent_t_match)
 
     def test_pipeline_identity(self, tmp_path):
         manifest = preset_manifest("paper50km")
         source = manifest.to_source_params()
         from pdqkd.link_model import LinkParams, db_to_linear
         link = LinkParams(eta=db_to_linear(8.0), y0=1.6e-6, e_d=0.012)
-        tally, events = simulate_run(source, link,
-                                     SimConfig(n_pulses=20_000, seed=5, record_events=True))
+        tally, log = simulate_run(source, link, SimConfig(n_pulses=20_000, seed=5))
         path = tmp_path / "ev.csv"
-        write_events(events, path)
+        write_events(log, path)
         assert tally_from_events(read_events(path)) == tally
 
     def test_malformed_row_reports_number(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("# pdqkd:events:v1\n" + EVENTS_HEADER + "\n1,0,0\n")
-        with pytest.raises(DataFormatError, match="3"):
+        path.write_text("# pdqkd:events:v2\nsent_n_mismatch=5,sent_n_match=0,sent_t_mismatch=0,"
+                        f"sent_t_match=0\n{EVENTS_HEADER}\n1,0,0\n")
+        with pytest.raises(DataFormatError, match="row 4"):
             read_events(path)
 
     def test_out_of_order_rejected(self, tmp_path):
-        events = np.zeros(2, dtype=EVENT_DTYPE)
-        events["pulse_id"] = [5, 3]
+        rows = np.zeros(2, dtype=EVENT_DTYPE)
+        rows["pulse_id"] = [5, 3]
         with pytest.raises(DataFormatError, match="increasing"):
-            write_events(events, tmp_path / "x.csv")
+            write_events(EventLog(sent=(10, 0, 0, 0), rows=rows), tmp_path / "x.csv")
+
+    def test_out_of_order_reported_on_its_line(self, tmp_path):
+        # tag, sent counts and header take lines 1-3, so record 2 sits on line 6
+        path = tmp_path / "bad.csv"
+        path.write_text("# pdqkd:events:v2\nsent_n_mismatch=9,sent_n_match=0,sent_t_mismatch=0,"
+                        f"sent_t_match=0\n{EVENTS_HEADER}\n"
+                        "1,0,0,0,1,0,0,0\n4,0,0,0,1,0,0,0\n2,0,0,0,1,0,0,0\n")
+        with pytest.raises(DataFormatError) as info:
+            read_events(path)
+        assert info.value.row == 6 and "at record 2" in str(info.value)
 
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("pulse,stuff\n")
+        path.write_text("sent_n_mismatch=0,sent_n_match=0,sent_t_mismatch=0,sent_t_match=0\n"
+                        "pulse,stuff\n")
         with pytest.raises(DataFormatError, match="header"):
             read_events(path)
 
-    def test_bad_flag_rejected_in_packed_log(self, tmp_path):
-        events = np.zeros(3, dtype=EVENT_DTYPE)
-        events["pulse_id"] = [0, 1, 2]
-        events["bob_basis"][2] = 2
-        with pytest.raises(DataFormatError, match="bob_basis must be 0 or 1, got 2 at record 2"):
-            write_events(events, tmp_path / "x.npy")
-        np.save(tmp_path / "x.npy", events)
-        with pytest.raises(DataFormatError, match="bob_basis"):
-            read_events(tmp_path / "x.npy")
+    def test_not_an_event_log_rejected(self, tmp_path):
+        rows = np.zeros(1, dtype=[("pulse_id", "<u8")])
+        with pytest.raises(DataFormatError, match="EventLog"):
+            write_events(EventLog(sent=(1, 0, 0, 0), rows=rows), tmp_path / "x.csv")
 
 
 class TestTallyFile:
@@ -219,3 +224,15 @@ class TestResults:
         path.write_text("# pdqkd:results:v999\nwhatever\n")
         with pytest.raises(DataFormatError, match="version"):
             read_results(path)
+
+
+@pytest.mark.parametrize("reader, error", [
+    (read_config, ConfigError), (read_tally, DataFormatError),
+    (read_events, DataFormatError), (read_results, DataFormatError),
+])
+def test_binary_file_is_a_format_error(tmp_path, reader, error):
+    path = tmp_path / "packed.npy"
+    np.save(path, np.arange(10))
+    with pytest.raises(error, match="not a readable text file") as info:
+        reader(path)
+    assert info.value.path == str(path)

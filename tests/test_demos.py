@@ -1,0 +1,24 @@
+"""Smoke test of the narrative demos: each runs to completion against the current API.
+
+Demo 05 (about 15 s) is left to a manual run.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+DEMOS = ["01_photon_statistics.py", "02_heralded_source_and_gains.py",
+         "03_key_rate_and_loss_scan.py", "04_monte_carlo_validation.py"]
+
+
+@pytest.mark.parametrize("demo", DEMOS)
+def test_demo_runs(demo, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(ROOT / "demos" / demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

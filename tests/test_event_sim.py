@@ -73,16 +73,13 @@ class TestSimulateRun:
         assert pull(tally.double_clicks / tally.n_pulses, expected, config.n_pulses) < 4.0
 
     def test_deterministic_across_workers_and_batching(self, source50, link50):
-        base = simulate_run(source50, link50, SimConfig(n_pulses=1_500_000, seed=5))[0]
-        logged = SimConfig(n_pulses=1_500_000, seed=5, record_events=True)
-        base_tally, base_events = simulate_run(source50, link50, logged)
-        assert base_tally == base
+        base = SimConfig(n_pulses=1_500_000, seed=5)
+        base_tally, base_log = simulate_run(source50, link50, base)
+        assert len(base_log) > 0
         for workers, batch in ((4, 1_000_000), (2, 123_457), (3, 77_777)):
-            config = SimConfig(n_pulses=1_500_000, seed=5, batch_size=batch)
-            assert simulate_run(source50, link50, config, workers=workers)[0] == base
-            tally, events = simulate_run(source50, link50, replace(logged, batch_size=batch),
-                                         workers=workers)
-            assert tally == base and np.array_equal(events, base_events)
+            tally, log = simulate_run(source50, link50, replace(base, batch_size=batch),
+                                      workers=workers)
+            assert tally == base_tally and log == base_log
 
     def test_custom_pmf_changes_statistics(self, source50, link50):
         config = SimConfig(n_pulses=1_000_000, seed=9)
@@ -95,10 +92,11 @@ class TestSimulateRun:
     def test_event_log_round_trips_through_tally(self, source50):
         from pdqkd.dataio import tally_from_events
         link = scaled_link(6.0)
-        config = SimConfig(n_pulses=50_000, seed=13, record_events=True)
-        tally, events = simulate_run(source50, link, config)
-        assert events is not None and len(events) == config.n_pulses
-        assert tally_from_events(events) == tally
+        config = SimConfig(n_pulses=50_000, seed=13)
+        tally, log = simulate_run(source50, link, config)
+        assert len(log) == tally.detections_n + tally.detections_t > 0
+        assert sum(log.sent) == config.n_pulses
+        assert tally_from_events(log) == tally
 
     def test_bad_workers_rejected(self, source50, link50):
         with pytest.raises(ParameterError):

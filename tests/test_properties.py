@@ -1,34 +1,96 @@
-"""Property tests of the engine and event-log invariants (derandomized, so deterministic)."""
+"""Property tests of the engine, file-format and estimator invariants (derandomized, so deterministic)."""
 
 import tempfile
+from dataclasses import fields, replace
 from pathlib import Path
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdqkd.dataio import read_events, tally_from_events, write_events
-from pdqkd.event_sim import SimConfig, simulate_run
+from pdqkd.dataio import read_events, read_tally, tally_from_events, write_events, write_tally
+from pdqkd.decoy_estimator import ObservedStats, key_rate
+from pdqkd.event_sim import SimConfig, Tally, simulate_run
 from pdqkd.link_model import LinkParams, db_to_linear
 from pdqkd.photon_source import SourceParams
+from pdqkd.presets import REFERENCE_RUNS
 
 # a bright, low-loss link, so that a few thousand pulses give many detections
 SOURCE = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
 LINK = LinkParams(eta=db_to_linear(3.0), y0=1e-3, e_d=0.02)
 
+DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 
-@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+
+@settings(DERANDOMIZED, max_examples=40)
 @given(n=st.integers(1, 3000), batch=st.integers(1, 3000),
        workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**64 - 1))
 def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed):
-    config = SimConfig(n_pulses=n, seed=seed, batch_size=n, record_events=True)
-    tally, events = simulate_run(SOURCE, LINK, config)
-    again = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed, batch_size=batch,
-                                                 record_events=True), workers=workers)
-    assert again[0] == tally and np.array_equal(again[1], events)
-    assert tally_from_events(events) == tally
+    tally, log = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed, batch_size=n))
+    again = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed, batch_size=batch),
+                         workers=workers)
+    assert again == (tally, log)
+    assert tally_from_events(log) == tally
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("events.csv", "events.npy"):
-            path = Path(tmp) / name
-            write_events(events, path)
-            assert np.array_equal(read_events(path), events)
+        path = Path(tmp) / "events.csv"
+        write_events(log, path)
+        assert read_events(path) == log
+
+
+@st.composite
+def tallies(draw):
+    """Tallies that pass the structure check, with counts up to a paper-scale 6e10."""
+    count = st.integers(0, 60_000_000_000)
+    sent = {f"sent_{cell}": draw(count) for cell in ("n_match", "n_mismatch", "t_match",
+                                                     "t_mismatch")}
+    det = {name.replace("sent", "det"): draw(st.integers(0, s)) for name, s in sent.items()}
+    n_det = sum(det.values())
+    return Tally(n_pulses=sum(sent.values()), **sent, **det,
+                 err_n=draw(st.integers(0, det["det_n_match"])),
+                 err_t=draw(st.integers(0, det["det_t_match"])),
+                 double_clicks=draw(st.integers(0, n_det)),
+                 dark_detections=draw(st.integers(0, n_det)))
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(a=tallies(), b=tallies())
+def test_tally_addition_is_field_wise(a, b):
+    total = a + b
+    for f in fields(Tally):
+        assert getattr(total, f.name) == getattr(a, f.name) + getattr(b, f.name)
+    assert a + Tally() == a
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(tally=tallies())
+def test_tally_file_round_trips(tally):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.tally"
+        write_tally(tally, path)
+        assert read_tally(path) == tally
+
+
+RUN50 = REFERENCE_RUNS["paper50km"]
+PROTOCOL50 = RUN50.manifest().to_protocol_params()
+SOURCE50 = RUN50.manifest().to_source_params()
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(gain_scale=st.floats(0.2, 5.0), qber_scale=st.floats(0.2, 3.0),
+       n_pulses=st.integers(10**6, 10**11),
+       u_alpha=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2),
+       f=st.lists(st.floats(1.0, 3.0), min_size=2, max_size=2))
+def test_key_rate_does_not_grow_with_u_alpha_or_f(gain_scale, qber_scale, n_pulses, u_alpha, f):
+    # published 50 km observables, scaled, so every fluctuation bound is defined
+    obs = ObservedStats(q_n=RUN50.q_n * gain_scale, q_t=RUN50.q_t * gain_scale,
+                        e_n=RUN50.e_n * qber_scale, e_t=RUN50.e_t * qber_scale,
+                        n_pulses=n_pulses,
+                        n_triggers=n_pulses * RUN50.n_triggers // PROTOCOL50.n_pulses)
+    protocol = replace(PROTOCOL50, n_pulses=n_pulses)
+    u_low, u_high = sorted(u_alpha)
+    f_low, f_high = sorted(f)
+
+    def rate(u, f_ec):
+        return key_rate(obs, replace(protocol, u_alpha=u, f=f_ec), SOURCE50).r
+
+    assert rate(u_high, f_low) <= rate(u_low, f_low)
+    assert rate(u_low, f_high) <= rate(u_low, f_low)
