@@ -147,9 +147,12 @@ def _observed_from_args(args, manifest) -> ObservedStats:
             if value is not None:
                 raise ConfigError(f"{flag} is for direct rates; a tally or event log "
                                   "carries its own counts")
-        if args.tally:
-            return dataio.read_tally(args.tally).to_observed_stats()
-        return dataio.tally_from_events(dataio.read_events(args.events)).to_observed_stats()
+        path = args.tally or args.events
+        tally = (dataio.read_tally(path) if args.tally
+                 else dataio.tally_from_events(dataio.read_events(path)))
+        if not tally.n_pulses:
+            raise DataFormatError("holds no pulses", path)
+        return tally.to_observed_stats()
     missing = [name for name, v in (("--q-n", args.q_n), ("--q-t", args.q_t),
                                     ("--e-n", args.e_n), ("--e-t", args.e_t)) if v is None]
     if missing:

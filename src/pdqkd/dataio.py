@@ -85,7 +85,7 @@ KEY_DOCS: dict[str, str] = {
     "u_alpha": "standard deviations for the fluctuation analysis, >= 0",
     "n_pulses": "number of pulses sent (N)",
     "seed": "64-bit random seed",
-    "batch_size": "pulses per Monte Carlo batch",
+    "batch_size": "pulses handed to one worker at a time",
     "basis_bias": "probability of the X basis, linear in [0,1]",
 }
 

@@ -9,7 +9,8 @@ Every random decision for pulse ``i`` is a pure function of
 ``(seed, i, slot)`` (see :mod:`pdqkd.rng`), so results are bit-identical
 regardless of batch size or worker count; cross-pulse quantities such as
 delayed coincidences recompute their neighbours' variates instead of carrying
-state across batch boundaries.
+state across chunk boundaries.  Batches go to the worker threads; chunks of
+``_CHUNK`` pulses within them bound the working set, whatever the batch size.
 
 Sampling model per pulse:
 
@@ -55,6 +56,8 @@ _SLOT_HBT_ARMS = 1
 _SLOT_CAR_IDLER = 1
 _SLOT_CAR_SIGNAL = 2
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
+# at half this size, two workers waited on each other for the GIL 4x as often
+_CHUNK = 65_536  # pulses per call of the batch code: 512 KiB per float64 array
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -209,19 +212,25 @@ def _sample_pairs(cdf: np.ndarray, seed: int, start: int, count: int) -> np.ndar
     return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
 
 
-def _map_batches(work, config: SimConfig, workers: int) -> list:
-    """``work(lo, hi)`` over the run's batches, results in batch order.
+def _map_batches(work, merge, config: SimConfig, workers: int):
+    """Fold ``work(lo, hi)`` over the run's pulses with ``merge``.
 
-    ``workers`` threads share the batches; no output depends on them.
+    Batches go to ``workers`` threads, each running ``work`` on ``_CHUNK``-pulse
+    chunks, so the working set does not grow with the batch.  ``merge`` folds a
+    list of results in pulse order: each batch's chunks, then the batches.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
+
+    def batch(lo, hi):
+        return merge([work(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)])
+
     los = range(0, config.n_pulses, config.batch_size)
     his = [min(lo + config.batch_size, config.n_pulses) for lo in los]
     if workers == 1 or len(los) == 1:
-        return list(map(work, los, his))
+        return merge(list(map(batch, los, his)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, los, his))
+        return merge(list(pool.map(batch, los, his)))
 
 
 def _pulse_tables(cdf: np.ndarray, source: SourceParams, link: LinkParams):
@@ -247,7 +256,6 @@ def _run_batch(lo: int, hi: int, cdf: np.ndarray, tables, source: SourceParams,
     u_surv = uniform_stream(seed, _SLOT_SURVIVORS, lo, count)
     photon = u_surv >= t_none[n]
     multi = u_surv >= t_single[n]
-    del n, u_surv  # unused below; kept through the next three draws, they would set the peak
 
     dark = uniform_stream(seed, _SLOT_DARK, lo, count) < link.y0
 
@@ -286,10 +294,11 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     """
     cdf = _source_cdf(source, pmf)
     tables = _pulse_tables(cdf, source, link)
-    parts = _map_batches(lambda lo, hi: _run_batch(lo, hi, cdf, tables, source, link, config),
-                         config, workers)
-    log = EventLog(sent=tuple(sum(sent for sent, _ in parts).tolist()),
-                   rows=np.concatenate([rows for _, rows in parts]))
+    sent, rows = _map_batches(
+        lambda lo, hi: _run_batch(lo, hi, cdf, tables, source, link, config),
+        lambda parts: (sum(s for s, _ in parts), np.concatenate([r for _, r in parts])),
+        config, workers)
+    log = EventLog(sent=tuple(sent.tolist()), rows=rows)
     return count_tally(log), log
 
 
@@ -318,8 +327,8 @@ def _coincidences(clicks, config: SimConfig, max_delay: int, workers: int) -> li
 
     ``clicks(lo, hi)`` returns the click masks ``(a, b)`` of pulses
     ``lo..hi-1``; ``cc_k`` counts pulses ``i`` with ``a[i] & b[i + k]``.  Each
-    batch recomputes the ``max_delay`` pulses past its end, so no count
-    depends on batching.
+    chunk recomputes the ``max_delay`` pulses past its end, so no count
+    depends on chunking or batching.
     """
     n_total = config.n_pulses
 
@@ -331,7 +340,7 @@ def _coincidences(clicks, config: SimConfig, max_delay: int, workers: int) -> li
             counts.append(np.count_nonzero(a[:limit] & b[k:limit + k]))
         return counts
 
-    return [int(sum(c)) for c in zip(*_map_batches(work, config, workers))]
+    return _map_batches(work, lambda parts: [int(sum(c)) for c in zip(*parts)], config, workers)
 
 
 def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,

@@ -10,7 +10,8 @@ results.
 The mixer is the splitmix64 increment/finalizer pair (golden-gamma counter
 followed by two full avalanche rounds), which is the standard choice for
 keyed counter hashing in parallel simulations.  It is emphatically not a
-cryptographic generator.
+cryptographic generator.  The hash runs in place on the id array with one
+scratch array, so a stream allocates three arrays: ids, scratch and result.
 """
 
 from __future__ import annotations
@@ -38,22 +39,28 @@ def stream_salt(seed: int, slot: int) -> int:
     return _mix64(_mix64(seed & _MASK) ^ _mix64((slot * 0x9E3779B9 + 0x632BE59B) & _MASK))
 
 
-def _finalize(z: np.ndarray) -> np.ndarray:
-    # two full avalanche rounds; inputs are salted golden-gamma counters
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+def _hash(ids: np.ndarray, seed: int, slot: int) -> np.ndarray:
+    """uint64 hash values of the pulse ids ``ids``, computed in place in ``ids``."""
+    t = np.empty_like(ids)
+    ids *= np.uint64(_GAMMA)  # array arithmetic wraps modulo 2**64 without a warning
+    ids += np.uint64(stream_salt(seed, slot))
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)) * 2:  # two avalanche rounds
+        np.right_shift(ids, np.uint64(shift), out=t)
+        ids ^= t
+        if mix:
+            ids *= np.uint64(mix)
+    return ids
+
+
+def _unit(bits: np.ndarray) -> np.ndarray:
+    """Top 53 bits of ``bits`` (shifted in place) scaled to float64 in [0, 1)."""
+    bits >>= np.uint64(11)
+    return bits * _U53_INV
 
 
 def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
     """uint64 hash values for pulse ids ``start .. start+count-1``."""
-    ids = np.arange(start, start + count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = ids * np.uint64(_GAMMA) + np.uint64(stream_salt(seed, slot))
-        return _finalize(z)
+    return _hash(np.arange(start, start + count, dtype=np.uint64), seed, slot)
 
 
 def uniform_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
@@ -62,18 +69,14 @@ def uniform_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
     Deterministic and batch-independent: the value for a given
     ``(seed, slot, pulse_id)`` never depends on ``start``/``count``.
     """
-    bits = raw_stream(seed, slot, start, count)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return _unit(raw_stream(seed, slot, start, count))
 
 
 def uniform_at(seed: int, slot: int, pulse_ids: np.ndarray) -> np.ndarray:
     """Uniforms for an arbitrary set of pulse ids (same values as the stream).
 
     Lets the engine draw expensive per-event variates only for the sparse
-    subset of pulses that produced a detection.
+    subset of pulses that produced a detection.  ``pulse_ids`` is not
+    modified: the hash runs on a copy.
     """
-    ids = np.asarray(pulse_ids, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = ids * np.uint64(_GAMMA) + np.uint64(stream_salt(seed, slot))
-        bits = _finalize(z)
-    return (bits >> np.uint64(11)).astype(np.float64) * _U53_INV
+    return _unit(_hash(np.array(pulse_ids, dtype=np.uint64), seed, slot))

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from pdqkd.cli import main
-from pdqkd.dataio import EVENTS_HEADER, TALLY_HEADER, read_results, read_tally
+from pdqkd.dataio import (EVENTS_HEADER, TALLY_HEADER, read_results, read_tally,
+                          write_events, write_tally)
+from pdqkd.event_sim import EVENT_DTYPE, EventLog, Tally
 from pdqkd.presets import REFERENCE_RUNS, Y0_BOB, preset_manifest
 
 # an event-log head: tag, 13 pulses sent (one in the N match cell), header
@@ -143,6 +145,18 @@ class TestEstimate:
         path.write_text(f"{TALLY_HEADER}\n{row}\n")
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--tally", str(path))
         assert code == 2 and "sum to n_pulses" in err
+
+    @pytest.mark.parametrize("flag", ["--tally", "--events"])
+    def test_zero_pulse_input_is_a_data_error(self, tmp_path, capsys, flag):
+        # the readers accept a run of no pulses, so files round-trip; estimating from one
+        # is a fault of the data, not of the command line
+        path = tmp_path / "empty.csv"
+        if flag == "--tally":
+            write_tally(Tally(), path)
+        else:
+            write_events(EventLog(sent=(0, 0, 0, 0), rows=np.empty(0, EVENT_DTYPE)), path)
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", flag, str(path))
+        assert code == 2 and f"{path}: holds no pulses" in err
 
     @pytest.mark.parametrize("name, row, where", [
         ("bad.csv", "7,3,0,0,0,0,9,0", "triggered must be 0 or 1, got 3 at record 0"),

@@ -1,6 +1,7 @@
 """Monte Carlo engine against the closed-form oracles, plus determinism."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
-from pdqkd.event_sim import (SimConfig, Tally, end_to_end, simulate_car,
+from pdqkd.event_sim import (_CHUNK, SimConfig, Tally, end_to_end, simulate_car,
                              simulate_hbt, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import (SourceParams, calibrate_mu0_from_car,
@@ -251,3 +252,55 @@ class TestEndToEnd:
         with pytest.raises(ParameterError):
             end_to_end(source50, link50, ProtocolParams(n_pulses=100),
                        SimConfig(n_pulses=200, seed=0))
+
+
+class TestChunking:
+    """The engine works in chunks of ``_CHUNK`` pulses; no value may depend on their edges.
+
+    A batch of 7,777 pulses never reaches a chunk edge, so runs at that batch size are the
+    reference.  The sources are bright, so detections and delayed coincidences fall on
+    both sides of each of the three edges.
+    """
+
+    N = 3 * _CHUNK + 17
+    CONFIGS = [(batch, workers) for batch in (_CHUNK - 1, _CHUNK + 1, N) for workers in (1, 2)]
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        config = SimConfig(n_pulses=self.N, seed=31, batch_size=7_777)
+        return self._outputs(config, workers=1)
+
+    @staticmethod
+    def _outputs(config: SimConfig, workers: int):
+        bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
+        hbt_source = SourceParams(mu0=1.0, eta_s=1.0, eta_a=0.0)
+        return (simulate_run(bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02), config,
+                             workers=workers),
+                simulate_hbt(hbt_source, 0.8, config, pmf=thermal_pmf(1.0), workers=workers),
+                simulate_car(bright, 0.5, config, workers=workers))
+
+    def test_reference_crosses_edges_with_events(self, reference):
+        (tally, _), hist, car = reference
+        assert tally.detections_n + tally.detections_t > 10_000
+        assert min(hist.coincidences) > 5_000 and car.accidentals > 500
+
+    @pytest.mark.parametrize("batch, workers", CONFIGS)
+    def test_outputs_independent_of_chunk_edges(self, reference, batch, workers):
+        config = SimConfig(n_pulses=self.N, seed=31, batch_size=batch)
+        assert self._outputs(config, workers) == reference
+
+
+def test_memory_does_not_grow_with_batch_size(paper50km):
+    # A 4e6-pulse batch once held ~156 MiB of whole-batch temporaries.  In chunks it
+    # holds a few chunk-sized arrays (512 KiB each) and ~110 detection rows, about
+    # 2.4 MiB; 16 MiB, fixed before the run, leaves room for allocator and numpy growth
+    # while staying far below any whole-batch footprint (32 MB per 4e6-pulse array).
+    manifest = paper50km.manifest()
+    config = SimConfig(n_pulses=4_000_000, seed=7, batch_size=4_000_000)
+    tracemalloc.start()
+    try:
+        simulate_run(manifest.to_source_params(), manifest.to_link_params(), config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -1,8 +1,40 @@
 """Determinism and statistical sanity of the counter-based streams."""
 
 import numpy as np
+import pytest
 
 from pdqkd.rng import raw_stream, stream_salt, uniform_at, uniform_stream
+
+MASK = (1 << 64) - 1
+ORACLE_IDS = (0, 1, 2**32, 2**63 + 5, 2**64 - 1)
+
+
+def splitmix_reference(seed: int, slot: int, pulse_id: int) -> int:
+    """Plain-int splitmix64: golden-gamma counter plus the stream salt, two finalizer rounds."""
+    z = (pulse_id * 0x9E3779B97F4A7C15 + stream_salt(seed, slot)) & MASK
+    for _ in range(2):
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        z ^= z >> 31
+    return z
+
+
+@pytest.mark.parametrize("seed, slot", [(0, 0), (901, 5), (2**64 - 1, 8)])
+def test_values_match_plain_int_splitmix(seed, slot):
+    want = [splitmix_reference(seed, slot, i) for i in ORACLE_IDS]
+    unit = [(w >> 11) / 2**53 for w in want]
+    for pulse_id, bits, u in zip(ORACLE_IDS, want, unit):
+        assert int(raw_stream(seed, slot, pulse_id, 1)[0]) == bits
+        assert float(uniform_stream(seed, slot, pulse_id, 1)[0]) == u
+    # whole ranges go through the same vector code as single ids
+    assert raw_stream(seed, slot, 0, 3).tolist() == [splitmix_reference(seed, slot, i)
+                                                     for i in range(3)]
+    assert raw_stream(seed, slot, 2**64 - 2, 2).tolist() == [
+        splitmix_reference(seed, slot, i) for i in (2**64 - 2, 2**64 - 1)]
+    ids = np.array(ORACLE_IDS, dtype=np.uint64)
+    before = ids.copy()
+    assert uniform_at(seed, slot, ids).tolist() == unit
+    assert np.array_equal(ids, before)  # the caller's ids are not hashed in place
 
 
 def test_stream_is_batch_independent():
