@@ -10,11 +10,12 @@ Every random decision for pulse ``i`` is a pure function of
 regardless of batch size or worker count; cross-pulse quantities such as
 delayed coincidences recompute their neighbours' variates instead of carrying
 state across chunk boundaries.  Batches go to the worker threads; chunks of
-``_CHUNK`` pulses within them bound the working set, whatever the batch size.
+``_CHUNK`` pulses within them bound the working set, whatever the batch size,
+and reuse one workspace per thread (:class:`_Workspace`).
 
 Sampling model per pulse:
 
-- pair number ``n`` by inversion of the truncated source pmf;
+- pair number ``n`` by inversion of the truncated source pmf (guide table);
 - heralding click with probability ``1 - (1 - y0_alice)(1 - eta_a)^n``;
 - the ``{0, 1, >=2}``-survivor trichotomy at the receiver from one uniform,
   with per-photon survival ``eta_s * eta``;
@@ -29,6 +30,7 @@ Sampling model per pulse:
 from __future__ import annotations
 
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -58,6 +60,7 @@ _SLOT_CAR_SIGNAL = 2
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 # at half this size, two workers waited on each other for the GIL 4x as often
 _CHUNK = 65_536  # pulses per call of the batch code: 512 KiB per float64 array
+_GUIDE_BUCKETS = 4096  # a power of two, so that floor(u * 4096) is exact
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -200,16 +203,52 @@ def count_tally(log: EventLog) -> Tally:
                  dark_detections=int(np.count_nonzero(rows["dark_origin"])))
 
 
-def _source_cdf(source: SourceParams, pmf: PhotonNumberPmf | None) -> np.ndarray:
-    if pmf is None:
-        pmf = poisson_pmf(source.mu0)
-    return np.cumsum(pmf.probs)
+class _Workspace(threading.local):
+    """Arrays for a chunk plus its delayed pulses, made once per thread and reused."""
+
+    def __init__(self):
+        self.u = np.empty(_CHUNK + _HBT_MAX_DELAY)
+        self.scratch = np.empty_like(self.u, dtype=np.uint64)
+        self.pairs = np.empty_like(self.u, dtype=np.intp)
 
 
-def _sample_pairs(cdf: np.ndarray, seed: int, start: int, count: int) -> np.ndarray:
-    u = uniform_stream(seed, _SLOT_PAIRS, start, count)
-    # inversion on the truncated pmf; the 1e-12-scale tail collapses onto n_max
-    return np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+_WORKSPACE = _Workspace()
+
+
+def _draw(seed: int, slot: int, start: int, count: int) -> np.ndarray:
+    """The stream in ``_WORKSPACE.u``, until the next draw.  It hashes in the scratch, so
+    it voids any ``_gather`` result: in ``_draw(..) >= _gather(..)`` the draw comes first."""
+    return uniform_stream(seed, slot, start, count, out=_WORKSPACE.u, scratch=_WORKSPACE.scratch)
+
+
+def _gather(table: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """``table[n]`` in the scratch, until the next draw or gather; "raise" would buffer."""
+    return np.take(table, n, out=_WORKSPACE.scratch[:len(n)].view(np.float64), mode="clip")
+
+
+def _pair_guide(source: SourceParams, pmf: PhotonNumberPmf | None):
+    """Guide table (Chen and Asau, 1974) of ``min(searchsorted(cdf, u, "right"), n_max)``,
+    and the pair counts of the support as floats.  ``hard[b]``: bucket ``b`` spans two
+    CDF steps or more; the inf last edge folds in the clamp to ``n_max``."""
+    cdf = np.cumsum((poisson_pmf(source.mu0) if pmf is None else pmf).probs)
+    edges = np.append(cdf[:-1], np.inf)
+    bounds = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
+    first = np.searchsorted(edges, bounds[:-1], side="right")
+    hard = np.searchsorted(edges, bounds[1:], side="left") - first > 1
+    return (edges, first, hard), np.arange(len(cdf), dtype=np.float64)
+
+
+def _sample_pairs(guide, u: np.ndarray) -> np.ndarray:
+    """Pair numbers of the uniforms ``u``, in the workspace."""
+    edges, first, hard = guide
+    bucket = _WORKSPACE.scratch[:len(u)].view(np.intp)
+    x = np.multiply(u, _GUIDE_BUCKETS, out=bucket.view(np.float64))
+    np.copyto(bucket, x, casting="unsafe")  # in place; truncation is floor, as u >= 0
+    hard_pulses = np.flatnonzero(hard[bucket])
+    n = np.take(first, bucket, out=_WORKSPACE.pairs[:len(u)], mode="clip")
+    n += u >= _gather(edges, n)
+    n[hard_pulses] = np.searchsorted(edges, u[hard_pulses], side="right")
+    return n
 
 
 def _map_batches(work, merge, config: SimConfig, workers: int):
@@ -233,36 +272,35 @@ def _map_batches(work, merge, config: SimConfig, workers: int):
         return merge(list(pool.map(batch, los, his)))
 
 
-def _pulse_tables(cdf: np.ndarray, source: SourceParams, link: LinkParams):
-    """Per-pair-count probabilities, tabulated over the truncated support."""
-    n = np.arange(len(cdf), dtype=np.float64)
+def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
+    """Probabilities at pair counts ``n`` of no herald and of 0 and <= 1 surviving photons."""
     p_no_trig = (1.0 - source.y0_alice) * np.power(1.0 - source.eta_a, n)
-    p_surv = source.eta_s * link.eta
     none_prob = np.power(1.0 - p_surv, n)
     one_prob = np.where(n > 0, n * p_surv * np.power(1.0 - p_surv, np.maximum(n - 1.0, 0.0)), 0.0)
     return p_no_trig, none_prob, none_prob + one_prob
 
 
-def _run_batch(lo: int, hi: int, cdf: np.ndarray, tables, source: SourceParams,
-               link: LinkParams, config: SimConfig):
+def _run_batch(lo: int, hi: int, guide, tables, link: LinkParams, config: SimConfig):
     """Per-cell sent counts and the event-log rows of pulses ``lo..hi-1``."""
     count = hi - lo
     seed = config.seed
-    n = _sample_pairs(cdf, seed, lo, count)
+    n = _sample_pairs(guide, _draw(seed, _SLOT_PAIRS, lo, count))
     t_no_trig, t_none, t_single = tables
+    # a _draw overwrites the scratch that holds a _gather result, so it is drawn first
+    triggered = _draw(seed, _SLOT_TRIGGER, lo, count) >= _gather(t_no_trig, n)
 
-    triggered = uniform_stream(seed, _SLOT_TRIGGER, lo, count) >= t_no_trig[n]
+    u_surv = _draw(seed, _SLOT_SURVIVORS, lo, count)
+    photon = u_surv >= _gather(t_none, n)
+    multi = u_surv >= _gather(t_single, n)
 
-    u_surv = uniform_stream(seed, _SLOT_SURVIVORS, lo, count)
-    photon = u_surv >= t_none[n]
-    multi = u_surv >= t_single[n]
+    dark = _draw(seed, _SLOT_DARK, lo, count) < link.y0
 
-    dark = uniform_stream(seed, _SLOT_DARK, lo, count) < link.y0
-
-    basis_a = uniform_stream(seed, _SLOT_ALICE_BASIS, lo, count) >= config.basis_bias
-    basis_b = uniform_stream(seed, _SLOT_BOB_BASIS, lo, count) >= config.basis_bias
-    sent = np.bincount(np.left_shift(triggered, 1, dtype=np.uint8) | (basis_a == basis_b),
-                       minlength=4)
+    basis_a = _draw(seed, _SLOT_ALICE_BASIS, lo, count) >= config.basis_bias
+    basis_b = _draw(seed, _SLOT_BOB_BASIS, lo, count) >= config.basis_bias
+    # n is spent, so the cells take its buffer, as intp: bincount copies narrower types
+    cell = np.left_shift(triggered, 1, dtype=np.intp, out=_WORKSPACE.pairs[:count])
+    cell |= basis_a == basis_b
+    sent = np.bincount(cell, minlength=4)
 
     # the rest only matters for detections; draw it at the clicked pulses alone
     hits = np.flatnonzero(photon | dark)
@@ -292,10 +330,10 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     ``mu0``).  ``workers`` parallelizes over batches without affecting any
     output value.
     """
-    cdf = _source_cdf(source, pmf)
-    tables = _pulse_tables(cdf, source, link)
+    guide, support = _pair_guide(source, pmf)
+    tables = _pulse_tables(support, source, source.eta_s * link.eta)
     sent, rows = _map_batches(
-        lambda lo, hi: _run_batch(lo, hi, cdf, tables, source, link, config),
+        lambda lo, hi: _run_batch(lo, hi, guide, tables, link, config),
         lambda parts: (sum(s for s, _ in parts), np.concatenate([r for _, r in parts])),
         config, workers)
     log = EventLog(sent=tuple(sent.tolist()), rows=rows)
@@ -357,19 +395,18 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
     if config.n_pulses <= _HBT_MAX_DELAY:
         raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
-    cdf = _source_cdf(source, pmf)
+    guide, k = _pair_guide(source, pmf)
     # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
     # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n
-    k = np.arange(len(cdf), dtype=np.float64)
     t0 = np.power(1.0 - detector_eff, k)
     t1 = np.power(1.0 - detector_eff / 2.0, k)
+    t2 = 2.0 * t1 - t0
 
     def clicks(lo, hi):
-        n = _sample_pairs(cdf, config.seed, lo, hi - lo)
-        u = uniform_stream(config.seed, _SLOT_HBT_ARMS, lo, hi - lo)
-        b0, b1 = t0[n], t1[n]
-        b2 = 2.0 * b1 - b0
-        return ((u >= b0) & (u < b1)) | (u >= b2), u >= b1
+        n = _sample_pairs(guide, _draw(config.seed, _SLOT_PAIRS, lo, hi - lo))
+        u = _draw(config.seed, _SLOT_HBT_ARMS, lo, hi - lo)
+        arm2 = u >= _gather(t1, n)
+        return ((u >= _gather(t0, n)) & ~arm2) | (u >= _gather(t2, n)), arm2
 
     n1, n2, *cc = _coincidences(clicks, config, _HBT_MAX_DELAY, workers)
     if n1 == 0 or n2 == 0:
@@ -421,15 +458,13 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     """
     if not (0.0 < signal_eff <= 1.0):
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
-    cdf = _source_cdf(source, pmf)
-    p_sig = source.eta_s * signal_eff
+    guide, support = _pair_guide(source, pmf)
+    idler_dark, signal_dark, _ = _pulse_tables(support, source, source.eta_s * signal_eff)
 
     def clicks(lo, hi):
-        n = _sample_pairs(cdf, config.seed, lo, hi - lo).astype(np.float64)
-        idler = (uniform_stream(config.seed, _SLOT_CAR_IDLER, lo, hi - lo)
-                 >= (1.0 - source.y0_alice) * np.power(1.0 - source.eta_a, n))
-        signal = (uniform_stream(config.seed, _SLOT_CAR_SIGNAL, lo, hi - lo)
-                  >= np.power(1.0 - p_sig, n))
+        n = _sample_pairs(guide, _draw(config.seed, _SLOT_PAIRS, lo, hi - lo))
+        idler = _draw(config.seed, _SLOT_CAR_IDLER, lo, hi - lo) >= _gather(idler_dark, n)
+        signal = _draw(config.seed, _SLOT_CAR_SIGNAL, lo, hi - lo) >= _gather(signal_dark, n)
         return signal, idler
 
     _, _, coinc, acc = _coincidences(clicks, config, 1, workers)

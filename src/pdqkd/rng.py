@@ -10,11 +10,13 @@ results.
 The mixer is the splitmix64 increment/finalizer pair (golden-gamma counter
 followed by two full avalanche rounds), which is the standard choice for
 keyed counter hashing in parallel simulations.  It is emphatically not a
-cryptographic generator.  The hash runs in place on the id array with one
-scratch array, so a stream allocates three arrays: ids, scratch and result.
+cryptographic generator.  The hash runs in place; a stream given ``out`` and
+``scratch`` buffers allocates nothing, else just those two.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,23 +41,37 @@ def stream_salt(seed: int, slot: int) -> int:
     return _mix64(_mix64(seed & _MASK) ^ _mix64((slot * 0x9E3779B9 + 0x632BE59B) & _MASK))
 
 
+def _avalanche(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Two finalizer rounds on the salted counters ``z`` in place, with scratch ``t``."""
+    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)) * 2:
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        if mix:
+            z *= np.uint64(mix)  # array arithmetic wraps modulo 2**64 without a warning
+    return z
+
+
 def _hash(ids: np.ndarray, seed: int, slot: int) -> np.ndarray:
     """uint64 hash values of the pulse ids ``ids``, computed in place in ``ids``."""
-    t = np.empty_like(ids)
-    ids *= np.uint64(_GAMMA)  # array arithmetic wraps modulo 2**64 without a warning
+    ids *= np.uint64(_GAMMA)
     ids += np.uint64(stream_salt(seed, slot))
-    for shift, mix in ((30, _MIX1), (27, _MIX2), (31, None)) * 2:  # two avalanche rounds
-        np.right_shift(ids, np.uint64(shift), out=t)
-        ids ^= t
-        if mix:
-            ids *= np.uint64(mix)
-    return ids
+    return _avalanche(ids, np.empty_like(ids))
 
 
-def _unit(bits: np.ndarray) -> np.ndarray:
-    """Top 53 bits of ``bits`` (shifted in place) scaled to float64 in [0, 1)."""
+@lru_cache(maxsize=1)
+def _steps(size: int) -> np.ndarray:
+    """Read-only ``i * GAMMA mod 2**64`` for ``i < size``, shared by every thread."""
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(_GAMMA)
+    steps.flags.writeable = False
+    return steps
+
+
+def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Top 53 bits of ``bits`` (shifted in place) scaled to float64 in [0, 1) in ``out``."""
     bits >>= np.uint64(11)
-    return bits * _U53_INV
+    np.copyto(out, bits.view(np.int64), casting="unsafe")  # faster than from uint64; < 2**53
+    out *= _U53_INV
+    return out
 
 
 def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
@@ -63,13 +79,20 @@ def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
     return _hash(np.arange(start, start + count, dtype=np.uint64), seed, slot)
 
 
-def uniform_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
+def uniform_stream(seed: int, slot: int, start: int, count: int,
+                   out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """float64 uniforms in [0, 1) for pulse ids ``start .. start+count-1``.
 
     Deterministic and batch-independent: the value for a given
-    ``(seed, slot, pulse_id)`` never depends on ``start``/``count``.
+    ``(seed, slot, pulse_id)`` never depends on ``start``/``count``.  The values
+    land in ``out[:count]``, hashed in the uint64 ``scratch``; both are made if not given.
     """
-    return _unit(raw_stream(seed, slot, start, count))
+    if out is None:
+        out, scratch = np.empty(count), np.empty(count, dtype=np.uint64)
+    offset = np.uint64((start * _GAMMA + stream_salt(seed, slot)) & _MASK)
+    z = out[:count].view(np.uint64)
+    np.add(_steps(len(out))[:count], offset, out=z)  # (start + i) * GAMMA + salt
+    return _unit(_avalanche(z, scratch[:count]), out[:count])
 
 
 def uniform_at(seed: int, slot: int, pulse_ids: np.ndarray) -> np.ndarray:
@@ -79,4 +102,5 @@ def uniform_at(seed: int, slot: int, pulse_ids: np.ndarray) -> np.ndarray:
     subset of pulses that produced a detection.  ``pulse_ids`` is not
     modified: the hash runs on a copy.
     """
-    return _unit(_hash(np.array(pulse_ids, dtype=np.uint64), seed, slot))
+    bits = _hash(np.array(pulse_ids, dtype=np.uint64), seed, slot)
+    return _unit(bits, bits.view(np.float64))

@@ -1,6 +1,8 @@
 """Monte Carlo engine against the closed-form oracles, plus determinism."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -304,3 +306,47 @@ def test_memory_does_not_grow_with_batch_size(paper50km):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
+    # Every chunk-length 8-byte array (512 KiB) lives in the thread's reused workspace;
+    # a chunk allocates only its boolean masks (64 KiB each) and detection rows, 0.56 MiB
+    # at peak.  A threshold gathered into a fresh array instead would read 0.74 MiB.
+    manifest = paper50km.manifest()
+    source, link = manifest.to_source_params(), manifest.to_link_params()
+    config = SimConfig(n_pulses=4_000_000, seed=7, batch_size=4_000_000)
+    simulate_run(source, link, replace(config, n_pulses=1_000))  # allocates the workspace
+    tracemalloc.start()
+    try:
+        simulate_run(source, link, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.65 * 2**20
+
+
+def test_concurrent_runs_in_threads_reproduce_their_serial_results(source50, link50):
+    # Each thread reuses its own workspace; a workspace shared across threads would mix
+    # the streams of the two runs.  Switching threads every 10 us interleaves their chunks.
+    bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
+    jobs = [(source50, link50, SimConfig(n_pulses=3 * _CHUNK + 17, seed=5, batch_size=_CHUNK - 1)),
+            (bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02),
+             SimConfig(n_pulses=2 * _CHUNK + 3, seed=6, batch_size=_CHUNK + 1))]
+    serial = [simulate_run(*job) for job in jobs]
+    results = [None] * len(jobs)
+
+    def run(i):  # one run on the calling thread, one on two pool threads
+        results[i] = simulate_run(*jobs[i], workers=1 + i)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == serial

@@ -1,18 +1,25 @@
 """Property tests of the engine, file-format and estimator invariants (derandomized, so deterministic)."""
 
+import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pdqkd.dataio import read_events, read_tally, tally_from_events, write_events, write_tally
-from pdqkd.decoy_estimator import ObservedStats, key_rate
-from pdqkd.event_sim import SimConfig, Tally, simulate_run
-from pdqkd.link_model import LinkParams, db_to_linear
-from pdqkd.photon_source import SourceParams
+from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
+                                   key_rate, y1_lower)
+from pdqkd.errors import UnboundedErrorRate
+from pdqkd.event_sim import (_GUIDE_BUCKETS, SimConfig, Tally, _pair_guide, _sample_pairs,
+                             simulate_run)
+from pdqkd.link_model import LinkParams, db_to_linear, error_n, gains_analytic, yield_n
+from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf, poisson_pmf,
+                                 thermal_pmf)
 from pdqkd.presets import REFERENCE_RUNS
+from pdqkd.rng import uniform_stream
 
 # a bright, low-loss link, so that a few thousand pulses give many detections
 SOURCE = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
@@ -94,3 +101,59 @@ def test_key_rate_does_not_grow_with_u_alpha_or_f(gain_scale, qber_scale, n_puls
 
     assert rate(u_high, f_low) <= rate(u_low, f_low)
     assert rate(u_low, f_high) <= rate(u_low, f_low)
+
+
+@st.composite
+def pair_pmfs(draw):
+    """Poisson, thermal and multimode thermal pmfs, and pmfs with zero entries (tied CDF steps)."""
+    mu = draw(st.floats(0.01, 10.0))
+    kind = draw(st.sampled_from(["poisson", "thermal", "multimode", "zeros"]))
+    if kind == "thermal":
+        return thermal_pmf(mu)
+    if kind == "multimode":
+        return multimode_thermal_pmf(mu, draw(st.integers(2, 20)))
+    pmf = poisson_pmf(mu)
+    if kind == "poisson":
+        return pmf
+    probs = pmf.probs.copy()
+    zeroed = draw(st.lists(st.integers(0, pmf.n_max), min_size=1, max_size=pmf.n_max + 1))
+    probs[zeroed] = 0.0
+    assume(probs.sum() > 0.0)
+    return PhotonNumberPmf(probs, pmf.n_max, 1.0 - math.fsum(probs.tolist()))
+
+
+@settings(DERANDOMIZED, max_examples=150)
+@given(pmf=pair_pmfs(), seed=st.integers(0, 2**64 - 1))
+def test_guide_table_inversion_equals_searchsorted(pmf, seed):
+    cdf = np.cumsum(pmf.probs)
+    steps = cdf[(cdf >= 0.0) & (cdf < 1.0)]
+    u = np.concatenate([
+        [0.0, 1.0 - 2.0**-53],
+        np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS,  # every bucket edge
+        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
+        uniform_stream(seed, 0, 0, 20_000),
+    ])
+    u = u[u < 1.0]
+    oracle = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
+    got = _sample_pairs(_pair_guide(None, pmf)[0], u)
+    assert np.array_equal(got, oracle)
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(mu0=st.floats(0.05, 4.0), eta_s=st.floats(0.002, 1.0), eta_a=st.floats(0.005, 0.6),
+       log_eta=st.floats(-4.0, 0.0), y0=st.floats(0.0, 1e-4), e_d=st.floats(0.0, 0.05))
+def test_asymptotic_bounds_hold_on_the_criterion_5_box(mu0, eta_s, eta_a, log_eta, y0, e_d):
+    # criterion 5's parameter box; at u_alpha = 0 the fluctuation shifts vanish
+    src = SourceParams(mu0=mu0, eta_s=eta_s, eta_a=eta_a)
+    link = LinkParams(eta=10.0**log_eta, y0=y0, e_d=e_d)
+    analytic = gains_analytic(src, link)
+    assume(analytic.q_n > 0.0 and analytic.q_t > 0.0)
+    obs = ObservedStats.from_analytic(analytic, src, 10**12)
+    bounds = fluctuation_bounds(obs, ProtocolParams(n_pulses=10**12, u_alpha=0.0), src)
+    y1, _ = y1_lower(bounds.q_n_low, bounds.q_up, bounds.y0_up, src)
+    assert y1 <= yield_n(1, link) * (1 + 1e-9)
+    try:
+        e1, _ = e1_upper(bounds.etqt_up, y1, src)
+    except UnboundedErrorRate:
+        return  # a yield bound clamped to zero bounds no error rate
+    assert e1 >= error_n(1, link) * (1 - 1e-9)

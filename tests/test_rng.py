@@ -83,3 +83,17 @@ def test_raw_stream_is_64bit():
     assert bits.dtype == np.uint64
     # top bits must actually vary
     assert len(np.unique(bits >> np.uint64(56))) > 100
+
+
+@pytest.mark.parametrize("start", [0, 2**32 - 1, 2**63 + 5, 2**64 - 1000])
+@pytest.mark.parametrize("spare", [0, 37])
+def test_stream_into_buffers_matches_oracle(start, spare):
+    count = 1000
+    buf = np.full(count + spare, np.nan)
+    scratch = np.empty(count + spare, dtype=np.uint64)
+    got = uniform_stream(77, 4, start, count, out=buf, scratch=scratch)
+    assert got.base is buf and len(got) == count  # the values land in buf, nothing else
+    picks = [0, 1, count - 1]
+    assert got[picks].tolist() == [(splitmix_reference(77, 4, (start + i) & MASK) >> 11) / 2**53
+                                   for i in picks]
+    assert np.isnan(buf[count:]).all()  # entries past count are left alone
