@@ -39,9 +39,6 @@ _RESULTS_TAG = "# pdqkd:results:v1"
 EVENTS_HEADER = ",".join(EVENT_DTYPE.names)
 _SENT_LINE = re.compile(",".join(f"sent_{cell}=([0-9]+)" for cell in CELLS))
 
-RESULTS_HEADER = ("loss_db,q_n,q_t,e_n,e_t,y1_low,e1_up,r_n,r_t,r,key_bits,"
-                  "clamped_y1,clamped_e1,clamped_r_n,clamped_r_t")
-
 
 def _fmt(value) -> str:
     if isinstance(value, float):
@@ -386,9 +383,9 @@ class ResultsRow:
         return cls.from_result(point.loss_db, point.observables, point.result)
 
 
-_RESULTS_FLOATS = ("loss_db", "q_n", "q_t", "e_n", "e_t", "y1_low", "e1_up",
-                   "r_n", "r_t", "r", "key_bits")
-_RESULTS_FLAGS = ("clamped_y1", "clamped_e1", "clamped_r_n", "clamped_r_t")
+_RESULTS_FIELDS = [f.name for f in fields(ResultsRow)]
+_RESULTS_FLAGS = {f.name for f in fields(ResultsRow) if f.type == "bool"}  # written 0 or 1
+RESULTS_HEADER = ",".join(_RESULTS_FIELDS)
 
 
 def write_results(rows: Sequence[ResultsRow], path) -> None:
@@ -400,8 +397,8 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
         fh.write(_RESULTS_TAG + "\n")
         fh.write(RESULTS_HEADER + "\n")
         for row in rows:
-            vals = [repr(float(getattr(row, name))) for name in _RESULTS_FLOATS]
-            vals += [str(int(getattr(row, name))) for name in _RESULTS_FLAGS]
+            vals = [str(int(getattr(row, name))) if name in _RESULTS_FLAGS
+                    else repr(float(getattr(row, name))) for name in _RESULTS_FIELDS]
             fh.write(",".join(vals) + "\n")
 
 
@@ -413,17 +410,16 @@ def read_results(path) -> list[ResultsRow]:
         raise DataFormatError("missing or wrong results header", str(path), pos + 1)
     pos += 1
     rows = []
-    n_cols = len(_RESULTS_FLOATS) + len(_RESULTS_FLAGS)
+    n_cols = len(_RESULTS_FIELDS)
     for i, line in enumerate(lines[pos:]):
         parts = line.split(",")
         if len(parts) != n_cols:
             raise DataFormatError(f"expected {n_cols} fields, got {len(parts)}",
                                   str(path), pos + i + 1)
         try:
-            floats = {name: float(p) for name, p in zip(_RESULTS_FLOATS, parts)}
-            flags = {name: bool(int(p)) for name, p
-                     in zip(_RESULTS_FLAGS, parts[len(_RESULTS_FLOATS):])}
+            values = {name: bool(int(p)) if name in _RESULTS_FLAGS else float(p)
+                      for name, p in zip(_RESULTS_FIELDS, parts)}
         except ValueError as exc:
             raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
-        rows.append(ResultsRow(**floats, **flags))
+        rows.append(ResultsRow(**values))
     return rows

@@ -150,17 +150,43 @@ class PhotonNumberPmf:
         return PhotonNumberPmf(self.probs / mass, self.n_max, self.tail_mass / mass, 1.0)
 
 
-def _auto_n_max(cumulative, start: int = 8) -> int:
-    """Truncation order with tail below the cutoff, probing by doubling up to MAX_N_CAP."""
-    n = start
-    while n <= MAX_N_CAP:
-        if 1.0 - cumulative(n) <= DEFAULT_TAIL_CUTOFF:
-            return n
-        n *= 2
-    if 1.0 - cumulative(MAX_N_CAP) <= DEFAULT_TAIL_CUTOFF:
-        return MAX_N_CAP
-    raise TruncationError(
-        f"tail above cutoff {DEFAULT_TAIL_CUTOFF:g} even at the n_max cap {MAX_N_CAP}")
+def _pmf(mu: float, n_max: int | None, make) -> PhotonNumberPmf:
+    """``make(n_max)`` for ``mu > 0``, the point mass at 0 for ``mu == 0``.
+
+    Checks ``mu`` and, when given, ``n_max`` (``None`` leaves the order to ``make``).
+    """
+    if not (math.isfinite(mu) and mu >= 0.0):
+        raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
+    if n_max is not None:
+        n_max = int(n_max)
+        if n_max < 0:
+            raise ParameterError("n_max must be non-negative")
+        if n_max > MAX_N_CAP:
+            raise TruncationError(f"n_max {n_max} exceeds the cap {MAX_N_CAP}")
+    if mu > 0.0:
+        return make(n_max)
+    probs = np.zeros((n_max or 0) + 1)
+    probs[0] = 1.0
+    return PhotonNumberPmf(probs, len(probs) - 1, 0.0)
+
+
+def _summed(body, n_max: int | None, name: str, start: int = 8) -> PhotonNumberPmf:
+    """The pmf ``body(n)`` on ``0..n_max``, its tail the missing mass.
+
+    ``n_max=None`` takes the first order, probing by doubling from ``start`` up to
+    MAX_N_CAP, whose tail is below ``DEFAULT_TAIL_CUTOFF``.
+    """
+    n = n_max
+    if n is None:
+        n = start
+        while n < MAX_N_CAP and 1.0 - math.fsum(body(n).tolist()) > DEFAULT_TAIL_CUTOFF:
+            n = min(2 * n, MAX_N_CAP)
+    probs = body(n)
+    tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
+    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
+        raise TruncationError(
+            f"{name} tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
+    return PhotonNumberPmf(probs, n, tail)
 
 
 def poisson_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
@@ -169,57 +195,28 @@ def poisson_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
     ``n_max=None`` selects the smallest truncation order whose tail is below
     ``DEFAULT_TAIL_CUTOFF`` (capped at MAX_N_CAP).
     """
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
-    if mu == 0.0:
-        n = 0 if n_max is None else int(n_max)
-        probs = np.zeros(n + 1)
-        probs[0] = 1.0
-        return PhotonNumberPmf(probs, n, 0.0)
-
-    def cdf(n):
+    def body(n):
         k = np.arange(n + 1, dtype=np.float64)
-        return math.fsum(np.exp(k * math.log(mu) - mu - gammaln(k + 1.0)).tolist())
+        return np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
 
-    n = _auto_n_max(cdf) if n_max is None else int(n_max)
-    if n < 0:
-        raise ParameterError("n_max must be non-negative")
-    if n > MAX_N_CAP:
-        raise TruncationError(f"n_max {n} exceeds the cap {MAX_N_CAP}")
-    k = np.arange(n + 1, dtype=np.float64)
-    probs = np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
-    tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
-        raise TruncationError(f"poisson tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
-    return PhotonNumberPmf(probs, n, tail)
+    return _pmf(mu, n_max, lambda n: _summed(body, n, "poisson"))
 
 
 def thermal_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
     """Single-mode thermal (Bose-Einstein) distribution p[n] = mu^n / (1+mu)^(n+1)."""
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
-    if mu == 0.0:
-        n = 0 if n_max is None else int(n_max)
-        probs = np.zeros(n + 1)
-        probs[0] = 1.0
-        return PhotonNumberPmf(probs, n, 0.0)
-    ratio = mu / (1.0 + mu)
-    if n_max is None:
-        # geometric tail is exactly ratio^(n+1)
-        n = min(MAX_N_CAP, max(8, math.ceil(math.log(DEFAULT_TAIL_CUTOFF) / math.log(ratio)) - 1))
-        if ratio ** (n + 1) > DEFAULT_TAIL_CUTOFF:
-            raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
-                                  f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
-    else:
-        n = int(n_max)
-        if n < 0:
-            raise ParameterError("n_max must be non-negative")
-        if n > MAX_N_CAP:
-            raise TruncationError(f"n_max {n} exceeds the cap {MAX_N_CAP}")
-    k = np.arange(n + 1, dtype=np.float64)
-    probs = np.exp(k * math.log(ratio)) / (1.0 + mu)
-    tail = ratio ** (n + 1)
-    return PhotonNumberPmf(probs, n, tail)
+    def make(n):
+        ratio = mu / (1.0 + mu)
+        if n is None:
+            # geometric tail is exactly ratio^(n+1)
+            n = math.ceil(math.log(DEFAULT_TAIL_CUTOFF) / math.log(ratio)) - 1
+            n = min(MAX_N_CAP, max(8, n))
+            if ratio ** (n + 1) > DEFAULT_TAIL_CUTOFF:
+                raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
+                                      f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
+        k = np.arange(n + 1, dtype=np.float64)
+        return PhotonNumberPmf(np.exp(k * math.log(ratio)) / (1.0 + mu), n, ratio ** (n + 1))
+
+    return _pmf(mu, n_max, make)
 
 
 def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> PhotonNumberPmf:
@@ -231,37 +228,17 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> 
     """
     if not isinstance(k_modes, (int, np.integer)) or k_modes < 1:
         raise ParameterError(f"k_modes must be a positive integer, got {k_modes!r}")
-    if not (math.isfinite(mu) and mu >= 0.0):
-        raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
     if k_modes == 1:
         return thermal_pmf(mu, n_max)
-    if mu == 0.0:
-        n = 0 if n_max is None else int(n_max)
-        probs = np.zeros(n + 1)
-        probs[0] = 1.0
-        return PhotonNumberPmf(probs, n, 0.0)
-    theta = mu / k_modes
-    log_p = math.log(theta) - math.log1p(theta)
-    log_q = -math.log1p(theta)
 
     def body(n):
+        theta = mu / k_modes
+        log_p, log_q = math.log(theta) - math.log1p(theta), -math.log1p(theta)
         k = np.arange(n + 1, dtype=np.float64)
         return np.exp(gammaln(k + k_modes) - gammaln(k + 1.0) - gammaln(k_modes)
                       + k * log_p + k_modes * log_q)
 
-    def cdf(n):
-        return math.fsum(body(n).tolist())
-
-    n = _auto_n_max(cdf, start=16) if n_max is None else int(n_max)
-    if n < 0:
-        raise ParameterError("n_max must be non-negative")
-    if n > MAX_N_CAP:
-        raise TruncationError(f"n_max {n} exceeds the cap {MAX_N_CAP}")
-    probs = body(n)
-    tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
-        raise TruncationError(f"multimode tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
-    return PhotonNumberPmf(probs, n, tail)
+    return _pmf(mu, n_max, lambda n: _summed(body, n, "multimode", start=16))
 
 
 def trigger_prob_given_n(i, s: SourceParams):

@@ -24,6 +24,23 @@ def tv_distance(a: PhotonNumberPmf, b: PhotonNumberPmf) -> float:
     return 0.5 * (np.abs(pa - pb).sum() + a.tail_mass + b.tail_mass)
 
 
+@pytest.mark.parametrize("make", [poisson_pmf, thermal_pmf,
+                                  lambda mu, n_max=None: multimode_thermal_pmf(mu, 3, n_max)],
+                         ids=["poisson", "thermal", "multimode"])
+def test_constructors_check_mu_and_n_max_alike(make):
+    # the vacuum point mass obeys the same n_max rules as every mu > 0
+    for mu in (0.0, 0.5):
+        with pytest.raises(ParameterError):
+            make(mu, n_max=-1)
+        with pytest.raises(TruncationError):
+            make(mu, n_max=600)
+        assert make(mu, n_max=512).n_max == 512
+    assert make(0.0, n_max=3).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+    for mu in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            make(mu)
+
+
 class TestPoissonPmf:
     def test_vacuum(self):
         pmf = poisson_pmf(0.0)
