@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -102,9 +103,10 @@ def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
         raise ConfigError(f"--vacuum-credit must be 'calibrated', 'zero' or a number, got {spec!r}")
 
 
-def _print_keyrate(result, protocol) -> None:
-    print(f"mode           : {result.mode} (u_alpha={protocol.u_alpha:g}, "
-          f"N={protocol.n_pulses})")
+def _print_keyrate(result, obs) -> None:
+    u = result.bounds.u_alpha
+    print(f"mode           : {'finite' if u else 'asymptotic'} (u_alpha={u:g}, "
+          f"N={obs.n_pulses})")
     print(f"y1_lower       : {result.y1_low:.6e}")
     print(f"e1_upper (N/T) : {result.branch_n.e1_up:.6e} / {result.branch_t.e1_up:.6e}")
     print(f"R_N, R_T       : {result.r_n:.6e}, {result.r_t:.6e} bit/pulse")
@@ -176,20 +178,18 @@ def cmd_estimate(args) -> int:
         eta_a = calibrate_eta_a(obs.n_triggers / obs.n_pulses, manifest["mu0"])
         manifest = manifest.with_overrides({"eta_a": repr(eta_a)})
     source = manifest.to_source_params()
-    protocol = replace(manifest.to_protocol_params(), n_pulses=obs.n_pulses)
+    protocol = manifest.to_protocol_params()
     if args.u_alpha is not None:
         protocol = replace(protocol, u_alpha=args.u_alpha)
-    mode = args.mode
     credit = _vacuum_credit(args.vacuum_credit, manifest)
     try:
-        result = key_rate(obs, protocol, source, mode, vacuum_credit=credit,
-                          e0=manifest["e0"])
+        result = key_rate(obs, protocol, source, vacuum_credit=credit)
     except DegenerateStatisticsError as exc:
         _warn(f"degenerate statistics ({exc.observable}); no key can be claimed")
         print("R              : 0.0 bit/pulse")
         print("key length     : 0.0 bit")
         return EXIT_OK
-    _print_keyrate(result, protocol)
+    _print_keyrate(result, obs)
     if args.out:
         row = dataio.ResultsRow.from_result(manifest["eta_db"], obs, result)
         dataio.write_results([row], args.out)
@@ -200,7 +200,8 @@ def cmd_estimate(args) -> int:
 def _grid(start: float, stop: float, step: float) -> list[float]:
     if step <= 0 or stop < start:
         raise ConfigError("need --to >= --from and --step > 0")
-    n = int(round((stop - start) / step))
+    # floor: the grid ends at --to or short of it, never a step beyond (1e-9 absorbs rounding)
+    n = math.floor((stop - start) / step + 1e-9)
     return [start + i * step for i in range(n + 1)]
 
 
@@ -211,7 +212,7 @@ def cmd_scan_loss(args) -> int:
     protocol = manifest.to_protocol_params()
     credit = _vacuum_credit(args.vacuum_credit, manifest)
     scan = scan_loss(source, link, protocol, _grid(args.loss_from, args.loss_to, args.step),
-                     mode=args.mode, vacuum_credit=credit)
+                     manifest["n_pulses"], vacuum_credit=credit)
     rows = [dataio.ResultsRow.from_scan_point(p) for p in scan.points]
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "
           f"step {args.step:g} ({len(rows)} points)")
@@ -304,7 +305,7 @@ def _reproduce_fig(args) -> int:
     protocol = manifest.to_protocol_params()
     credit = _vacuum_credit(args.vacuum_credit, manifest)
     scan = scan_loss(source, link, protocol, _grid(0.0, 35.0, args.step),
-                     mode="finite", vacuum_credit=credit)
+                     manifest["n_pulses"], vacuum_credit=credit)
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
     print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")
     out = args.out or "fig4.csv"
@@ -354,8 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e-t", type=float, help="direct trigger QBER")
     p.add_argument("--pulses", type=float, help="N for direct input")
     p.add_argument("--triggers", type=float, help="N_A for direct input")
-    p.add_argument("--u-alpha", type=float, help="override the deviation count")
-    p.add_argument("--mode", choices=("finite", "asymptotic"), default="finite")
+    p.add_argument("--u-alpha", type=float,
+                   help="override the deviation count; 0 gives the asymptotic rate")
     p.add_argument("--vacuum-credit", default="calibrated",
                    help="'calibrated' (device y0_bob), 'zero', or a rate")
     p.add_argument("--calibrate-eta-a", action="store_true",
@@ -368,7 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="loss_from", type=float, default=0.0, help="grid start, dB")
     p.add_argument("--to", dest="loss_to", type=float, default=35.0, help="grid end, dB")
     p.add_argument("--step", type=float, default=0.1, help="grid step, dB")
-    p.add_argument("--mode", choices=("finite", "asymptotic"), default="finite")
     p.add_argument("--vacuum-credit", default="zero",
                    help="'calibrated', 'zero' (default: matches published curves), or a rate")
     p.add_argument("--out", help="write the results CSV here")

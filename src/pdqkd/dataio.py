@@ -17,8 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -30,7 +29,6 @@ from .event_sim import CELLS, EVENT_DTYPE, EventLog, SimConfig, Tally, count_tal
 from .link_model import LinkParams, db_to_linear
 from .photon_source import SourceParams
 
-ARTIFACT_VERSION = "1"
 _CONFIG_TAG = "# pdqkd:config:v1"
 _TALLY_TAG = "# pdqkd:tally:v1"
 _EVENTS_TAG = "# pdqkd:events:v2"
@@ -89,18 +87,9 @@ KEY_DOCS: dict[str, str] = {
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Complete, serializable description of a run.
-
-    ``explicit`` records which keys were present in the file (everything else
-    took its default), and ``created`` is a creation timestamp preserved
-    verbatim across round trips.
-    """
+    """Complete, serializable description of a run: a value for every schema key."""
 
     values: dict
-    explicit: frozenset = frozenset()
-    version: str = ARTIFACT_VERSION
-    created: str = field(default_factory=lambda: datetime.now(timezone.utc)
-                         .isoformat(timespec="seconds"))
 
     def __post_init__(self):
         unknown = set(self.values) - set(_SCHEMA)
@@ -110,24 +99,17 @@ class RunManifest:
         for key, val in merged.items():
             _validate_key(key, val)
         object.__setattr__(self, "values", merged)
-        object.__setattr__(self, "explicit", frozenset(self.explicit))
 
     def __getitem__(self, key: str):
         return self.values[key]
 
-    @property
-    def defaults_used(self) -> frozenset:
-        return frozenset(set(_SCHEMA) - self.explicit)
-
     def with_overrides(self, overrides: dict) -> "RunManifest":
         vals = dict(self.values)
-        explicit = set(self.explicit)
         for key, raw in overrides.items():
             if key not in _SCHEMA:
                 raise ConfigError(f"unknown keys: {key}")
             vals[key] = _coerce(key, raw) if isinstance(raw, str) else raw
-            explicit.add(key)
-        return replace(self, values=vals, explicit=frozenset(explicit))
+        return RunManifest(values=vals)
 
     def to_source_params(self) -> SourceParams:
         return SourceParams(mu0=self["mu0"], eta_s=db_to_linear(self["eta_s_db"]),
@@ -138,8 +120,8 @@ class RunManifest:
                           e_d=self["e_d"], e0=self["e0"])
 
     def to_protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(n_pulses=self["n_pulses"], q=self["q"],
-                              f=self["f"], u_alpha=self["u_alpha"])
+        return ProtocolParams(q=self["q"], f=self["f"], u_alpha=self["u_alpha"],
+                              e0=self["e0"])
 
     def to_sim_config(self) -> SimConfig:
         return SimConfig(n_pulses=self["n_pulses"], seed=self["seed"],
@@ -150,7 +132,10 @@ def _coerce(key: str, text: str):
     kind = _SCHEMA[key][0]
     try:
         if kind is int:
-            as_float = float(text)
+            try:
+                return int(text)  # exact past 2**53, where a float would round
+            except ValueError:
+                as_float = float(text)  # "1e8" and "100.0" are whole numbers too
             if not as_float.is_integer():
                 raise ValueError(f"not an integer: {text!r}")
             return int(as_float)
@@ -181,28 +166,16 @@ def _read_lines(path: Path, error=DataFormatError) -> list[str]:
 
 
 def write_config(manifest: RunManifest, path) -> None:
-    lines = [_CONFIG_TAG,
-             f"# version = {manifest.version}",
-             f"# created = {manifest.created}"]
-    for key in _SCHEMA:
-        lines.append(f"{key} = {_fmt(manifest.values[key])}")
+    lines = [_CONFIG_TAG] + [f"{key} = {_fmt(manifest.values[key])}" for key in _SCHEMA]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def read_config(path) -> RunManifest:
-    """Parse a flat key-value config; missing keys take schema defaults."""
+    """Parse a flat key-value config; ``#`` lines are comments, missing keys take defaults."""
     path = Path(path)
     values: dict = {}
-    explicit: set[str] = set()
-    version, created = ARTIFACT_VERSION, None
     for lineno, raw in enumerate(_read_lines(path, ConfigError), start=1):
         line = raw.strip()
-        if line.startswith("# version ="):
-            version = line.split("=", 1)[1].strip()
-            continue
-        if line.startswith("# created ="):
-            created = line.split("=", 1)[1].strip()
-            continue
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
@@ -211,18 +184,14 @@ def read_config(path) -> RunManifest:
         key, text = key.strip(), text.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"unknown keys: {key}", str(path), lineno)
-        if key in explicit:
+        if key in values:
             raise ConfigError(f"duplicate key {key}", str(path), lineno)
         try:
             values[key] = _coerce(key, text)
             _validate_key(key, values[key])
         except ConfigError as exc:
             raise ConfigError(str(exc), str(path), lineno) from exc
-        explicit.add(key)
-    kwargs = {"values": values, "explicit": frozenset(explicit), "version": version}
-    if created is not None:
-        kwargs["created"] = created
-    return RunManifest(**kwargs)
+    return RunManifest(values=values)
 
 
 def _skip_tag(lines: list[str], tag: str, what: str, path: Path) -> int:

@@ -10,7 +10,10 @@ rate
 with negative branches clamped to zero.  Statistical fluctuations over a
 finite number of pulses N are handled by the standard-error recipe: every
 observable X that enters a bound is shifted by ``u_alpha / sqrt(N X)``
-standard deviations in its conservative direction.
+standard deviations in its conservative direction.  N is the pulse count of
+the observations (``ObservedStats.n_pulses``), ``u_alpha`` and the dark-count
+error rate ``e0`` are fields of ``ProtocolParams``, and ``u_alpha = 0`` gives
+the asymptotic rate.
 
 Conventions baked into this module (all surfaced in diagnostics):
 
@@ -41,36 +44,33 @@ class ProtocolParams:
 
     Attributes
     ----------
-    n_pulses : int
-        Number of pulses sent (N), the sample size of every observed rate.
     q : float
         Sift factor; 1/2 for standard unbiased BB84.
     f : float
         Error-correction inefficiency relative to the Shannon limit.
     u_alpha : float
         Number of standard deviations for the fluctuation analysis
-        (5 corresponds to a failure probability of 5.733e-7 per bound).
+        (5 corresponds to a failure probability of 5.733e-7 per bound);
+        0 evaluates every bound at its central value, the asymptotic rate.
+    e0 : float
+        Error rate of a dark count, which converts the error product
+        ``(E_N Q_N)^U`` into the dark-count yield bound ``Y_0^U``.
     """
 
-    n_pulses: int
     q: float = 0.5
     f: float = 1.2
     u_alpha: float = 5.0
+    e0: float = 0.5
 
     def __post_init__(self):
-        n = self.n_pulses
-        if isinstance(n, float):
-            if not n.is_integer():
-                raise ParameterError(f"n_pulses must be an integer, got {n!r}")
-            object.__setattr__(self, "n_pulses", int(n))
-        if not (isinstance(self.n_pulses, int) and self.n_pulses >= 1):
-            raise ParameterError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
         if not (0.0 < self.q <= 1.0):
             raise ParameterError(f"q must be in (0, 1], got {self.q!r}")
         if not (self.f >= 1.0):
             raise ParameterError(f"f must be >= 1, got {self.f!r}")
         if not (self.u_alpha >= 0.0):
             raise ParameterError(f"u_alpha must be >= 0, got {self.u_alpha!r}")
+        if not (0.0 < self.e0 <= 1.0):
+            raise ParameterError(f"e0 must be in (0, 1], got {self.e0!r}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,8 @@ class ObservedStats:
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ParameterError(f"{name} must be a rate in [0, 1], got {v!r}")
-        if self.n_pulses < 1:
-            raise ParameterError(f"n_pulses must be >= 1, got {self.n_pulses!r}")
+        if not (self.n_pulses >= 1 and float(self.n_pulses).is_integer()):
+            raise ParameterError(f"n_pulses must be a whole number >= 1, got {self.n_pulses!r}")
         if self.n_triggers < 0:
             raise ParameterError(f"n_triggers must be >= 0, got {self.n_triggers!r}")
 
@@ -159,7 +159,8 @@ class BranchDiagnostics:
 class KeyRateResult:
     """Two-branch key rate with full diagnostics.
 
-    ``r = r_n + r_t`` (bits per pulse) and ``key_bits = r * N``.
+    ``r = r_n + r_t`` (bits per pulse) and ``key_bits = r * N``, with N the
+    observed pulse count.
     ``clamps`` lists every quantity that was pushed back into its physical
     range; an empty tuple means the formulas evaluated cleanly.
     """
@@ -168,7 +169,6 @@ class KeyRateResult:
     r_t: float
     r: float
     key_bits: float
-    mode: str
     y1_low: float
     bounds: FluctuationBounds
     single: SinglePhotonBounds
@@ -196,12 +196,11 @@ def _shift(x: float, n: int, u: float, direction: int, name: str) -> float:
 
 
 def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
-                       source: SourceParams, e0: float = 0.5,
-                       u_alpha: float | None = None) -> FluctuationBounds:
+                       source: SourceParams) -> FluctuationBounds:
     """Standard-error bounds on the observables entering the decoy analysis.
 
-    With ``u = u_alpha`` (taken from ``protocol`` unless overridden) and
-    ``N = protocol.n_pulses``:
+    With ``u = protocol.u_alpha``, ``e0 = protocol.e0`` and
+    ``N = obs.n_pulses``:
 
     - ``Q_N^L  = Q_N (1 - u / sqrt(N Q_N))``
     - ``Q^U    = Q (1 + u / sqrt(N Q))``
@@ -211,16 +210,9 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
     ``u = 0`` reduces every bound to its central value (the dark-count yield
     then becomes its central estimate, still derived from the observations).
     Raises :class:`DegenerateStatisticsError` naming the offending observable
-    if a bound would divide by ``sqrt(N * 0)``, and :class:`ParameterError`
-    if ``obs`` counts a different number of pulses than ``protocol``.
+    if a bound would divide by ``sqrt(N * 0)``.
     """
-    u = protocol.u_alpha if u_alpha is None else u_alpha
-    if u < 0.0:
-        raise ParameterError(f"u_alpha must be >= 0, got {u!r}")
-    if obs.n_pulses != protocol.n_pulses:
-        raise ParameterError(f"observations hold {obs.n_pulses} pulses, "
-                             f"the protocol N = {protocol.n_pulses}")
-    n = protocol.n_pulses
+    n, u = obs.n_pulses, protocol.u_alpha
     enqn_up = _shift(obs.e_n * obs.q_n, n, u, +1, "E_N*Q_N")
     mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
     return FluctuationBounds(
@@ -228,7 +220,7 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
         q_up=_shift(obs.q, n, u, +1, "Q"),
         etqt_up=_shift(obs.e_t * obs.q_t, n, u, +1, "E_T*Q_T"),
         enqn_up=enqn_up,
-        y0_up=math.exp(mu + (mu0 - mu) * eta_a) * enqn_up / e0,
+        y0_up=math.exp(mu + (mu0 - mu) * eta_a) * enqn_up / protocol.e0,
         u_alpha=u,
     )
 
@@ -329,17 +321,15 @@ def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
 
 
 def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
-             mode: str = "finite", *, vacuum_credit: float = 0.0,
-             e0: float = 0.5) -> KeyRateResult:
+             *, vacuum_credit: float = 0.0) -> KeyRateResult:
     """Two-branch secret key rate from observed rates.
 
     Parameters
     ----------
     obs, protocol, source
-        Observed rates, post-processing parameters and source calibration.
-    mode : {"finite", "asymptotic"}
-        "finite" applies the ``u_alpha`` standard-error bounds; "asymptotic"
-        evaluates every bound at its central value.
+        Observed rates and their pulse count N, post-processing parameters
+        (``protocol.u_alpha = 0`` gives the asymptotic rate) and source
+        calibration.
     vacuum_credit : float
         Dark-count yield credited through the vacuum gains ``Q_j0``.  Pass
         the calibrated device dark-count rate to mirror published
@@ -350,12 +340,9 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     Returns a :class:`KeyRateResult`; negative branch rates clamp to zero and
     every clamp is listed in ``clamps``.
     """
-    if mode not in ("finite", "asymptotic"):
-        raise ParameterError(f"mode must be 'finite' or 'asymptotic', got {mode!r}")
     if not (0.0 <= vacuum_credit <= 1.0):
         raise ParameterError(f"vacuum_credit must be a probability, got {vacuum_credit!r}")
-    u = protocol.u_alpha if mode == "finite" else 0.0
-    bounds = fluctuation_bounds(obs, protocol, source, e0=e0, u_alpha=u)
+    bounds = fluctuation_bounds(obs, protocol, source)
     clamps: list[str] = []
     y1, y1_clamped = y1_lower(bounds.q_n_low, bounds.q_up, bounds.y0_up, source)
     if y1_clamped:
@@ -380,7 +367,7 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     r_t = max(0.0, branch_t.raw_rate)
     r = r_n + r_t
     return KeyRateResult(r_n=r_n, r_t=r_t, r=r,
-                         key_bits=r * protocol.n_pulses, mode=mode,
+                         key_bits=r * obs.n_pulses,
                          y1_low=y1, bounds=bounds, single=single,
                          branch_n=branch_n, branch_t=branch_t,
                          clamps=tuple(clamps))
@@ -409,11 +396,11 @@ class ScanResult:
 
 
 def _rate_at(loss_db: float, source: SourceParams, link_template: LinkParams,
-             protocol: ProtocolParams, mode: str, vacuum_credit: float):
+             protocol: ProtocolParams, n_pulses: int, vacuum_credit: float):
     link = replace(link_template, eta=db_to_linear(loss_db))
     ao = gains_analytic(source, link)
-    obs = ObservedStats.from_analytic(ao, source, protocol.n_pulses)
-    return ao, key_rate(obs, protocol, source, mode, vacuum_credit=vacuum_credit)
+    obs = ObservedStats.from_analytic(ao, source, n_pulses)
+    return ao, key_rate(obs, protocol, source, vacuum_credit=vacuum_credit)
 
 
 def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
@@ -429,14 +416,15 @@ def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
 
 def scan_loss(source: SourceParams, link_template: LinkParams,
               protocol: ProtocolParams, loss_db_grid: Sequence[float],
-              mode: str = "finite", *, vacuum_credit: float = 0.0) -> ScanResult:
+              n_pulses: int, *, vacuum_credit: float = 0.0) -> ScanResult:
     """Evaluate the key rate over an ascending grid of total loss figures.
 
-    Each grid point feeds the closed-form observables at that loss into
-    :func:`key_rate` (the template supplies the loss-independent receiver
-    parameters).  By default no vacuum credit is taken, matching the
-    published rate-versus-loss behaviour; pass ``vacuum_credit`` explicitly
-    to study the credited variant.
+    Each grid point feeds the closed-form observables at that loss, taken as
+    if measured over ``n_pulses`` pulses, into :func:`key_rate` (the
+    template supplies the loss-independent receiver parameters).  By default
+    no vacuum credit is taken, matching the published rate-versus-loss
+    behaviour; pass ``vacuum_credit`` explicitly to study the credited
+    variant.
     """
     grid = [float(x) for x in loss_db_grid]
     if len(grid) == 0:
@@ -445,7 +433,7 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
         raise ParameterError("loss grid must be strictly ascending")
     points = []
     for loss in grid:
-        ao, res = _rate_at(loss, source, link_template, protocol, mode, vacuum_credit)
+        ao, res = _rate_at(loss, source, link_template, protocol, n_pulses, vacuum_credit)
         points.append(ScanPoint(loss_db=loss, observables=ao, result=res))
 
     def cutoff(component) -> float | None:
@@ -459,7 +447,7 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
         return _refine_cutoff(
             grid[last_pos], grid[last_pos + 1],
             lambda L: component(_rate_at(L, source, link_template, protocol,
-                                         mode, vacuum_credit)[1]))
+                                         n_pulses, vacuum_credit)[1]))
     return ScanResult(points=tuple(points),
                       r_n_cutoff_db=cutoff(lambda r: r.r_n),
                       r_cutoff_db=cutoff(lambda r: r.r))

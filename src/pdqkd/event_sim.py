@@ -476,11 +476,8 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
 
 
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,
-               config: SimConfig, *, mode: str = "finite",
-               vacuum_credit: float = 0.0, workers: int = 1) -> KeyRateResult:
+               config: SimConfig, *, vacuum_credit: float = 0.0,
+               workers: int = 1) -> KeyRateResult:
     """Simulate a run and estimate the key rate purely from its tallies."""
-    if config.n_pulses != protocol.n_pulses:
-        raise ParameterError("config.n_pulses and protocol.n_pulses must agree")
     tally, _ = simulate_run(source, link, config, workers=workers)
-    return key_rate(tally.to_observed_stats(), protocol, source, mode,
-                    vacuum_credit=vacuum_credit)
+    return key_rate(tally.to_observed_stats(), protocol, source, vacuum_credit=vacuum_credit)

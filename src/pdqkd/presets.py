@@ -87,8 +87,7 @@ class ReferenceRun:
             "batch_size": 4_000_000,
             "basis_bias": 0.5,
         }
-        return RunManifest(values=values, explicit=frozenset(values),
-                           created="preset")
+        return RunManifest(values=values)
 
 
 # The 0 km and 25 km QBERs call for a larger receiver dark count than the

@@ -63,8 +63,7 @@ def test_criterion_2_key_totals(capsys):
         manifest = run.manifest()
         obs = run.observed_stats()
         result = key_rate(obs, manifest.to_protocol_params(),
-                          manifest.to_source_params(), "finite",
-                          vacuum_credit=manifest["y0_bob"])
+                          manifest.to_source_params(), vacuum_credit=manifest["y0_bob"])
         results[name] = (result.key_bits, result.key_bits / run.key_bits_published)
     elapsed = time.time() - t0
     ok = all(0.5 <= ratio <= 1.5 for _, ratio in results.values())
@@ -142,7 +141,7 @@ class TestCriterion5Soundness:
             if ao.q_n == 0.0 or ao.q_t == 0.0:
                 continue
             obs = ObservedStats.from_analytic(ao, src, 10**12)
-            bounds = fluctuation_bounds(obs, ProtocolParams(n_pulses=10**12, u_alpha=0.0), src)
+            bounds = fluctuation_bounds(obs, ProtocolParams(u_alpha=0.0), src)
             y1, _ = y1_lower(bounds.q_n_low, bounds.q_up, bounds.y0_up, src)
             if y1 > yield_n(1, link) * (1 + 1e-9):
                 violations += 1
@@ -174,7 +173,7 @@ class TestCriterion5Soundness:
 
         def coverage(u, reps, seed):
             counts = np.random.default_rng(seed).multinomial(n, cells, size=reps)
-            proto = ProtocolParams(n_pulses=n, u_alpha=u)
+            proto = ProtocolParams(u_alpha=u)
             viol = 0
             for c in counts:
                 det_n, det_t = int(c[1] + c[2]), int(c[4] + c[5])

@@ -106,6 +106,26 @@ class TestEstimate:
         asy = float(asy_out.split("key length     :")[1].split()[0])
         assert asy >= fin
 
+    @pytest.mark.parametrize("extra, header", [
+        ([], "mode           : finite (u_alpha=5, N=60000000000)"),
+        (["--u-alpha", "3"], "mode           : finite (u_alpha=3, N=60000000000)"),
+        (["--u-alpha", "0"], "mode           : asymptotic (u_alpha=0, N=60000000000)"),
+        (["--set", "u_alpha=0"], "mode           : asymptotic (u_alpha=0, N=60000000000)"),
+    ])
+    def test_header_mode_follows_u_alpha(self, capsys, extra, header):
+        code, stdout, _ = run_cli(capsys, "estimate", "--config", "paper50km",
+                                  "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+                                  "--e-n", "0.0399", "--e-t", "0.0306", *extra)
+        assert code == 0 and stdout.splitlines()[0] == header
+
+    @pytest.mark.parametrize("key", ["e0", "q"])
+    def test_zero_protocol_rate_is_a_usage_error(self, capsys, key):
+        code, stdout, err = run_cli(capsys, "estimate", "--config", "paper50km",
+                                    "--set", f"{key}=0", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+                                    "--e-n", "0.0399", "--e-t", "0.0306")
+        assert code == 1 and stdout == ""
+        assert err == f"error: {key} must be in (0, 1], got 0.0\n"
+
     def test_zero_detection_warns_not_fails(self, tmp_path, capsys):
         code, stdout, err = run_cli(
             capsys, "estimate", "--config", "paper50km",
@@ -121,7 +141,7 @@ class TestEstimate:
                              "--set", "eta_db=8.0", "--out", str(tally_path))
         assert code == 0
         code, stdout, _ = run_cli(capsys, "estimate", "--config", "paper50km",
-                                  "--tally", str(tally_path), "--mode", "asymptotic")
+                                  "--tally", str(tally_path), "--u-alpha", "0")
         assert code == 0
         assert "key length" in stdout
 
@@ -133,7 +153,7 @@ class TestEstimate:
         assert code == 0
         code, stdout, _ = run_cli(capsys, "estimate", "--config", "paper50km",
                                   "--events", str(tmp_path / "ev.csv"),
-                                  "--mode", "asymptotic")
+                                  "--u-alpha", "0")
         assert code == 0
         assert "R " in stdout or "R    " in stdout
 
@@ -282,6 +302,19 @@ class TestScanAndReproduce:
     def test_paper50km_keeps_calibrated_dark_count(self):
         assert preset_manifest("paper50km")["y0_bob"] == Y0_BOB
 
+    @pytest.mark.parametrize("argv, losses", [
+        (["scan-loss", "--config", "paper50km", "--from", "0", "--to", "1", "--step", "0.6"],
+         [0.0, 0.6]),
+        (["scan-loss", "--config", "paper50km", "--from", "0", "--to", "0.3", "--step", "0.1"],
+         [0.0, 0.1, 0.2, 0.30000000000000004]),
+        (["reproduce", "fig4"], [0.1 * i for i in range(351)]),
+    ], ids=["step past --to", "step onto --to", "fig4"])
+    def test_grid_ends_at_or_before_to(self, tmp_path, capsys, argv, losses):
+        out = tmp_path / "grid.csv"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 0
+        assert [row.loss_db for row in read_results(out)] == losses
+
     def test_scan_single_point_matches_estimate(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
         code, stdout, _ = run_cli(capsys, "scan-loss", "--config", "paper50km",
@@ -347,6 +380,9 @@ class TestHelp:
         ["scan-loss", "--config", "paper50km", "--workers", "2"],
         ["reproduce", "table1", "--workers", "0"],
         ["simulate", "--pulses", "1000", "--events", "x.csv", "--events-format", "npy"],
+        ["estimate", "--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+         "--e-n", "0.0399", "--e-t", "0.0306", "--mode", "asymptotic"],
+        ["scan-loss", "--config", "paper50km", "--mode", "finite"],
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)

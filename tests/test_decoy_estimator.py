@@ -17,6 +17,7 @@ from pdqkd.photon_source import SourceParams
 from pdqkd.presets import REFERENCE_RUNS
 
 RUN50 = REFERENCE_RUNS["paper50km"]
+N50 = RUN50.manifest()["n_pulses"]
 
 
 def obs50():
@@ -89,16 +90,14 @@ class TestFluctuationBounds:
         obs = ObservedStats(q_n=1e-5, q_t=0.0, e_n=0.04, e_t=0.0,
                             n_pulses=10**9)
         with pytest.raises(DegenerateStatisticsError) as err:
-            fluctuation_bounds(obs, proto50(n_pulses=10**9), src50())
+            fluctuation_bounds(obs, proto50(), src50())
         assert "E_T*Q_T" in str(err.value)
 
-    def test_pulse_count_mismatch_rejected(self):
-        # observations of 1e6 pulses cannot carry a 6e10-pulse protocol's bounds or key
-        obs = replace(obs50(), n_pulses=10**6)
-        with pytest.raises(ParameterError, match="pulses"):
-            fluctuation_bounds(obs, proto50(), src50())
-        with pytest.raises(ParameterError, match="pulses"):
-            key_rate(obs, proto50(), src50(), "asymptotic")
+    @pytest.mark.parametrize("n_pulses", [0, 1.5, 6e10 + 0.5])
+    def test_pulse_count_must_be_whole(self, n_pulses):
+        # N is the sample size of every bound and the multiplier of the key
+        with pytest.raises(ParameterError, match="n_pulses"):
+            replace(obs50(), n_pulses=n_pulses)
 
 
 class TestY1Lower:
@@ -109,14 +108,14 @@ class TestY1Lower:
             link = LinkParams(eta=float(eta), y0=1.6e-6, e_d=0.012)
             ao = gains_analytic(src, link)
             obs = ObservedStats.from_analytic(ao, src, 10**9)
-            b = fluctuation_bounds(obs, proto50(u_alpha=0.0, n_pulses=10**9), src, u_alpha=0.0)
+            b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src)
             y1, _ = y1_lower(b.q_n_low, b.q_up, b.y0_up, src)
             assert y1 <= yield_n(1, link) * (1 + 1e-12)
 
     def test_50km_asymptotic_ratio(self):
         src = src50()
         obs = obs50()
-        b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src, u_alpha=0.0)
+        b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src)
         y1, clamped = y1_lower(b.q_n_low, b.q_up, b.y0_up, src)
         y1_true = yield_n(1, RUN50.manifest().to_link_params())
         assert not clamped
@@ -144,7 +143,7 @@ class TestE1Upper:
         src = src50()
         ao = gains_analytic(src, RUN50.manifest().to_link_params())
         obs = ObservedStats.from_analytic(ao, src, RUN50.manifest()["n_pulses"])
-        b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src, u_alpha=0.0)
+        b = fluctuation_bounds(obs, proto50(u_alpha=0.0), src)
         y1, _ = y1_lower(b.q_n_low, b.q_up, b.y0_up, src)
         e1, _ = e1_upper(b.etqt_up, y1, src)
         assert 0.02 <= e1 <= 0.08  # hand evaluation sits near 0.037
@@ -190,33 +189,28 @@ class TestSinglePhotonGains:
 
 class TestKeyRate:
     def test_50km_key_bits_band(self):
-        result = key_rate(obs50(), proto50(), src50(), "finite", vacuum_credit=1.6e-6)
+        result = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
         assert 0.5 * 89.8e3 <= result.key_bits <= 1.5 * 89.8e3
 
     def test_high_error_clamps_to_zero(self):
         obs = ObservedStats(q_n=2.43e-5, q_t=2.5e-6, e_n=0.11, e_t=0.11,
                             n_pulses=6 * 10**10)
-        result = key_rate(obs, proto50(), src50(), "finite")
+        result = key_rate(obs, proto50(), src50())
         assert result.r == 0.0
         assert "r_n_negative" in result.clamps and "r_t_negative" in result.clamps
 
     def test_asymptotic_beats_finite(self):
-        fin = key_rate(obs50(), proto50(), src50(), "finite", vacuum_credit=1.6e-6)
-        asy = key_rate(obs50(), proto50(), src50(), "asymptotic", vacuum_credit=1.6e-6)
+        fin = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
+        asy = key_rate(obs50(), proto50(u_alpha=0.0), src50(), vacuum_credit=1.6e-6)
         assert asy.key_bits > fin.key_bits
 
-    def test_u0_finite_equals_asymptotic(self):
-        fin = key_rate(obs50(), proto50(u_alpha=0.0), src50(), "finite")
-        asy = key_rate(obs50(), proto50(), src50(), "asymptotic")
-        assert fin.r == asy.r
-
     def test_branch_split_of_e1(self):
-        result = key_rate(obs50(), proto50(), src50(), "finite")
+        result = key_rate(obs50(), proto50(), src50())
         # non-triggered branch carries the fluctuation-raised bound
         assert result.branch_n.e1_up > result.branch_t.e1_up
 
     def test_r_is_branch_sum(self):
-        result = key_rate(obs50(), proto50(), src50(), "finite", vacuum_credit=1.6e-6)
+        result = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
         assert result.r == result.r_n + result.r_t
         assert result.r_n >= 0.0 and result.r_t >= 0.0
 
@@ -238,7 +232,7 @@ class TestSoundnessGrid:
             if ao.q_t == 0.0 or ao.q_n == 0.0:
                 continue
             obs = ObservedStats.from_analytic(ao, src, 10**12)
-            b = fluctuation_bounds(obs, ProtocolParams(n_pulses=10**12, u_alpha=0.0), src)
+            b = fluctuation_bounds(obs, ProtocolParams(u_alpha=0.0), src)
             y1, _ = y1_lower(b.q_n_low, b.q_up, b.y0_up, src)
             y1_true = yield_n(1, link)
             assert y1 <= y1_true * (1 + 1e-9)
@@ -254,17 +248,27 @@ class TestScanLoss:
         src = src50()
         link = RUN50.manifest().to_link_params()
         proto = proto50()
-        scan = scan_loss(src, link, proto, [0.0], vacuum_credit=0.0)
+        scan = scan_loss(src, link, proto, [0.0], N50, vacuum_credit=0.0)
         ao = gains_analytic(src, replace(link, eta=1.0))
-        obs = ObservedStats.from_analytic(ao, src, proto.n_pulses)
-        direct = key_rate(obs, proto, src, "finite", vacuum_credit=0.0)
+        obs = ObservedStats.from_analytic(ao, src, N50)
+        direct = key_rate(obs, proto, src, vacuum_credit=0.0)
         assert scan.points[0].result.r == pytest.approx(direct.r, rel=0.1)
         assert scan.points[0].result.r == direct.r  # identical by construction
+
+    def test_config_e0_reaches_the_estimator(self):
+        # the config's e0 must reach the Y_0 bound, not only the channel model
+        manifest = RUN50.manifest().with_overrides({"e0": "0.3"})
+        src, link = manifest.to_source_params(), manifest.to_link_params()
+        point = scan_loss(src, link, manifest.to_protocol_params(), [30.4], N50).points[0]
+        obs = ObservedStats.from_analytic(point.observables, src, N50)
+        assert point.result == key_rate(obs, proto50(e0=0.3), src)
+        assert point.result != key_rate(obs, proto50(), src)
+        assert point.result.key_bits == pytest.approx(153_061, rel=1e-5)
 
     def test_rate_monotone_nonincreasing(self):
         src = src50()
         link = RUN50.manifest().to_link_params()
-        scan = scan_loss(src, link, proto50(), list(np.arange(0.0, 35.5, 0.5)),
+        scan = scan_loss(src, link, proto50(), list(np.arange(0.0, 35.5, 0.5)), N50,
                          vacuum_credit=0.0)
         rates = [p.result.r for p in scan.points]
         assert all(b <= a + 1e-18 for a, b in zip(rates, rates[1:]))
@@ -272,7 +276,7 @@ class TestScanLoss:
     def test_inflection_located(self):
         src = src50()
         link = RUN50.manifest().to_link_params()
-        scan = scan_loss(src, link, proto50(), list(np.arange(28.0, 35.0, 0.25)))
+        scan = scan_loss(src, link, proto50(), list(np.arange(28.0, 35.0, 0.25)), N50)
         assert scan.r_n_cutoff_db is not None
         assert 31.2 <= scan.r_n_cutoff_db <= 32.2
         assert scan.r_cutoff_db > scan.r_n_cutoff_db  # T branch survives longer
@@ -281,9 +285,9 @@ class TestScanLoss:
         src = src50()
         link = RUN50.manifest().to_link_params()
         with pytest.raises(ParameterError):
-            scan_loss(src, link, proto50(), [1.0, 1.0])
+            scan_loss(src, link, proto50(), [1.0, 1.0], N50)
         with pytest.raises(ParameterError):
-            scan_loss(src, link, proto50(), [])
+            scan_loss(src, link, proto50(), [], N50)
 
 
 class TestFiniteCoverage:
@@ -318,7 +322,7 @@ class TestFiniteCoverage:
     def _violations(self, u, reps, seed, known_y0_sub):
         src, link, counts = self._draw(reps, seed)
         y1_true = yield_n(1, link)
-        proto = ProtocolParams(n_pulses=self.N, u_alpha=u)
+        proto = ProtocolParams(u_alpha=u)
         viol = 0
         for c in counts:
             det_n, err_n = int(c[1] + c[2]), int(c[2])

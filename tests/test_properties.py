@@ -9,7 +9,8 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pdqkd.dataio import read_events, read_tally, tally_from_events, write_events, write_tally
+from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_tally,
+                          tally_from_events, write_config, write_events, write_tally)
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
                                    key_rate, y1_lower)
 from pdqkd.errors import UnboundedErrorRate
@@ -91,13 +92,12 @@ def test_key_rate_does_not_grow_with_u_alpha_or_f(gain_scale, qber_scale, n_puls
     obs = ObservedStats(q_n=RUN50.q_n * gain_scale, q_t=RUN50.q_t * gain_scale,
                         e_n=RUN50.e_n * qber_scale, e_t=RUN50.e_t * qber_scale,
                         n_pulses=n_pulses,
-                        n_triggers=n_pulses * RUN50.n_triggers // PROTOCOL50.n_pulses)
-    protocol = replace(PROTOCOL50, n_pulses=n_pulses)
+                        n_triggers=n_pulses * RUN50.n_triggers // RUN50.observed_stats().n_pulses)
     u_low, u_high = sorted(u_alpha)
     f_low, f_high = sorted(f)
 
     def rate(u, f_ec):
-        return key_rate(obs, replace(protocol, u_alpha=u, f=f_ec), SOURCE50).r
+        return key_rate(obs, replace(PROTOCOL50, u_alpha=u, f=f_ec), SOURCE50).r
 
     assert rate(u_high, f_low) <= rate(u_low, f_low)
     assert rate(u_low, f_high) <= rate(u_low, f_low)
@@ -149,7 +149,7 @@ def test_asymptotic_bounds_hold_on_the_criterion_5_box(mu0, eta_s, eta_a, log_et
     analytic = gains_analytic(src, link)
     assume(analytic.q_n > 0.0 and analytic.q_t > 0.0)
     obs = ObservedStats.from_analytic(analytic, src, 10**12)
-    bounds = fluctuation_bounds(obs, ProtocolParams(n_pulses=10**12, u_alpha=0.0), src)
+    bounds = fluctuation_bounds(obs, ProtocolParams(u_alpha=0.0), src)
     y1, _ = y1_lower(bounds.q_n_low, bounds.q_up, bounds.y0_up, src)
     assert y1 <= yield_n(1, link) * (1 + 1e-9)
     try:
@@ -157,3 +157,29 @@ def test_asymptotic_bounds_hold_on_the_criterion_5_box(mu0, eta_s, eta_a, log_et
     except UnboundedErrorRate:
         return  # a yield bound clamped to zero bounds no error rate
     assert e1 >= error_n(1, link) * (1 - 1e-9)
+
+
+@st.composite
+def configs(draw):
+    """A value for every config key, anywhere in its schema range (integers past 2**53 too)."""
+    values = {}
+    for key, (kind, bounds, _) in _SCHEMA.items():
+        lo, hi = bounds or (-math.inf, math.inf)
+        if kind is int:
+            values[key] = draw(st.integers(int(lo) if math.isfinite(lo) else None,
+                                           int(hi) if math.isfinite(hi) else None))
+        else:
+            values[key] = draw(st.floats(lo, hi, allow_nan=False))
+    return RunManifest(values=values)
+
+
+@settings(DERANDOMIZED, max_examples=150)
+@given(manifest=configs())
+def test_config_write_read_write_is_exact(manifest):
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.cfg", Path(tmp) / "second.cfg"
+        write_config(manifest, first)
+        back = read_config(first)
+        write_config(back, second)
+        assert back == manifest
+        assert second.read_bytes() == first.read_bytes()

@@ -1,0 +1,44 @@
+"""Settable values of the public surface, counted mechanically.
+
+A settable value is an option flag of a CLI subcommand (summed over the
+subcommands, ``--help`` excluded) or a defaulted parameter of a public library
+function (a function in ``pdqkd.__all__``; dataclass fields are not counted).
+The totals are pinned so that a change which adds or removes one says so.
+"""
+
+import argparse
+import inspect
+
+import pdqkd
+from pdqkd.cli import build_parser
+
+
+def cli_flags() -> dict[str, int]:
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: sum(1 for a in parser._actions
+                      if a.option_strings and not isinstance(a, argparse._HelpAction))
+            for name, parser in sub.choices.items()}
+
+
+def defaulted_parameters() -> dict[str, int]:
+    counts = {}
+    for name in pdqkd.__all__:
+        obj = getattr(pdqkd, name)
+        if inspect.isfunction(obj):
+            params = inspect.signature(obj).parameters.values()
+            counts[name] = sum(p.default is not p.empty for p in params)
+    return counts
+
+
+def test_cli_flag_count():
+    assert cli_flags() == {"simulate": 7, "estimate": 14, "scan-loss": 7, "hbt": 9, "car": 7,
+                           "calibrate": 3, "reproduce": 3}
+    assert sum(cli_flags().values()) == 50
+
+
+def test_defaulted_public_parameter_count():
+    counts = {name: n for name, n in defaulted_parameters().items() if n}
+    assert counts == {"end_to_end": 2, "gain_series": 1, "joint_signal_pmf": 1, "key_rate": 1,
+                      "multimode_thermal_pmf": 1, "poisson_pmf": 1, "scan_loss": 1,
+                      "simulate_car": 2, "simulate_hbt": 2, "simulate_run": 2, "thermal_pmf": 1}
+    assert sum(counts.values()) == 15
