@@ -3,8 +3,8 @@
 Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 ``calibrate``, ``reproduce``.  Every subcommand is deterministic given
 (config, overrides, seed); ``--workers``, taken by the Monte Carlo commands
-``simulate``, ``hbt`` and ``car``, only parallelizes batches and never
-changes any output byte.
+``simulate``, ``hbt`` and ``car``, spreads the engine's fixed batches over
+threads and never changes any output byte; no setting cuts a run up.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 """
@@ -205,15 +205,21 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(n + 1)]
 
 
-def cmd_scan_loss(args) -> int:
-    manifest = load_manifest(args.config, args.set)
-    source = manifest.to_source_params()
+def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
+    """The loss scan of ``manifest`` over ``grid``, and its rows."""
     link = manifest.to_link_params()
     protocol = manifest.to_protocol_params()
-    credit = _vacuum_credit(args.vacuum_credit, manifest)
-    scan = scan_loss(source, link, protocol, _grid(args.loss_from, args.loss_to, args.step),
-                     manifest["n_pulses"], vacuum_credit=credit)
-    rows = [dataio.ResultsRow.from_scan_point(p) for p in scan.points]
+    if protocol.u_alpha and link.e_d == link.y0 == 0.0:  # E_N Q_N is zero at every loss
+        raise DegenerateStatisticsError("E_N*Q_N", "e_d = 0 and y0_bob = 0 leave no errors to "
+                                        "bound at any loss; set either, or u_alpha=0")
+    scan = scan_loss(manifest.to_source_params(), link, protocol, grid, manifest["n_pulses"],
+                     vacuum_credit=_vacuum_credit(vacuum_credit, manifest))
+    return scan, [dataio.ResultsRow.from_scan_point(p) for p in scan.points]
+
+
+def cmd_scan_loss(args) -> int:
+    scan, rows = _scan(load_manifest(args.config, args.set),
+                       _grid(args.loss_from, args.loss_to, args.step), args.vacuum_credit)
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "
           f"step {args.step:g} ({len(rows)} points)")
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
@@ -299,17 +305,12 @@ def _reproduce_table(args) -> int:
 
 
 def _reproduce_fig(args) -> int:
-    manifest = preset_manifest("paper50km")
-    source = manifest.to_source_params()
-    link = manifest.to_link_params()
-    protocol = manifest.to_protocol_params()
-    credit = _vacuum_credit(args.vacuum_credit, manifest)
-    scan = scan_loss(source, link, protocol, _grid(0.0, 35.0, args.step),
-                     manifest["n_pulses"], vacuum_credit=credit)
+    scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, args.step),
+                       args.vacuum_credit)
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
     print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")
     out = args.out or "fig4.csv"
-    dataio.write_results([dataio.ResultsRow.from_scan_point(p) for p in scan.points], out)
+    dataio.write_results(rows, out)
     print(f"results written: {out}")
     return EXIT_OK
 

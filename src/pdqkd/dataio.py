@@ -10,13 +10,14 @@ All formats are text-first and versioned:
   double precision so re-reading reproduces every value exactly.
 
 Readers report parse failures with file/line context and reject unknown or
-out-of-range keys by name.
+out-of-range keys by name; retired config keys read with a warning and are ignored.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
@@ -60,8 +61,13 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object]] = {
     "u_alpha": (float, (0.0, math.inf), 5.0),
     "n_pulses": (int, (1, math.inf), 1_000_000),
     "seed": (int, None, 0),
-    "batch_size": (int, (1, math.inf), 1_000_000),
-    "basis_bias": (float, (0.0, 1.0), 0.5),
+}
+
+# keys of older configs, read in the range they had with a warning and ignored: the engine
+# cuts a run into fixed batches, and both bases are equally likely (no default)
+_RETIRED: dict[str, tuple[type, tuple[float, float], None]] = {
+    "batch_size": (int, (1, math.inf), None),
+    "basis_bias": (float, (0.5, 0.5), None),
 }
 
 
@@ -80,8 +86,6 @@ KEY_DOCS: dict[str, str] = {
     "u_alpha": "standard deviations for the fluctuation analysis, >= 0",
     "n_pulses": "number of pulses sent (N)",
     "seed": "64-bit random seed",
-    "batch_size": "pulses handed to one worker at a time",
-    "basis_bias": "probability of the X basis, linear in [0,1]",
 }
 
 
@@ -92,12 +96,11 @@ class RunManifest:
     values: dict
 
     def __post_init__(self):
-        unknown = set(self.values) - set(_SCHEMA)
-        if unknown:
-            raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
-        merged = {k: self.values.get(k, default) for k, (_, _, default) in _SCHEMA.items()}
-        for key, val in merged.items():
+        for key, val in self.values.items():
             _validate_key(key, val)
+        for key in (k for k in _RETIRED if k in self.values):
+            print(f"warning: config key {key} is retired and ignored", file=sys.stderr)
+        merged = {k: self.values.get(k, default) for k, (_, _, default) in _SCHEMA.items()}
         object.__setattr__(self, "values", merged)
 
     def __getitem__(self, key: str):
@@ -106,8 +109,6 @@ class RunManifest:
     def with_overrides(self, overrides: dict) -> "RunManifest":
         vals = dict(self.values)
         for key, raw in overrides.items():
-            if key not in _SCHEMA:
-                raise ConfigError(f"unknown keys: {key}")
             vals[key] = _coerce(key, raw) if isinstance(raw, str) else raw
         return RunManifest(values=vals)
 
@@ -124,12 +125,17 @@ class RunManifest:
                               e0=self["e0"])
 
     def to_sim_config(self) -> SimConfig:
-        return SimConfig(n_pulses=self["n_pulses"], seed=self["seed"],
-                         batch_size=self["batch_size"], basis_bias=self["basis_bias"])
+        return SimConfig(n_pulses=self["n_pulses"], seed=self["seed"])
+
+
+def _entry(key: str):
+    if key not in _SCHEMA and key not in _RETIRED:
+        raise ConfigError(f"unknown keys: {key}")
+    return _SCHEMA.get(key) or _RETIRED[key]
 
 
 def _coerce(key: str, text: str):
-    kind = _SCHEMA[key][0]
+    kind = _entry(key)[0]
     try:
         if kind is int:
             try:
@@ -145,7 +151,7 @@ def _coerce(key: str, text: str):
 
 
 def _validate_key(key: str, value) -> None:
-    kind, bounds, _ = _SCHEMA[key]
+    kind, bounds, _ = _entry(key)
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"key {key}: expected a number, got {value!r}")
     if kind is int and not float(value).is_integer():
@@ -182,8 +188,6 @@ def read_config(path) -> RunManifest:
             raise ConfigError("expected 'key = value'", str(path), lineno)
         key, _, text = line.partition("=")
         key, text = key.strip(), text.strip()
-        if key not in _SCHEMA:
-            raise ConfigError(f"unknown keys: {key}", str(path), lineno)
         if key in values:
             raise ConfigError(f"duplicate key {key}", str(path), lineno)
         try:

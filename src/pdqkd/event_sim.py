@@ -7,11 +7,11 @@ empirical oracle for the closed-form gain/QBER model.
 
 Every random decision for pulse ``i`` is a pure function of
 ``(seed, i, slot)`` (see :mod:`pdqkd.rng`), so results are bit-identical
-regardless of batch size or worker count; cross-pulse quantities such as
-delayed coincidences recompute their neighbours' variates instead of carrying
-state across chunk boundaries.  Batches go to the worker threads; chunks of
-``_CHUNK`` pulses within them bound the working set, whatever the batch size,
-and reuse one workspace per thread (:class:`_Workspace`).
+regardless of how a run is cut up or how many workers run it; cross-pulse
+quantities such as delayed coincidences recompute their neighbours' variates
+instead of carrying state across chunk boundaries.  Batches of ``_BATCH``
+pulses go to the worker threads; chunks of ``_CHUNK`` pulses within them bound
+the working set and reuse one workspace per thread (:class:`_Workspace`).
 
 Sampling model per pulse:
 
@@ -60,6 +60,7 @@ _SLOT_CAR_SIGNAL = 2
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 # at half this size, two workers waited on each other for the GIL 4x as often
 _CHUNK = 65_536  # pulses per call of the batch code: 512 KiB per float64 array
+_BATCH = 1_000_000  # pulses per pool task: two workers still share a 2e6-pulse run
 _GUIDE_BUCKETS = 4096  # a power of two, so that floor(u * 4096) is exact
 
 #: one row of an event log: a detected pulse
@@ -75,20 +76,14 @@ CELLS = ("n_mismatch", "n_match", "t_mismatch", "t_match")
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Run-shape parameters of a Monte Carlo execution."""
+    """The pulses of a Monte Carlo run and its seed; how the run is cut up is not set here."""
 
     n_pulses: int
     seed: int = 0
-    batch_size: int = 1_000_000
-    basis_bias: float = 0.5
 
     def __post_init__(self):
         if not (isinstance(self.n_pulses, int) and self.n_pulses >= 1):
             raise ParameterError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
-        if not (isinstance(self.batch_size, int) and self.batch_size >= 1):
-            raise ParameterError(f"batch_size must be a positive integer, got {self.batch_size!r}")
-        if not (0.0 <= self.basis_bias <= 1.0):
-            raise ParameterError(f"basis_bias must be in [0, 1], got {self.basis_bias!r}")
 
 
 @dataclass(frozen=True)
@@ -254,9 +249,9 @@ def _sample_pairs(guide, u: np.ndarray) -> np.ndarray:
 def _map_batches(work, merge, config: SimConfig, workers: int):
     """Fold ``work(lo, hi)`` over the run's pulses with ``merge``.
 
-    Batches go to ``workers`` threads, each running ``work`` on ``_CHUNK``-pulse
-    chunks, so the working set does not grow with the batch.  ``merge`` folds a
-    list of results in pulse order: each batch's chunks, then the batches.
+    ``_BATCH``-pulse batches go to ``workers`` threads, each running ``work`` on
+    ``_CHUNK``-pulse chunks.  ``merge`` folds a list of results in pulse order:
+    each batch's chunks, then the batches.
     """
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
@@ -264,8 +259,8 @@ def _map_batches(work, merge, config: SimConfig, workers: int):
     def batch(lo, hi):
         return merge([work(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)])
 
-    los = range(0, config.n_pulses, config.batch_size)
-    his = [min(lo + config.batch_size, config.n_pulses) for lo in los]
+    los = range(0, config.n_pulses, _BATCH)
+    his = [min(lo + _BATCH, config.n_pulses) for lo in los]
     if workers == 1 or len(los) == 1:
         return merge(list(map(batch, los, his)))
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -295,8 +290,8 @@ def _run_batch(lo: int, hi: int, guide, tables, link: LinkParams, config: SimCon
 
     dark = _draw(seed, _SLOT_DARK, lo, count) < link.y0
 
-    basis_a = _draw(seed, _SLOT_ALICE_BASIS, lo, count) >= config.basis_bias
-    basis_b = _draw(seed, _SLOT_BOB_BASIS, lo, count) >= config.basis_bias
+    basis_a = _draw(seed, _SLOT_ALICE_BASIS, lo, count) >= 0.5
+    basis_b = _draw(seed, _SLOT_BOB_BASIS, lo, count) >= 0.5
     # n is spent, so the cells take its buffer, as intp: bincount copies narrower types
     cell = np.left_shift(triggered, 1, dtype=np.intp, out=_WORKSPACE.pairs[:count])
     cell |= basis_a == basis_b
@@ -366,7 +361,7 @@ def _coincidences(clicks, config: SimConfig, max_delay: int, workers: int) -> li
     ``clicks(lo, hi)`` returns the click masks ``(a, b)`` of pulses
     ``lo..hi-1``; ``cc_k`` counts pulses ``i`` with ``a[i] & b[i + k]``.  Each
     chunk recomputes the ``max_delay`` pulses past its end, so no count
-    depends on chunking or batching.
+    depends on where a chunk or batch ends.
     """
     n_total = config.n_pulses
 

@@ -84,8 +84,6 @@ class ReferenceRun:
             "u_alpha": 5.0,
             "n_pulses": N_PULSES,
             "seed": 0,
-            "batch_size": 4_000_000,
-            "basis_bias": 0.5,
         }
         return RunManifest(values=values)
 

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from pdqkd import event_sim
 from pdqkd.cli import main as cli_main
 from pdqkd.dataio import (ResultsRow, read_results, write_config, read_config,
                           write_events, read_events, write_results)
@@ -99,7 +100,7 @@ def test_criterion_3_inflection_point(tmp_path, capsys):
 def test_criterion_4_monte_carlo_vs_analytic(capsys):
     manifest = preset_manifest("paper50km")
     source, link = manifest.to_source_params(), manifest.to_link_params()
-    config = SimConfig(n_pulses=100_000_000, seed=20240808, batch_size=4_000_000)
+    config = SimConfig(n_pulses=100_000_000, seed=20240808)
     t0 = time.time()
     tally, _ = simulate_run(source, link, config, workers=2)
     elapsed = time.time() - t0
@@ -263,13 +264,13 @@ class TestCriterion6PhotonStatistics:
         assert ok
 
 
-def test_criterion_7_worker_determinism(tmp_path, capsys):
+def test_criterion_7_worker_determinism(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(event_sim, "_BATCH", 100_000)  # 3 workers share 5 batches
     outputs = {}
     for workers in ("1", "3"):
         base = tmp_path / f"w{workers}"
         code = cli_main(["simulate", "--config", "paper50km",
                          "--pulses", "500000", "--seed", "44",
-                         "--set", "batch_size=100000",
                          "--workers", workers,
                          "--out", str(base) + ".tally",
                          "--events", str(base) + ".events"])

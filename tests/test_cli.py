@@ -51,13 +51,41 @@ class TestSimulate:
         # (the log digest was re-pinned when logs came to hold the detections alone)
         tally, events = tmp_path / "pin.tally", tmp_path / "pin.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config", "paper0km", "--pulses", "20000",
-                             "--seed", "7", "--set", "batch_size=7777",
-                             "--out", str(tally), "--events", str(events))
+                             "--seed", "7", "--out", str(tally), "--events", str(events))
         assert code == 0
         assert hashlib.sha256(tally.read_bytes()).hexdigest() == (
             "83a7614769623513271b873200bdb12abf7d80ac6d1b3828f013659fd153b37a")
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
             "f1e729ab53910d561d8a507a2f06094c9497ad2ad5d48700cd925b9cbba58edc")
+
+    def test_retired_batch_size_override_changes_no_byte(self, tmp_path, capsys):
+        def run(*extra):
+            run_dir = tmp_path / str(len(extra))
+            run_dir.mkdir()
+            code, out, err = run_cli(capsys, "simulate", "--config", "paper0km",
+                                     "--pulses", "20000", "--seed", "7", *extra,
+                                     "--out", str(run_dir / "run.tally"),
+                                     "--events", str(run_dir / "run.csv"))
+            assert code == 0
+            files = [(run_dir / name).read_bytes() for name in ("run.tally", "run.csv")]
+            return out.replace(str(run_dir), ""), files, err.splitlines()
+
+        out, files, err = run()
+        retired_out, retired_files, warning = run("--set", "batch_size=7777")
+        assert (retired_out, retired_files) == (out, files) and err == []
+        assert len(warning) == 1 and warning[0].startswith("warning:")
+        assert "batch_size" in warning[0]
+
+    @pytest.mark.parametrize("source", ["--set", "file"])
+    def test_retired_basis_bias_off_half_exits_2(self, tmp_path, capsys, source):
+        if source == "file":
+            path = tmp_path / "biased.cfg"
+            path.write_text("basis_bias = 0.9\n")
+            argv = ["--config", str(path)]
+        else:
+            argv = ["--set", "basis_bias=0.9"]
+        code, _, err = run_cli(capsys, "simulate", "--pulses", "1000", *argv)
+        assert code == 2 and "basis_bias" in err
 
     @pytest.mark.parametrize("command", ["simulate", "hbt", "car"])
     @pytest.mark.parametrize("pulses", ["200000.7", "0"])
@@ -314,6 +342,17 @@ class TestScanAndReproduce:
         code, _, _ = run_cli(capsys, *argv, "--out", str(out))
         assert code == 0
         assert [row.loss_db for row in read_results(out)] == losses
+
+    def test_scan_without_errors_is_rejected_before_scanning(self, tmp_path, capsys):
+        # the default config has e_d = 0 and y0_bob = 0: E_N Q_N is zero at every loss
+        out = tmp_path / "none.csv"
+        code, stdout, err = run_cli(capsys, "scan-loss", "--from", "0", "--to", "2",
+                                    "--step", "1", "--out", str(out))
+        assert code == 3 and stdout == "" and not out.exists()
+        assert all(name in err for name in ("e_d", "y0_bob", "u_alpha=0"))
+        code, stdout, _ = run_cli(capsys, "scan-loss", "--from", "0", "--to", "2",
+                                  "--step", "1", "--set", "u_alpha=0")
+        assert code == 0 and "(3 points)" in stdout
 
     def test_scan_single_point_matches_estimate(self, tmp_path, capsys):
         out = tmp_path / "one.csv"

@@ -72,6 +72,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             read_config(path)
 
+    def test_retired_keys_warn_once_and_are_ignored(self, tmp_path, capsys):
+        # configs written before the engine fixed its batches hold both retired keys
+        manifest = preset_manifest("paper50km")
+        path = tmp_path / "old.cfg"
+        write_config(manifest, path)
+        path.write_text(path.read_text() + "batch_size = 4000000\nbasis_bias = 0.5\n")
+        assert read_config(path) == manifest
+        warnings = capsys.readouterr().err.splitlines()
+        assert len(warnings) == 2 and all(w.startswith("warning:") for w in warnings)
+        assert "batch_size" in warnings[0] and "basis_bias" in warnings[1]
+
+    @pytest.mark.parametrize("line", ["basis_bias = 0.9", "batch_size = 0"])
+    def test_retired_key_outside_its_old_reading_is_an_error(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"mu0 = 0.1\n{line}\n")
+        with pytest.raises(ConfigError, match=f":2: key {line.split()[0]}"):
+            read_config(path)
+
     def test_overrides_validate(self):
         manifest = RunManifest(values={})
         with pytest.raises(ConfigError, match="unknown"):

@@ -5,10 +5,12 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 
+from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
 from pdqkd.event_sim import (_CHUNK, SimConfig, Tally, end_to_end, simulate_car,
@@ -80,8 +82,8 @@ class TestSimulateRun:
         base_tally, base_log = simulate_run(source50, link50, base)
         assert len(base_log) > 0
         for workers, batch in ((4, 1_000_000), (2, 123_457), (3, 77_777)):
-            tally, log = simulate_run(source50, link50, replace(base, batch_size=batch),
-                                      workers=workers)
+            with patch.object(event_sim, "_BATCH", batch):
+                tally, log = simulate_run(source50, link50, base, workers=workers)
             assert tally == base_tally and log == base_log
 
     def test_custom_pmf_changes_statistics(self, source50, link50):
@@ -167,12 +169,13 @@ class TestHbt:
                 pairs_scale = hist.n_pulses / (hist.n_pulses - abs(delay))
                 assert cc * norm * pairs_scale == pytest.approx(1.0, abs=0.06)
 
-    def test_batch_independence(self):
+    def test_batch_independence(self, monkeypatch):
         source = SourceParams(mu0=0.3, eta_s=1.0, eta_a=0.0)
-        a = simulate_hbt(source, 0.2, SimConfig(n_pulses=300_000, seed=4, batch_size=300_000))
-        b = simulate_hbt(source, 0.2, SimConfig(n_pulses=300_000, seed=4, batch_size=12_345),
-                         workers=3)
-        assert a == b
+        config = SimConfig(n_pulses=300_000, seed=4)
+        monkeypatch.setattr(event_sim, "_BATCH", 300_000)
+        a = simulate_hbt(source, 0.2, config)
+        monkeypatch.setattr(event_sim, "_BATCH", 12_345)
+        assert simulate_hbt(source, 0.2, config, workers=3) == a
 
     def test_sigma_shrinks_with_counts(self):
         source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
@@ -210,12 +213,13 @@ class TestCar:
         else:  # tiny run may still record one; the flag logic is what matters
             assert not res.is_lower_bound
 
-    def test_batch_independence(self):
+    def test_batch_independence(self, monkeypatch):
         source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.2)
-        a = simulate_car(source, 0.2, SimConfig(n_pulses=400_000, seed=8, batch_size=400_000))
-        b = simulate_car(source, 0.2, SimConfig(n_pulses=400_000, seed=8, batch_size=9_999),
-                         workers=4)
-        assert a == b
+        config = SimConfig(n_pulses=400_000, seed=8)
+        monkeypatch.setattr(event_sim, "_BATCH", 400_000)
+        a = simulate_car(source, 0.2, config)
+        monkeypatch.setattr(event_sim, "_BATCH", 9_999)
+        assert simulate_car(source, 0.2, config, workers=4) == a
 
 
 class TestEndToEnd:
@@ -255,9 +259,9 @@ class TestEndToEnd:
 class TestChunking:
     """The engine works in chunks of ``_CHUNK`` pulses; no value may depend on their edges.
 
-    A batch of 7,777 pulses never reaches a chunk edge, so runs at that batch size are the
-    reference.  The sources are bright, so detections and delayed coincidences fall on
-    both sides of each of the three edges.
+    A batch (``_BATCH``) of 7,777 pulses never reaches a chunk edge, so runs at that batch
+    size are the reference.  The sources are bright, so detections and delayed coincidences
+    fall on both sides of each of the three edges.
     """
 
     N = 3 * _CHUNK + 17
@@ -265,8 +269,8 @@ class TestChunking:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        config = SimConfig(n_pulses=self.N, seed=31, batch_size=7_777)
-        return self._outputs(config, workers=1)
+        with patch.object(event_sim, "_BATCH", 7_777):
+            return self._outputs(SimConfig(n_pulses=self.N, seed=31), workers=1)
 
     @staticmethod
     def _outputs(config: SimConfig, workers: int):
@@ -283,18 +287,18 @@ class TestChunking:
         assert min(hist.coincidences) > 5_000 and car.accidentals > 500
 
     @pytest.mark.parametrize("batch, workers", CONFIGS)
-    def test_outputs_independent_of_chunk_edges(self, reference, batch, workers):
-        config = SimConfig(n_pulses=self.N, seed=31, batch_size=batch)
-        assert self._outputs(config, workers) == reference
+    def test_outputs_independent_of_chunk_edges(self, reference, batch, workers, monkeypatch):
+        monkeypatch.setattr(event_sim, "_BATCH", batch)
+        assert self._outputs(SimConfig(n_pulses=self.N, seed=31), workers) == reference
 
 
 def test_memory_does_not_grow_with_batch_size(paper50km):
-    # A 4e6-pulse batch once held ~156 MiB of whole-batch temporaries.  In chunks it
+    # A 4e6-pulse batch once held ~156 MiB of whole-batch temporaries.  In chunks a run
     # holds a few chunk-sized arrays (512 KiB each) and ~110 detection rows, about
     # 2.4 MiB; 16 MiB, fixed before the run, leaves room for allocator and numpy growth
     # while staying far below any whole-batch footprint (32 MB per 4e6-pulse array).
     manifest = paper50km.manifest()
-    config = SimConfig(n_pulses=4_000_000, seed=7, batch_size=4_000_000)
+    config = SimConfig(n_pulses=4_000_000, seed=7)
     tracemalloc.start()
     try:
         simulate_run(manifest.to_source_params(), manifest.to_link_params(), config)
@@ -310,7 +314,7 @@ def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
     # at peak.  A threshold gathered into a fresh array instead would read 0.74 MiB.
     manifest = paper50km.manifest()
     source, link = manifest.to_source_params(), manifest.to_link_params()
-    config = SimConfig(n_pulses=4_000_000, seed=7, batch_size=4_000_000)
+    config = SimConfig(n_pulses=4_000_000, seed=7)
     simulate_run(source, link, replace(config, n_pulses=1_000))  # allocates the workspace
     tracemalloc.start()
     try:
@@ -321,28 +325,31 @@ def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
     assert peak < 0.65 * 2**20
 
 
-def test_concurrent_runs_in_threads_reproduce_their_serial_results(source50, link50):
+def test_concurrent_runs_in_threads_reproduce_their_serial_results(source50, link50,
+                                                                   monkeypatch):
     # Each thread reuses its own workspace; a workspace shared across threads would mix
     # the streams of the two runs.  Switching threads every 10 us interleaves their chunks.
     bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
-    jobs = [(source50, link50, SimConfig(n_pulses=3 * _CHUNK + 17, seed=5, batch_size=_CHUNK - 1)),
+    jobs = [(source50, link50, SimConfig(n_pulses=3 * _CHUNK + 17, seed=5)),
             (bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02),
-             SimConfig(n_pulses=2 * _CHUNK + 3, seed=6, batch_size=_CHUNK + 1))]
-    serial = [simulate_run(*job) for job in jobs]
-    results = [None] * len(jobs)
+             SimConfig(n_pulses=2 * _CHUNK + 3, seed=6))]
 
     def run(i):  # one run on the calling thread, one on two pool threads
         results[i] = simulate_run(*jobs[i], workers=1 + i)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert results == serial
+    for batch in (_CHUNK - 1, _CHUNK + 1):
+        monkeypatch.setattr(event_sim, "_BATCH", batch)
+        serial = [simulate_run(*job) for job in jobs]
+        results = [None] * len(jobs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(jobs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == serial

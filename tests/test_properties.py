@@ -4,11 +4,13 @@ import math
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from pdqkd import event_sim
 from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_tally,
                           tally_from_events, write_config, write_events, write_tally)
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
@@ -33,9 +35,11 @@ DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 @given(n=st.integers(1, 3000), batch=st.integers(1, 3000),
        workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**64 - 1))
 def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed):
-    tally, log = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed, batch_size=n))
-    again = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed, batch_size=batch),
-                         workers=workers)
+    config = SimConfig(n_pulses=n, seed=seed)
+    with patch.object(event_sim, "_BATCH", n):
+        tally, log = simulate_run(SOURCE, LINK, config)
+    with patch.object(event_sim, "_BATCH", batch):
+        again = simulate_run(SOURCE, LINK, config, workers=workers)
     assert again == (tally, log)
     assert tally_from_events(log) == tally
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,9 +1,10 @@
 """Settable values of the public surface, counted mechanically.
 
 A settable value is an option flag of a CLI subcommand (summed over the
-subcommands, ``--help`` excluded) or a defaulted parameter of a public library
-function (a function in ``pdqkd.__all__``; dataclass fields are not counted).
-The totals are pinned so that a change which adds or removes one says so.
+subcommands, ``--help`` excluded), a defaulted parameter of a public library
+function (a function in ``pdqkd.__all__``; dataclass fields are not counted),
+or a config key.  The totals are pinned so that a change which adds or removes
+one says so.
 """
 
 import argparse
@@ -11,6 +12,7 @@ import inspect
 
 import pdqkd
 from pdqkd.cli import build_parser
+from pdqkd.dataio import _SCHEMA
 
 
 def cli_flags() -> dict[str, int]:
@@ -34,6 +36,12 @@ def test_cli_flag_count():
     assert cli_flags() == {"simulate": 7, "estimate": 14, "scan-loss": 7, "hbt": 9, "car": 7,
                            "calibrate": 3, "reproduce": 3}
     assert sum(cli_flags().values()) == 50
+
+
+def test_config_keys():
+    assert list(_SCHEMA) == ["mu0", "eta_s_db", "eta_a", "y0_alice", "eta_db", "y0_bob", "e_d",
+                             "e0", "q", "f", "u_alpha", "n_pulses", "seed"]
+    assert len(_SCHEMA) == 13
 
 
 def test_defaulted_public_parameter_count():
