@@ -13,8 +13,8 @@ closed-form gains/QBERs with the published tallies.
 
 import numpy as np
 
-from pdqkd import (calibrate_eta_a, db_to_linear, gain_series, gains_analytic,
-                   joint_signal_pmf)
+from pdqkd import (calibrate_eta_a, db_to_linear, gains_analytic, joint_signal_pmf,
+                   yield_n)
 from pdqkd.presets import REFERENCE_RUNS
 
 run = REFERENCE_RUNS["paper50km"]
@@ -45,7 +45,7 @@ for label, model, published in (("Q_N", ao.q_n, run.q_n), ("Q_T", ao.q_t, run.q_
     print(f"  {label}: model {model:.4e}   published {published:.4e}   "
           f"({model / published - 1:+.1%})")
 
-q_n_terms, q_t_terms = gain_series(source, link)
+q_n_terms = p_n.probs * yield_n(np.arange(p_n.n_max + 1), link)  # Q_N_i = P_N(i) Y_i
 print("\nseries convergence of the non-trigger gain (partial sums):")
 for upto in (0, 1, 2, 5, p_n.n_max):
     print(f"  i <= {upto:>2}: {q_n_terms[:upto + 1].sum():.6e}")

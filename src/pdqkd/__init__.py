@@ -18,7 +18,7 @@ from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
 from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
                         simulate_car, simulate_hbt, simulate_run)
 from .link_model import (AnalyticObservables, LinkParams, db_to_linear, error_n,
-                         gain_series, gains_analytic, linear_to_db, yield_n)
+                         gains_analytic, linear_to_db, yield_n)
 from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
                             calibrate_mu0_from_car, g2_of_pmf, joint_signal_pmf,
                             multimode_thermal_pmf, poisson_pmf, thermal_pmf)
@@ -31,7 +31,7 @@ __all__ = [
     "PhotonNumberPmf", "ProtocolParams", "ScanResult", "SimConfig",
     "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
     "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
-    "end_to_end", "error_n", "fluctuation_bounds", "g2_of_pmf", "gain_series",
+    "end_to_end", "error_n", "fluctuation_bounds", "g2_of_pmf",
     "gains_analytic", "joint_signal_pmf", "key_rate", "linear_to_db",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
     "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",

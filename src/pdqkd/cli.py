@@ -198,6 +198,9 @@ def cmd_estimate(args) -> int:
 
 
 def _grid(start: float, stop: float, step: float) -> list[float]:
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ConfigError(f"grid bounds and step must be finite, got {start:g}..{stop:g} "
+                          f"step {step:g}")
     if step <= 0 or stop < start:
         raise ConfigError("need --to >= --from and --step > 0")
     # floor: the grid ends at --to or short of it, never a step beyond (1e-9 absorbs rounding)

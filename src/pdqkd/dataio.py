@@ -2,8 +2,9 @@
 
 All formats are text-first and versioned:
 
-- configs and tallies are flat ``key = value`` files (losses always in dB,
-  never linear);
+- configs are flat ``key = value`` files (losses always in dB, never linear);
+- tallies are one-row CSV files: a tag line, a header of the counter names,
+  then the counts;
 - event logs are CSV: the pulses sent per trigger/basis cell on one line,
   then one row per detection under a fixed header;
 - results tables are CSV with one row per loss point, serialized at full

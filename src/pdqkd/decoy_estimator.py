@@ -95,8 +95,9 @@ class ObservedStats:
                 raise ParameterError(f"{name} must be a rate in [0, 1], got {v!r}")
         if not (self.n_pulses >= 1 and float(self.n_pulses).is_integer()):
             raise ParameterError(f"n_pulses must be a whole number >= 1, got {self.n_pulses!r}")
-        if self.n_triggers < 0:
-            raise ParameterError(f"n_triggers must be >= 0, got {self.n_triggers!r}")
+        if not 0 <= self.n_triggers <= self.n_pulses:
+            raise ParameterError(f"n_triggers must be in 0..n_pulses, got n_triggers="
+                                 f"{self.n_triggers!r} with n_pulses={self.n_pulses!r}")
 
     @property
     def q(self) -> float:

@@ -125,10 +125,6 @@ class Tally:
         if max(self.double_clicks, self.dark_detections) > sum(det):
             raise ParameterError("double clicks and dark detections cannot exceed detections")
 
-    def __add__(self, other: "Tally") -> "Tally":
-        return Tally(**{name: getattr(self, name) + getattr(other, name)
-                        for name in self.__dataclass_fields__})
-
     @property
     def n_triggers(self) -> int:
         return self.sent_t_match + self.sent_t_mismatch

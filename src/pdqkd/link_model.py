@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, UndefinedRatioError
-from .photon_source import SourceParams, joint_signal_pmf
+from .photon_source import SourceParams
 
 
 @dataclass(frozen=True)
@@ -102,20 +102,6 @@ def error_n(i, link: LinkParams):
     if np.any(np.asarray(y) == 0.0):
         raise UndefinedRatioError("error rate undefined where the yield is zero")
     return (link.e_d * y + (link.e0 - link.e_d) * link.y0) / y
-
-
-def gain_series(source: SourceParams, link: LinkParams,
-                n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-photon-number gain terms ``(Q_N_i, Q_T_i) = (P_N(i) Y_i, P_T(i) Y_i)``.
-
-    Partial sums converge to the closed-form overall gains; used as the
-    series oracle for :func:`gains_analytic`.
-    """
-    p_n = joint_signal_pmf(source, "N", n_max)
-    p_t = joint_signal_pmf(source, "T", n_max)
-    i = np.arange(p_n.n_max + 1)
-    y = yield_n(i, link)
-    return p_n.probs * y, p_t.probs * y
 
 
 def gains_analytic(source: SourceParams, link: LinkParams) -> AnalyticObservables:

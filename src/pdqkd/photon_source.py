@@ -142,13 +142,6 @@ class PhotonNumberPmf:
             raise UndefinedRatioError("pmf has zero mass on its support")
         return float((self._ns * (self._ns - 1.0)) @ self.probs) / mass
 
-    def normalized(self) -> "PhotonNumberPmf":
-        """Same support, rescaled to unit total mass."""
-        mass = self.support_mass + self.tail_mass
-        if mass <= 0.0:
-            raise UndefinedRatioError("cannot normalize a zero-mass pmf")
-        return PhotonNumberPmf(self.probs / mass, self.n_max, self.tail_mass / mass, 1.0)
-
 
 def _pmf(mu: float, n_max: int | None, make) -> PhotonNumberPmf:
     """``make(n_max)`` for ``mu > 0``, the point mass at 0 for ``mu == 0``.
@@ -241,22 +234,6 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> 
     return _pmf(mu, n_max, lambda n: _summed(body, n, "multimode", start=16))
 
 
-def trigger_prob_given_n(i, s: SourceParams):
-    """Non-trigger / trigger probabilities of the heralding detector given i pairs.
-
-    Returns ``(p_n, p_t)`` with ``p_n = (1 - y0_alice) * (1 - eta_a)^i`` and
-    ``p_t = 1 - p_n``.  Accepts a scalar count or an integer array.
-    """
-    i_arr = np.asarray(i)
-    if np.any(i_arr < 0):
-        raise ParameterError("photon-pair count i must be non-negative")
-    p_n = (1.0 - s.y0_alice) * np.power(1.0 - s.eta_a, i_arr.astype(np.float64))
-    p_t = 1.0 - p_n
-    if np.isscalar(i) or i_arr.ndim == 0:
-        return float(p_n), float(p_t)
-    return p_n, p_t
-
-
 def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None) -> PhotonNumberPmf:
     """Joint law of (heralding outcome, i photons entering the channel).
 
@@ -285,37 +262,6 @@ def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None) ->
         norm = 1.0 - norm_n
     tail = max(0.0, norm - math.fsum(probs.tolist()))
     return PhotonNumberPmf(probs, marginal.n_max, tail, norm)
-
-
-def joint_signal_pmf_series(s: SourceParams, outcome: str, n_max: int) -> np.ndarray:
-    """Joint law evaluated from its defining sum over the pair number j.
-
-    Independent cross-check of :func:`joint_signal_pmf`: for each channel
-    photon count i, sums Poisson(mu0, j) * P(outcome | j) * Binomial(j, eta_s)
-    thinning over j >= i.  Returns the probability vector for i in 0..n_max.
-    """
-    if outcome not in ("N", "T"):
-        raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
-    j_max = max(4 * n_max, int(8 * (1 + s.mu0)), 64)
-    j = np.arange(j_max + 1, dtype=np.float64)
-    if s.mu0 > 0:
-        log_pois = j * math.log(s.mu0) - s.mu0 - gammaln(j + 1.0)
-    else:
-        log_pois = np.where(j == 0, 0.0, -np.inf)
-    pois = np.exp(log_pois)
-    no_trig = (1.0 - s.y0_alice) * np.power(1.0 - s.eta_a, j)
-    weight = no_trig if outcome == "N" else 1.0 - no_trig
-    out = np.empty(n_max + 1)
-    for i in range(n_max + 1):
-        jj = j[i:]
-        log_binom = (gammaln(jj + 1.0) - gammaln(i + 1.0) - gammaln(jj - i + 1.0)
-                     + (i * math.log(s.eta_s) if s.eta_s > 0 else (0.0 if i == 0 else -np.inf)))
-        if s.eta_s < 1.0:
-            log_binom = log_binom + (jj - i) * math.log1p(-s.eta_s)
-        else:
-            log_binom = np.where(jj == i, log_binom, -np.inf)
-        out[i] = float(np.sum(pois[i:] * weight[i:] * np.exp(log_binom)))
-    return out
 
 
 def g2_of_pmf(pmf: PhotonNumberPmf) -> float:

@@ -74,11 +74,6 @@ def _unit(bits: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
-    """uint64 hash values for pulse ids ``start .. start+count-1``."""
-    return _hash(np.arange(start, start + count, dtype=np.uint64), seed, slot)
-
-
 def uniform_stream(seed: int, slot: int, start: int, count: int,
                    out: np.ndarray | None = None, scratch: np.ndarray | None = None) -> np.ndarray:
     """float64 uniforms in [0, 1) for pulse ids ``start .. start+count-1``.

@@ -271,6 +271,14 @@ class TestEstimate:
                                "--e-n", "0.0399", "--e-t", "0.0306", flag, value)
         assert code == 2 and flag in err
 
+    def test_more_triggers_than_pulses_is_rejected(self, capsys):
+        code, stdout, err = run_cli(capsys, "estimate", "--config", "paper50km",
+                                    "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+                                    "--e-n", "0.0399", "--e-t", "0.0306",
+                                    "--pulses", "10", "--triggers", "11")
+        assert code == 1 and stdout == ""
+        assert "n_triggers=11" in err and "n_pulses=10" in err
+
     def test_requires_exactly_one_input(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km")
         assert code == 2
@@ -342,6 +350,20 @@ class TestScanAndReproduce:
         code, _, _ = run_cli(capsys, *argv, "--out", str(out))
         assert code == 0
         assert [row.loss_db for row in read_results(out)] == losses
+
+    @pytest.mark.parametrize("argv", [
+        ["scan-loss", "--config", "paper50km", "--step", "nan"],
+        ["scan-loss", "--config", "paper50km", "--step", "inf"],
+        ["scan-loss", "--config", "paper50km", "--to", "inf"],
+        ["scan-loss", "--config", "paper50km", "--from", "nan"],
+        ["scan-loss", "--config", "paper50km", "--from=-inf"],
+        ["reproduce", "fig4", "--step", "nan"],
+    ], ids=["step nan", "step inf", "to inf", "from nan", "from -inf", "fig4 step nan"])
+    def test_non_finite_grid_is_a_data_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "grid.csv"
+        code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "must be finite" in err
 
     def test_scan_without_errors_is_rejected_before_scanning(self, tmp_path, capsys):
         # the default config has e_d = 0 and y0_bob = 0: E_N Q_N is zero at every loss

@@ -6,13 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from oracles import gain_series
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams,
                                    binary_entropy, e1_upper,
                                    fluctuation_bounds, key_rate, scan_loss,
                                    single_photon_gains, y1_lower)
 from pdqkd.errors import (DegenerateHeraldingError, DegenerateStatisticsError,
                           ParameterError, UnboundedErrorRate)
-from pdqkd.link_model import LinkParams, error_n, gain_series, gains_analytic, yield_n
+from pdqkd.link_model import LinkParams, error_n, gains_analytic, yield_n
 from pdqkd.photon_source import SourceParams
 from pdqkd.presets import REFERENCE_RUNS
 
@@ -98,6 +99,11 @@ class TestFluctuationBounds:
         # N is the sample size of every bound and the multiplier of the key
         with pytest.raises(ParameterError, match="n_pulses"):
             replace(obs50(), n_pulses=n_pulses)
+
+    def test_trigger_count_cannot_exceed_pulse_count(self):
+        assert replace(obs50(), n_pulses=10, n_triggers=10).n_triggers == 10
+        with pytest.raises(ParameterError, match="n_triggers=11 with n_pulses=10"):
+            replace(obs50(), n_pulses=10, n_triggers=11)
 
 
 class TestY1Lower:

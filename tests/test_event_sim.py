@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest.mock import patch
 
 import numpy as np
@@ -13,8 +13,8 @@ import pytest
 from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
-from pdqkd.event_sim import (_CHUNK, SimConfig, Tally, end_to_end, simulate_car,
-                             simulate_hbt, simulate_run)
+from pdqkd.event_sim import (_CHUNK, EventLog, SimConfig, Tally, count_tally, end_to_end,
+                             simulate_car, simulate_hbt, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import (SourceParams, calibrate_mu0_from_car,
                                  poisson_pmf, thermal_pmf)
@@ -110,12 +110,19 @@ class TestSimulateRun:
 
 class TestTally:
     def test_merge_is_field_wise_sum(self):
-        a = Tally(n_pulses=10, sent_n_match=4, sent_n_mismatch=3, sent_t_match=2,
-                  sent_t_mismatch=1, det_n_match=2, det_n_mismatch=1,
-                  det_t_match=1, det_t_mismatch=0, err_n=1, err_t=0,
-                  double_clicks=1, dark_detections=1)
-        b = a + a
-        assert b.n_pulses == 20 and b.err_n == 2 and b.det_n_match == 4
+        # the engine folds its chunks by summing their sent counts and joining their rows;
+        # the tally of the joined log is the field-wise sum of the parts' tallies
+        source = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
+        link = LinkParams(eta=0.5, y0=1e-2, e_d=0.05)
+        parts = [simulate_run(source, link, SimConfig(n_pulses=20_000, seed=seed))[1]
+                 for seed in (13, 14)]
+        joined = EventLog(sent=tuple(map(sum, zip(*(log.sent for log in parts)))),
+                          rows=np.concatenate([log.rows for log in parts]))
+        a, b = map(count_tally, parts)
+        total = count_tally(joined)
+        for f in fields(Tally):
+            assert getattr(a, f.name) > 0 and getattr(b, f.name) > 0
+            assert getattr(total, f.name) == getattr(a, f.name) + getattr(b, f.name)
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ParameterError):

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from pdqkd.errors import ParameterError, UndefinedRatioError
-from pdqkd.link_model import (LinkParams, db_to_linear, error_n, gain_series,
-                              gains_analytic, linear_to_db, yield_n)
+from oracles import gain_series
+from pdqkd.link_model import (LinkParams, db_to_linear, error_n, gains_analytic, linear_to_db,
+                              yield_n)
 from pdqkd.photon_source import SourceParams, calibrate_eta_a
 
 ETA_50KM = 0.0009120108393559096  # 10^(-30.4/10)

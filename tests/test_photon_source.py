@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from oracles import joint_signal_pmf_series
 from pdqkd.errors import ParameterError, TruncationError, UndefinedRatioError
+from pdqkd.event_sim import _pulse_tables
 from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
-                                 calibrate_mu0_from_car, g2_of_pmf,
-                                 joint_signal_pmf, joint_signal_pmf_series,
-                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf,
-                                 trigger_prob_given_n)
+                                 calibrate_mu0_from_car, g2_of_pmf, joint_signal_pmf,
+                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
 
 ETA_S_192DB = 0.012022644346174132  # 10^(-19.2/10)
 
@@ -144,25 +144,27 @@ class TestPmfInvariants:
 
 
 class TestTriggerProb:
+    """The engine's no-trigger probability per pair count, ``(1 - y0_alice)(1 - eta_a)^n``."""
+
+    @staticmethod
+    def no_trigger(n, s: SourceParams):
+        return _pulse_tables(np.asarray(n, dtype=np.float64), s, 0.5)[0]
+
     def test_vacuum_never_triggers(self):
         s = SourceParams(mu0=1.0, eta_s=0.5, eta_a=0.3)
-        p_n, p_t = trigger_prob_given_n(0, s)
-        assert p_n == 1.0 and p_t == 0.0
+        assert self.no_trigger([0], s)[0] == 1.0
 
     def test_perfect_heralding(self):
         s = SourceParams(mu0=1.0, eta_s=0.5, eta_a=1.0)
-        for i in (1, 2, 7):
-            assert trigger_prob_given_n(i, s)[1] == 1.0
+        assert (1.0 - self.no_trigger([1, 2, 7], s)).tolist() == [1.0, 1.0, 1.0]
 
     def test_single_pair_value(self):
         s = SourceParams(mu0=2.329, eta_s=ETA_S_192DB, eta_a=0.0295)
-        p_n, p_t = trigger_prob_given_n(1, s)
-        assert p_n == pytest.approx(0.9705, rel=1e-12)
+        assert self.no_trigger([1], s)[0] == pytest.approx(0.9705, rel=1e-12)
 
     def test_alice_dark_counts_factor(self):
         s = SourceParams(mu0=1.0, eta_s=0.5, eta_a=0.3, y0_alice=1e-3)
-        p_n, _ = trigger_prob_given_n(2, s)
-        assert p_n == pytest.approx((1 - 1e-3) * 0.7 ** 2, rel=1e-12)
+        assert self.no_trigger([2], s)[0] == pytest.approx((1 - 1e-3) * 0.7 ** 2, rel=1e-12)
 
 
 class TestJointSignalPmf:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdqkd.rng import raw_stream, stream_salt, uniform_at, uniform_stream
+from pdqkd.rng import _hash, stream_salt, uniform_at, uniform_stream
 
 MASK = (1 << 64) - 1
 ORACLE_IDS = (0, 1, 2**32, 2**63 + 5, 2**64 - 1)
@@ -17,6 +17,11 @@ def splitmix_reference(seed: int, slot: int, pulse_id: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
         z ^= z >> 31
     return z
+
+
+def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
+    """uint64 hash values for pulse ids ``start .. start+count-1``."""
+    return _hash(np.arange(start, start + count, dtype=np.uint64), seed, slot)
 
 
 @pytest.mark.parametrize("seed, slot", [(0, 0), (901, 5), (2**64 - 1, 8)])

@@ -3,8 +3,8 @@
 A settable value is an option flag of a CLI subcommand (summed over the
 subcommands, ``--help`` excluded), a defaulted parameter of a public library
 function (a function in ``pdqkd.__all__``; dataclass fields are not counted),
-or a config key.  The totals are pinned so that a change which adds or removes
-one says so.
+or a config key.  The totals, and the public names themselves, are pinned so
+that a change which adds or removes one says so.
 """
 
 import argparse
@@ -44,9 +44,21 @@ def test_config_keys():
     assert len(_SCHEMA) == 13
 
 
+def test_public_names():
+    assert sorted(pdqkd.__all__) == [
+        "AnalyticObservables", "CarResult", "FluctuationBounds", "HbtHistogram", "KeyRateResult",
+        "LinkParams", "ObservedStats", "PhotonNumberPmf", "ProtocolParams", "ScanResult",
+        "SimConfig", "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
+        "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper", "end_to_end",
+        "error_n", "fluctuation_bounds", "g2_of_pmf", "gains_analytic", "joint_signal_pmf",
+        "key_rate", "linear_to_db", "multimode_thermal_pmf", "poisson_pmf", "scan_loss",
+        "simulate_car", "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",
+        "y1_lower", "yield_n"]
+
+
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
-    assert counts == {"end_to_end": 2, "gain_series": 1, "joint_signal_pmf": 1, "key_rate": 1,
+    assert counts == {"end_to_end": 2, "joint_signal_pmf": 1, "key_rate": 1,
                       "multimode_thermal_pmf": 1, "poisson_pmf": 1, "scan_loss": 1,
                       "simulate_car": 2, "simulate_hbt": 2, "simulate_run": 2, "thermal_pmf": 1}
-    assert sum(counts.values()) == 15
+    assert sum(counts.values()) == 14
