@@ -15,7 +15,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import dataio, event_sim
@@ -145,10 +144,6 @@ def _observed_from_args(args, manifest) -> ObservedStats:
         raise ConfigError("provide exactly one input: --tally, --events, "
                           "or the direct --q-n/--q-t/--e-n/--e-t rates")
     if args.tally or args.events:
-        for flag, value in (("--pulses", args.pulses), ("--triggers", args.triggers)):
-            if value is not None:
-                raise ConfigError(f"{flag} is for direct rates; a tally or event log "
-                                  "carries its own counts")
         path = args.tally or args.events
         tally = (dataio.read_tally(path) if args.tally
                  else dataio.tally_from_events(dataio.read_events(path)))
@@ -159,13 +154,8 @@ def _observed_from_args(args, manifest) -> ObservedStats:
                                     ("--e-n", args.e_n), ("--e-t", args.e_t)) if v is None]
     if missing:
         raise ConfigError(f"direct input needs all four rates; missing {', '.join(missing)}")
-    for flag, value in (("--pulses", args.pulses), ("--triggers", args.triggers)):
-        if value is not None and not value.is_integer():
-            raise ConfigError(f"{flag} must be a whole number, got {value!r}")
-    n_pulses = int(args.pulses) if args.pulses is not None else manifest["n_pulses"]
-    n_triggers = int(args.triggers) if args.triggers is not None else 0
     return ObservedStats(q_n=args.q_n, q_t=args.q_t, e_n=args.e_n, e_t=args.e_t,
-                         n_pulses=n_pulses, n_triggers=n_triggers)
+                         n_pulses=manifest["n_pulses"])
 
 
 def cmd_estimate(args) -> int:
@@ -173,17 +163,15 @@ def cmd_estimate(args) -> int:
     obs = _observed_from_args(args, manifest)
     if args.calibrate_eta_a:
         if not obs.n_triggers:
-            raise ConfigError("--calibrate-eta-a needs a trigger count "
-                              "(tally/events input, or --triggers)")
+            raise ConfigError("--calibrate-eta-a needs the trigger count of a --tally or "
+                              "--events input; for direct rates, run calibrate "
+                              "--trigger-rate N_A/N --mu0 MU0 and pass --set eta_a=...")
         eta_a = calibrate_eta_a(obs.n_triggers / obs.n_pulses, manifest["mu0"])
         manifest = manifest.with_overrides({"eta_a": repr(eta_a)})
     source = manifest.to_source_params()
-    protocol = manifest.to_protocol_params()
-    if args.u_alpha is not None:
-        protocol = replace(protocol, u_alpha=args.u_alpha)
     credit = _vacuum_credit(args.vacuum_credit, manifest)
     try:
-        result = key_rate(obs, protocol, source, vacuum_credit=credit)
+        result = key_rate(obs, manifest.to_protocol_params(), source, vacuum_credit=credit)
     except DegenerateStatisticsError as exc:
         _warn(f"degenerate statistics ({exc.observable}); no key can be claimed")
         print("R              : 0.0 bit/pulse")
@@ -197,15 +185,24 @@ def cmd_estimate(args) -> int:
     return EXIT_OK
 
 
+# a scan's peak memory grows by about 2 KB per point (measured on a 3,501-point scan), so
+# this caps it near 200 MB; fig4 has 351 points
+_MAX_GRID_POINTS = 100_000
+
+
 def _grid(start: float, stop: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError(f"grid bounds and step must be finite, got {start:g}..{stop:g} "
                           f"step {step:g}")
     if step <= 0 or stop < start:
         raise ConfigError("need --to >= --from and --step > 0")
-    # floor: the grid ends at --to or short of it, never a step beyond (1e-9 absorbs rounding)
-    n = math.floor((stop - start) / step + 1e-9)
-    return [start + i * step for i in range(n + 1)]
+    # floor: the grid ends at --to or short of it, never a step beyond (1e-9 absorbs rounding);
+    # the span stays a float until it is bounded, so a step too small for it reads as inf
+    span = (stop - start) / step + 1e-9
+    if span >= _MAX_GRID_POINTS:
+        raise ConfigError(f"a grid of {span + 1:.3g} points exceeds the limit of "
+                          f"{_MAX_GRID_POINTS:,}; use a larger --step")
+    return [start + i * step for i in range(math.floor(span) + 1)]
 
 
 def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
@@ -293,12 +290,15 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if args.target == "table1":
-        return _reproduce_table(args)
-    return _reproduce_fig(args)
+    if args.target == "fig4":
+        return _reproduce_fig(args.out or "fig4.csv")
+    if args.out:
+        return _fail(EXIT_USAGE, "--out is for fig4; reproduce table1 prints its rows and "
+                     "writes no file")
+    return _reproduce_table()
 
 
-def _reproduce_table(args) -> int:
+def _reproduce_table() -> int:
     print(f"{'run':<10} {'quantity':<5} {'model':>12} {'published':>12} {'rel.dev':>9}")
     rows = table1_rows()
     for name, label, model, published, dev in rows:
@@ -307,12 +307,11 @@ def _reproduce_table(args) -> int:
     return EXIT_OK
 
 
-def _reproduce_fig(args) -> int:
-    scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, args.step),
-                       args.vacuum_credit)
+def _reproduce_fig(out: str) -> int:
+    """The published curve: paper50km at 0..35 dB in 0.1 dB steps, without vacuum credit."""
+    scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, 0.1), "zero")
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
     print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")
-    out = args.out or "fig4.csv"
     dataio.write_results(rows, out)
     print(f"results written: {out}")
     return EXIT_OK
@@ -357,14 +356,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-t", type=float, help="direct trigger gain")
     p.add_argument("--e-n", type=float, help="direct non-trigger QBER")
     p.add_argument("--e-t", type=float, help="direct trigger QBER")
-    p.add_argument("--pulses", type=float, help="N for direct input")
-    p.add_argument("--triggers", type=float, help="N_A for direct input")
-    p.add_argument("--u-alpha", type=float,
-                   help="override the deviation count; 0 gives the asymptotic rate")
     p.add_argument("--vacuum-credit", default="calibrated",
                    help="'calibrated' (device y0_bob), 'zero', or a rate")
     p.add_argument("--calibrate-eta-a", action="store_true",
-                   help="recalibrate eta_a from the input's trigger fraction")
+                   help="recalibrate eta_a from the trigger fraction of a --tally "
+                   "or --events input")
     p.add_argument("--out", help="write a one-row results CSV here")
     p.set_defaults(func=cmd_estimate)
 
@@ -401,8 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="rebuild the published comparison tables/curves")
     p.add_argument("target", choices=("table1", "fig4"))
-    p.add_argument("--step", type=float, default=0.1, help="loss grid step for fig4, dB")
-    p.add_argument("--vacuum-credit", default="zero")
     p.add_argument("--out", help="results CSV path for fig4")
     p.set_defaults(func=cmd_reproduce)
     return parser

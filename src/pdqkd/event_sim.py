@@ -24,7 +24,7 @@ Sampling model per pulse:
   survivors raise the double-click flag, which squashes to a uniformly
   random bit; single-survivor detections flip the encoded bit with
   probability ``e_d`` (mismatched bases decohere to a random outcome);
-  dark-only detections yield a random bit.
+  dark-only detections yield a random bit, so a run takes only ``e0 = 1/2``.
 """
 
 from __future__ import annotations
@@ -217,11 +217,11 @@ def _gather(table: np.ndarray, n: np.ndarray) -> np.ndarray:
     return np.take(table, n, out=_WORKSPACE.scratch[:len(n)].view(np.float64), mode="clip")
 
 
-def _pair_guide(source: SourceParams, pmf: PhotonNumberPmf | None):
+def _pair_guide(pmf: PhotonNumberPmf):
     """Guide table (Chen and Asau, 1974) of ``min(searchsorted(cdf, u, "right"), n_max)``,
     and the pair counts of the support as floats.  ``hard[b]``: bucket ``b`` spans two
     CDF steps or more; the inf last edge folds in the clamp to ``n_max``."""
-    cdf = np.cumsum((poisson_pmf(source.mu0) if pmf is None else pmf).probs)
+    cdf = np.cumsum(pmf.probs)
     edges = np.append(cdf[:-1], np.inf)
     bounds = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
     first = np.searchsorted(edges, bounds[:-1], side="right")
@@ -314,14 +314,16 @@ def _run_batch(lo: int, hi: int, guide, tables, link: LinkParams, config: SimCon
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
-                 pmf: PhotonNumberPmf | None = None, workers: int = 1) -> tuple[Tally, EventLog]:
+                 workers: int = 1) -> tuple[Tally, EventLog]:
     """Simulate a protocol run; returns ``(count_tally(log), log)``.
 
-    ``pmf`` overrides the pair-number distribution (default: Poisson of mean
-    ``mu0``).  ``workers`` parallelizes over batches without affecting any
-    output value.
+    Pair numbers are Poisson of mean ``mu0``.  ``workers`` parallelizes over
+    batches without affecting any output value.
     """
-    guide, support = _pair_guide(source, pmf)
+    if link.e0 != 0.5:
+        raise ParameterError(f"e0 must be 0.5 to simulate a run: a dark-only detection gets "
+                             f"a uniformly random bit, got e0={link.e0!r}")
+    guide, support = _pair_guide(poisson_pmf(source.mu0))
     tables = _pulse_tables(support, source, source.eta_s * link.eta)
     sent, rows = _map_batches(
         lambda lo, hi: _run_batch(lo, hi, guide, tables, link, config),
@@ -386,7 +388,7 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
     if config.n_pulses <= _HBT_MAX_DELAY:
         raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
-    guide, k = _pair_guide(source, pmf)
+    guide, k = _pair_guide(poisson_pmf(source.mu0) if pmf is None else pmf)
     # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
     # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n
     t0 = np.power(1.0 - detector_eff, k)
@@ -439,7 +441,7 @@ class CarResult:
 
 
 def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
-                 pmf: PhotonNumberPmf | None = None, workers: int = 1) -> CarResult:
+                 workers: int = 1) -> CarResult:
     """Virtual coincidence experiment between the signal and idler arms.
 
     Coincidences pair same-pulse clicks; accidentals pair each signal click
@@ -449,7 +451,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     """
     if not (0.0 < signal_eff <= 1.0):
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
-    guide, support = _pair_guide(source, pmf)
+    guide, support = _pair_guide(poisson_pmf(source.mu0))
     idler_dark, signal_dark, _ = _pulse_tables(support, source, source.eta_s * signal_eff)
 
     def clicks(lo, hi):

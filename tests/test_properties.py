@@ -114,7 +114,8 @@ def pair_pmfs(draw):
     zeroed = draw(st.lists(st.integers(0, pmf.n_max), min_size=1, max_size=pmf.n_max + 1))
     probs[zeroed] = 0.0
     assume(probs.sum() > 0.0)
-    return PhotonNumberPmf(probs, pmf.n_max, 1.0 - math.fsum(probs.tolist()))
+    # rounding can leave the kept probabilities a few ulps above 1, so the tail is clamped at 0
+    return PhotonNumberPmf(probs, pmf.n_max, max(0.0, 1.0 - math.fsum(probs.tolist())))
 
 
 @settings(DERANDOMIZED, max_examples=150)
@@ -130,7 +131,7 @@ def test_guide_table_inversion_equals_searchsorted(pmf, seed):
     ])
     u = u[u < 1.0]
     oracle = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    got = _sample_pairs(_pair_guide(None, pmf)[0], u)
+    got = _sample_pairs(_pair_guide(pmf)[0], u)
     assert np.array_equal(got, oracle)
 
 

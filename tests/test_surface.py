@@ -33,9 +33,9 @@ def defaulted_parameters() -> dict[str, int]:
 
 
 def test_cli_flag_count():
-    assert cli_flags() == {"simulate": 7, "estimate": 14, "scan-loss": 7, "hbt": 9, "car": 7,
-                           "calibrate": 3, "reproduce": 3}
-    assert sum(cli_flags().values()) == 50
+    assert cli_flags() == {"simulate": 7, "estimate": 11, "scan-loss": 7, "hbt": 9, "car": 7,
+                           "calibrate": 3, "reproduce": 1}
+    assert sum(cli_flags().values()) == 45
 
 
 def test_config_keys():
@@ -60,5 +60,5 @@ def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
     assert counts == {"end_to_end": 2, "joint_signal_pmf": 1, "key_rate": 1,
                       "multimode_thermal_pmf": 1, "poisson_pmf": 1, "scan_loss": 1,
-                      "simulate_car": 2, "simulate_hbt": 2, "simulate_run": 2, "thermal_pmf": 1}
-    assert sum(counts.values()) == 14
+                      "simulate_car": 1, "simulate_hbt": 2, "simulate_run": 1, "thermal_pmf": 1}
+    assert sum(counts.values()) == 12
