@@ -5,26 +5,37 @@ two virtual source-characterization experiments (intensity correlation at a
 beam splitter, and signal/idler coincidence counting).  Serves as the
 empirical oracle for the closed-form gain/QBER model.
 
-Every random decision for pulse ``i`` is a pure function of
-``(seed, i, slot)`` (see :mod:`pdqkd.rng`), so results are bit-identical
-regardless of how a run is cut up or how many workers run it; cross-pulse
-quantities such as delayed coincidences recompute their neighbours' variates
-instead of carrying state across chunk boundaries.  Batches of ``_BATCH``
-pulses go to the worker threads; chunks of ``_CHUNK`` pulses within them bound
-the working set and reuse one workspace per thread (:class:`_Workspace`).
+Each pulse ``i`` draws one uniform, a pure function of ``(seed, i, slot)``
+with one slot per engine (see :mod:`pdqkd.rng`), so results are
+bit-identical regardless of how a run is cut up or how many workers run it;
+cross-pulse quantities such as delayed coincidences recompute their
+neighbours' uniforms instead of carrying state across chunk boundaries.
+Batches of ``_BATCH`` pulses go to the worker threads; chunks of ``_CHUNK``
+pulses within them bound the working set and reuse one workspace per thread
+(:class:`_Workspace`).
 
-Sampling model per pulse:
+Sampling model per pulse.  Pulses are i.i.d. and no output needs a pulse's
+pair number, only its outcome, so each run sums the per-pair-number model
+over the truncated source pmf (its tail folded into ``n_max``) into one
+table of outcome cells, and inverts each pulse's uniform through that
+table's CDF.  Given ``n`` pairs, the model is:
 
-- pair number ``n`` by inversion of the truncated source pmf (guide table);
 - heralding click with probability ``1 - (1 - y0_alice)(1 - eta_a)^n``;
-- the ``{0, 1, >=2}``-survivor trichotomy at the receiver from one uniform,
-  with per-photon survival ``eta_s * eta``;
-- independent dark click with probability ``y0``;
+- ``{0, 1, >=2}`` surviving photons at the receiver, each photon surviving
+  with ``eta_s * eta``, and an independent dark click with probability ``y0``;
 - detection = survivor or dark click; simultaneous photon+dark or multiple
   survivors raise the double-click flag, which squashes to a uniformly
   random bit; single-survivor detections flip the encoded bit with
   probability ``e_d`` (mismatched bases decohere to a random outcome);
-  dark-only detections yield a random bit, so a run takes only ``e0 = 1/2``.
+  dark-only detections yield a random bit, so a run takes only ``e0 = 1/2``;
+- both bases and Alice's bit are uniform.
+
+The gains of the table equal the closed forms of
+:func:`pdqkd.link_model.gains_analytic` up to the pmf's truncation, but its
+E_N and E_T sit slightly above them (0.041602 against 0.041597 for E_N at
+``paper50km``): two or more surviving photons squash to a random bit here,
+where the closed forms keep ``e_d``.  The virtual experiments invert their
+uniform through a four-cell table of the two arms' clicks.
 """
 
 from __future__ import annotations
@@ -40,28 +51,14 @@ from .decoy_estimator import KeyRateResult, ObservedStats, ProtocolParams, key_r
 from .errors import ParameterError, UndefinedRatioError
 from .link_model import LinkParams
 from .photon_source import PhotonNumberPmf, SourceParams, poisson_pmf
-from .rng import uniform_at, uniform_stream
+from .rng import uniform_stream
 
-# slot layout of the per-pulse variates (protocol runs)
-_SLOT_PAIRS = 0
-_SLOT_TRIGGER = 1
-_SLOT_SURVIVORS = 2
-_SLOT_DARK = 3
-_SLOT_ALICE_BASIS = 4
-_SLOT_ALICE_BIT = 5
-_SLOT_BOB_BASIS = 6
-_SLOT_FLIP = 7
-_SLOT_SQUASH = 8
-
-# slot layout of the virtual experiments
-_SLOT_HBT_ARMS = 1
-_SLOT_CAR_IDLER = 1
-_SLOT_CAR_SIGNAL = 2
+_SLOT_RUN, _SLOT_HBT, _SLOT_CAR = 0, 1, 2  # the one stream of each engine
+_CLICKED = 96  # clicked cells of a protocol pulse, the first cells of its outcome table
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 # at half this size, two workers waited on each other for the GIL 4x as often
 _CHUNK = 65_536  # pulses per call of the batch code: 512 KiB per float64 array
 _BATCH = 1_000_000  # pulses per pool task: two workers still share a 2e6-pulse run
-_GUIDE_BUCKETS = 4096  # a power of two, so that floor(u * 4096) is exact
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -200,46 +197,22 @@ class _Workspace(threading.local):
     def __init__(self):
         self.u = np.empty(_CHUNK + _HBT_MAX_DELAY)
         self.scratch = np.empty_like(self.u, dtype=np.uint64)
-        self.pairs = np.empty_like(self.u, dtype=np.intp)
 
 
 _WORKSPACE = _Workspace()
 
 
 def _draw(seed: int, slot: int, start: int, count: int) -> np.ndarray:
-    """The stream in ``_WORKSPACE.u``, until the next draw.  It hashes in the scratch, so
-    it voids any ``_gather`` result: in ``_draw(..) >= _gather(..)`` the draw comes first."""
+    """The stream in ``_WORKSPACE.u``, until the next draw."""
     return uniform_stream(seed, slot, start, count, out=_WORKSPACE.u, scratch=_WORKSPACE.scratch)
 
 
-def _gather(table: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """``table[n]`` in the scratch, until the next draw or gather; "raise" would buffer."""
-    return np.take(table, n, out=_WORKSPACE.scratch[:len(n)].view(np.float64), mode="clip")
-
-
-def _pair_guide(pmf: PhotonNumberPmf):
-    """Guide table (Chen and Asau, 1974) of ``min(searchsorted(cdf, u, "right"), n_max)``,
-    and the pair counts of the support as floats.  ``hard[b]``: bucket ``b`` spans two
-    CDF steps or more; the inf last edge folds in the clamp to ``n_max``."""
-    cdf = np.cumsum(pmf.probs)
-    edges = np.append(cdf[:-1], np.inf)
-    bounds = np.arange(_GUIDE_BUCKETS + 1) / _GUIDE_BUCKETS
-    first = np.searchsorted(edges, bounds[:-1], side="right")
-    hard = np.searchsorted(edges, bounds[1:], side="left") - first > 1
-    return (edges, first, hard), np.arange(len(cdf), dtype=np.float64)
-
-
-def _sample_pairs(guide, u: np.ndarray) -> np.ndarray:
-    """Pair numbers of the uniforms ``u``, in the workspace."""
-    edges, first, hard = guide
-    bucket = _WORKSPACE.scratch[:len(u)].view(np.intp)
-    x = np.multiply(u, _GUIDE_BUCKETS, out=bucket.view(np.float64))
-    np.copyto(bucket, x, casting="unsafe")  # in place; truncation is floor, as u >= 0
-    hard_pulses = np.flatnonzero(hard[bucket])
-    n = np.take(first, bucket, out=_WORKSPACE.pairs[:len(u)], mode="clip")
-    n += u >= _gather(edges, n)
-    n[hard_pulses] = np.searchsorted(edges, u[hard_pulses], side="right")
-    return n
+def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
+    """The pair counts of the support as floats, and their probabilities with the tail
+    mass folded into ``n_max``."""
+    w = pmf.probs.copy()
+    w[-1] += pmf.tail_mass
+    return np.arange(pmf.n_max + 1, dtype=np.float64), w
 
 
 def _map_batches(work, merge, config: SimConfig, workers: int):
@@ -271,46 +244,47 @@ def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
     return p_no_trig, none_prob, none_prob + one_prob
 
 
-def _run_batch(lo: int, hi: int, guide, tables, link: LinkParams, config: SimConfig):
+def _outcome_table(source: SourceParams, link: LinkParams):
+    """The outcome cells of one protocol pulse: their CDF edges, the event row of each
+    clicked cell, and each clicked cell's index in :data:`CELLS`.
+
+    The ``_CLICKED`` clicked cells come first, so that their edges sit near 0, where
+    float64 is finest: trigger x Alice's basis x Bob's basis x {lone photon, double click,
+    dark click alone} x Alice's bit x Bob's bit.  The four no-click cells of :data:`CELLS`
+    follow, and the last edge is inf.
+    """
+    n, w = _weights(poisson_pmf(source.mu0))
+    no_trig, none, single = _pulse_tables(n, source, source.eta_s * link.eta)
+    y0 = link.y0
+    kinds = np.stack([(single - none) * (1.0 - y0), 1.0 - single + (single - none) * y0,
+                      none * y0, none * (1.0 - y0)])  # lone photon, double, dark alone, no click
+    p = np.einsum("n,tn,kn->tk", w, np.stack([no_trig, 1.0 - no_trig]), kinds)
+    t, basis_a, basis_b, kind, bit_a, bit_b = np.indices((2, 2, 2, 3, 2, 2)).reshape(6, -1)
+    match = basis_a == basis_b
+    # a lone photon keeps Alice's bit but for e_d (1/2 in mismatched bases); others are random
+    flip = np.where((kind == 0) & match, link.e_d, 0.5)
+    clicked = p[t, kind] / 8.0 * np.where(bit_a == bit_b, 1.0 - flip, flip)
+    edges = np.cumsum(np.concatenate([clicked, np.repeat(p[:, 3], 2) / 2.0]))
+    edges[-1] = np.inf
+    rows = np.zeros(_CLICKED, dtype=EVENT_DTYPE)
+    for name, col in (("triggered", t), ("alice_basis", basis_a), ("bob_basis", basis_b),
+                      ("alice_bit", bit_a), ("bob_bit", bit_b),
+                      ("dark_origin", kind == 2), ("double_click", kind == 1)):
+        rows[name] = col
+    return edges, rows, 2 * t + match
+
+
+def _run_batch(lo: int, hi: int, table, config: SimConfig):
     """Per-cell sent counts and the event-log rows of pulses ``lo..hi-1``."""
-    count = hi - lo
-    seed = config.seed
-    n = _sample_pairs(guide, _draw(seed, _SLOT_PAIRS, lo, count))
-    t_no_trig, t_none, t_single = tables
-    # a _draw overwrites the scratch that holds a _gather result, so it is drawn first
-    triggered = _draw(seed, _SLOT_TRIGGER, lo, count) >= _gather(t_no_trig, n)
-
-    u_surv = _draw(seed, _SLOT_SURVIVORS, lo, count)
-    photon = u_surv >= _gather(t_none, n)
-    multi = u_surv >= _gather(t_single, n)
-
-    dark = _draw(seed, _SLOT_DARK, lo, count) < link.y0
-
-    basis_a = _draw(seed, _SLOT_ALICE_BASIS, lo, count) >= 0.5
-    basis_b = _draw(seed, _SLOT_BOB_BASIS, lo, count) >= 0.5
-    # n is spent, so the cells take its buffer, as intp: bincount copies narrower types
-    cell = np.left_shift(triggered, 1, dtype=np.intp, out=_WORKSPACE.pairs[:count])
-    cell |= basis_a == basis_b
-    sent = np.bincount(cell, minlength=4)
-
-    # the rest only matters for detections; draw it at the clicked pulses alone
-    hits = np.flatnonzero(photon | dark)
-    rows = np.empty(len(hits), dtype=EVENT_DTYPE)
-    rows["pulse_id"] = ids = hits.astype(np.uint64) + np.uint64(lo)
-    for name, col in (("triggered", triggered), ("alice_basis", basis_a), ("bob_basis", basis_b)):
-        rows[name] = col[hits]
-    rows["alice_bit"] = bit_a = uniform_at(seed, _SLOT_ALICE_BIT, ids) < 0.5
-    u_flip = uniform_at(seed, _SLOT_FLIP, ids)
-    u_squash = uniform_at(seed, _SLOT_SQUASH, ids)
-    photon_c, dark_c = photon[hits], dark[hits]
-    double_c = (photon_c & dark_c) | multi[hits]
-    flip_prob = np.where(rows["alice_basis"] == rows["bob_basis"], link.e_d, 0.5)
-    rows["bob_bit"] = np.where(
-        double_c, u_squash < 0.5,
-        np.where(photon_c, bit_a ^ (u_flip < flip_prob), u_flip < 0.5))
-    rows["dark_origin"] = dark_c & ~photon_c
-    rows["double_click"] = double_c
-    return sent, rows
+    edges, cell_rows, cell = table
+    u = _draw(config.seed, _SLOT_RUN, lo, hi - lo)
+    hits = np.flatnonzero(u < edges[_CLICKED - 1])
+    clicked = np.searchsorted(edges, u[hits], side="right")
+    rows = cell_rows[clicked]
+    rows["pulse_id"] = hits + lo
+    # the pulses below each no-click cell's upper edge, less those below its lower edge
+    below = [len(hits), *(np.count_nonzero(u < e) for e in edges[_CLICKED:-1]), hi - lo]
+    return np.bincount(cell[clicked], minlength=4) + np.diff(below), rows
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
@@ -323,14 +297,48 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     if link.e0 != 0.5:
         raise ParameterError(f"e0 must be 0.5 to simulate a run: a dark-only detection gets "
                              f"a uniformly random bit, got e0={link.e0!r}")
-    guide, support = _pair_guide(poisson_pmf(source.mu0))
-    tables = _pulse_tables(support, source, source.eta_s * link.eta)
+    table = _outcome_table(source, link)
     sent, rows = _map_batches(
-        lambda lo, hi: _run_batch(lo, hi, guide, tables, link, config),
+        lambda lo, hi: _run_batch(lo, hi, table, config),
         lambda parts: (sum(s for s, _ in parts), np.concatenate([r for _, r in parts])),
         config, workers)
     log = EventLog(sent=tuple(sent.tolist()), rows=rows)
     return count_tally(log), log
+
+
+def _arm_cells(w: np.ndarray, silent_a, silent_b, silent_both) -> np.ndarray:
+    """Probabilities of the cells ``[a alone | both | b alone | neither]`` of two click arms,
+    summed with the pair-count weights ``w`` over the per-count probabilities that arm a,
+    arm b and both arms stay silent."""
+    return np.stack([silent_b - silent_both, 1.0 - silent_a - silent_b + silent_both,
+                     silent_a - silent_both, silent_both]) @ w
+
+
+def _hbt_cells(pmf: PhotonNumberPmf, detector_eff: float) -> np.ndarray:
+    """Arm cells of the beam splitter: k photons leave one arm silent with
+    ``(1 - eff/2)**k`` and both with ``(1 - eff)**k``."""
+    k, w = _weights(pmf)
+    silent = np.power(1.0 - detector_eff / 2.0, k)
+    return _arm_cells(w, silent, silent, np.power(1.0 - detector_eff, k))
+
+
+def _car_cells(source: SourceParams, signal_eff: float) -> np.ndarray:
+    """Arm cells of the signal (a) and idler (b) detectors, independent given the pair count."""
+    n, w = _weights(poisson_pmf(source.mu0))
+    idler, signal, _ = _pulse_tables(n, source, source.eta_s * signal_eff)
+    return _arm_cells(w, signal, idler, signal * idler)
+
+
+def _arm_clicks(cells: np.ndarray, seed: int, slot: int):
+    """``clicks`` for :func:`_coincidences` from one uniform per pulse: arm a clicks below
+    the second CDF edge of ``cells``, arm b between the first and the third."""
+    first, second, third = np.cumsum(cells)[:3].tolist()
+
+    def clicks(lo, hi):
+        u = _draw(seed, slot, lo, hi - lo)
+        return u < second, (u >= first) & (u < third)
+
+    return clicks
 
 
 @dataclass(frozen=True)
@@ -388,19 +396,8 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
     if config.n_pulses <= _HBT_MAX_DELAY:
         raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
-    guide, k = _pair_guide(poisson_pmf(source.mu0) if pmf is None else pmf)
-    # joint click pattern from one uniform, cells ordered [00 | 10 | 01 | 11]
-    # with P(00 | n) = (1-eff)^n and P(arm silent | n) = (1-eff/2)^n
-    t0 = np.power(1.0 - detector_eff, k)
-    t1 = np.power(1.0 - detector_eff / 2.0, k)
-    t2 = 2.0 * t1 - t0
-
-    def clicks(lo, hi):
-        n = _sample_pairs(guide, _draw(config.seed, _SLOT_PAIRS, lo, hi - lo))
-        u = _draw(config.seed, _SLOT_HBT_ARMS, lo, hi - lo)
-        arm2 = u >= _gather(t1, n)
-        return ((u >= _gather(t0, n)) & ~arm2) | (u >= _gather(t2, n)), arm2
-
+    cells = _hbt_cells(poisson_pmf(source.mu0) if pmf is None else pmf, detector_eff)
+    clicks = _arm_clicks(cells, config.seed, _SLOT_HBT)
     n1, n2, *cc = _coincidences(clicks, config, _HBT_MAX_DELAY, workers)
     if n1 == 0 or n2 == 0:
         raise UndefinedRatioError("no singles recorded on one arm; g2 undefined")
@@ -451,15 +448,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     """
     if not (0.0 < signal_eff <= 1.0):
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
-    guide, support = _pair_guide(poisson_pmf(source.mu0))
-    idler_dark, signal_dark, _ = _pulse_tables(support, source, source.eta_s * signal_eff)
-
-    def clicks(lo, hi):
-        n = _sample_pairs(guide, _draw(config.seed, _SLOT_PAIRS, lo, hi - lo))
-        idler = _draw(config.seed, _SLOT_CAR_IDLER, lo, hi - lo) >= _gather(idler_dark, n)
-        signal = _draw(config.seed, _SLOT_CAR_SIGNAL, lo, hi - lo) >= _gather(signal_dark, n)
-        return signal, idler
-
+    clicks = _arm_clicks(_car_cells(source, signal_eff), config.seed, _SLOT_CAR)
     _, _, coinc, acc = _coincidences(clicks, config, 1, workers)
     if acc == 0:
         return CarResult(car=float(coinc), coincidences=coinc, accidentals=0,

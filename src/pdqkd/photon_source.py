@@ -112,7 +112,7 @@ class PhotonNumberPmf:
         probs = np.clip(probs, 0.0, None)
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        if self.tail_mass < -1e-15:
+        if self.tail_mass < -_PMF_BALANCE_TOL:  # rounding in 1 - sum(probs) may go below 0
             raise ParameterError(f"tail_mass must be non-negative, got {self.tail_mass!r}")
         object.__setattr__(self, "tail_mass", max(0.0, float(self.tail_mass)))
         balance = math.fsum(probs.tolist()) + self.tail_mass

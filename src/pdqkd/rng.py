@@ -51,13 +51,6 @@ def _avalanche(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     return z
 
 
-def _hash(ids: np.ndarray, seed: int, slot: int) -> np.ndarray:
-    """uint64 hash values of the pulse ids ``ids``, computed in place in ``ids``."""
-    ids *= np.uint64(_GAMMA)
-    ids += np.uint64(stream_salt(seed, slot))
-    return _avalanche(ids, np.empty_like(ids))
-
-
 @lru_cache(maxsize=1)
 def _steps(size: int) -> np.ndarray:
     """Read-only ``i * GAMMA mod 2**64`` for ``i < size``, shared by every thread."""
@@ -89,13 +82,3 @@ def uniform_stream(seed: int, slot: int, start: int, count: int,
     np.add(_steps(len(out))[:count], offset, out=z)  # (start + i) * GAMMA + salt
     return _unit(_avalanche(z, scratch[:count]), out[:count])
 
-
-def uniform_at(seed: int, slot: int, pulse_ids: np.ndarray) -> np.ndarray:
-    """Uniforms for an arbitrary set of pulse ids (same values as the stream).
-
-    Lets the engine draw expensive per-event variates only for the sparse
-    subset of pulses that produced a detection.  ``pulse_ids`` is not
-    modified: the hash runs on a copy.
-    """
-    bits = _hash(np.array(pulse_ids, dtype=np.uint64), seed, slot)
-    return _unit(bits, bits.view(np.float64))

@@ -49,15 +49,16 @@ class TestSimulate:
 
     def test_output_bytes_pinned(self, tmp_path, capsys):
         # digests of the tally and CSV event log; any change to a simulated value fails here
-        # (the log digest was re-pinned when logs came to hold the detections alone)
+        # (both were re-pinned when each pulse came to draw one uniform, through the run's
+        # outcome table)
         tally, events = tmp_path / "pin.tally", tmp_path / "pin.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config", "paper0km", "--pulses", "20000",
                              "--seed", "7", "--out", str(tally), "--events", str(events))
         assert code == 0
         assert hashlib.sha256(tally.read_bytes()).hexdigest() == (
-            "83a7614769623513271b873200bdb12abf7d80ac6d1b3828f013659fd153b37a")
+            "1938683d71f6e31c22f21af156d77675253210ab82f856b7226afdd086114bf1")
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
-            "f1e729ab53910d561d8a507a2f06094c9497ad2ad5d48700cd925b9cbba58edc")
+            "3d8e1d7b7bad29d2e656ee49c4c192188d45d2f58dcbadabab2981d40ed7b590")
 
     def test_dark_count_error_other_than_half_is_a_usage_error(self, tmp_path, capsys):
         # the engine gives a dark-only detection a random bit, so it simulates e0 = 1/2 alone

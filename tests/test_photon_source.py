@@ -141,6 +141,20 @@ class TestPmfInvariants:
     def test_unbalanced_pmf_rejected(self):
         with pytest.raises(ParameterError):
             PhotonNumberPmf(np.array([0.5, 0.4]), 1, 0.0)
+        with pytest.raises(ParameterError, match="tail_mass"):
+            PhotonNumberPmf(np.array([0.5, 0.5]), 1, -2e-12)
+
+    def test_rebuilt_poisson_with_rounded_tail_is_accepted(self):
+        # a Poisson pmf's probabilities can sum to a few ulps above 1 (106 of these 2,000
+        # mu did, from mu = 7.3913 on), so a tail of 1 - sum is slightly negative
+        negative = 0
+        for mu in np.linspace(0.01, 10.0, 2000):
+            pmf = poisson_pmf(float(mu))
+            tail = 1.0 - math.fsum(pmf.probs.tolist())
+            negative += tail < 0.0
+            rebuilt = PhotonNumberPmf(pmf.probs, pmf.n_max, tail)
+            assert rebuilt.tail_mass == pmf.tail_mass >= 0.0
+        assert negative > 0  # the scan reaches the rounded-below-zero tails
 
 
 class TestTriggerProb:

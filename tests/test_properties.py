@@ -16,8 +16,8 @@ from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_t
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
                                    key_rate, y1_lower)
 from pdqkd.errors import UnboundedErrorRate
-from pdqkd.event_sim import (_GUIDE_BUCKETS, SimConfig, Tally, _pair_guide, _sample_pairs,
-                             simulate_run)
+from pdqkd.event_sim import (_CLICKED, SimConfig, Tally, _arm_clicks, _car_cells, _hbt_cells,
+                             _outcome_table, _run_batch, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, error_n, gains_analytic, yield_n
 from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf, poisson_pmf,
                                  thermal_pmf)
@@ -114,25 +114,97 @@ def pair_pmfs(draw):
     zeroed = draw(st.lists(st.integers(0, pmf.n_max), min_size=1, max_size=pmf.n_max + 1))
     probs[zeroed] = 0.0
     assume(probs.sum() > 0.0)
-    # rounding can leave the kept probabilities a few ulps above 1, so the tail is clamped at 0
-    return PhotonNumberPmf(probs, pmf.n_max, max(0.0, 1.0 - math.fsum(probs.tolist())))
+    # rounding can leave the kept probabilities a few ulps above 1, a tail the pmf takes as 0
+    return PhotonNumberPmf(probs, pmf.n_max, 1.0 - math.fsum(probs.tolist()))
+
+
+def edge_uniforms(edges: np.ndarray, seed: int) -> np.ndarray:
+    """Uniforms at 0, at 1 - 2**-53, at every CDF edge and both its float neighbours, and
+    20,000 from a stream."""
+    u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0),
+                        np.nextafter(edges, 1.0), uniform_stream(seed, 0, 0, 20_000)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+@st.composite
+def box_runs(draw):
+    """A source and link in criterion 5's parameter box; no dark counts or no misalignment
+    give cells of zero probability, whose CDF edges tie."""
+    src = SourceParams(mu0=draw(st.floats(0.05, 4.0)), eta_s=draw(st.floats(0.002, 1.0)),
+                       eta_a=draw(st.floats(0.005, 0.6)))
+    link = LinkParams(eta=10.0**draw(st.floats(-4.0, 0.0)),
+                      y0=draw(st.one_of(st.just(0.0), st.floats(0.0, 1e-4))),
+                      e_d=draw(st.one_of(st.just(0.0), st.floats(0.0, 0.05))))
+    return src, link
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(run=box_runs())
+def test_outcome_table_gains_equal_the_closed_forms(run):
+    # E_N and E_T are not compared: the table squashes two or more surviving photons to a
+    # random bit where the closed forms keep e_d, so its QBERs sit slightly above them
+    src, link = run
+    edges, rows, _ = _outcome_table(src, link)
+    cells = np.diff(edges[:-1], prepend=0.0).tolist() + [1.0 - edges[-2]]
+    triggered = rows["triggered"] == 1
+    clicked = np.array(cells[:_CLICKED])
+    analytic = gains_analytic(src, link)
+    tol = poisson_pmf(src.mu0).tail_mass + 1e-12
+    assert abs(clicked[~triggered].sum() - analytic.q_n) <= tol
+    assert abs(clicked[triggered].sum() - analytic.q_t) <= tol
+    # the no-click cells follow CELLS: n_mismatch, n_match, t_mismatch, t_match
+    assert abs(clicked[triggered].sum() + sum(cells[-2:]) - src.trigger_prob) <= tol
 
 
 @settings(DERANDOMIZED, max_examples=150)
-@given(pmf=pair_pmfs(), seed=st.integers(0, 2**64 - 1))
-def test_guide_table_inversion_equals_searchsorted(pmf, seed):
-    cdf = np.cumsum(pmf.probs)
-    steps = cdf[(cdf >= 0.0) & (cdf < 1.0)]
-    u = np.concatenate([
-        [0.0, 1.0 - 2.0**-53],
-        np.arange(_GUIDE_BUCKETS) / _GUIDE_BUCKETS,  # every bucket edge
-        steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0),
-        uniform_stream(seed, 0, 0, 20_000),
-    ])
-    u = u[u < 1.0]
-    oracle = np.minimum(np.searchsorted(cdf, u, side="right"), len(cdf) - 1)
-    got = _sample_pairs(_pair_guide(pmf)[0], u)
-    assert np.array_equal(got, oracle)
+@given(run=box_runs(), seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**40))
+def test_cell_inversion_equals_searchsorted(run, seed, lo):
+    table = _outcome_table(*run)
+    edges, cell_rows, cell = table
+    u = edge_uniforms(edges[:-1], seed)
+    with patch.object(event_sim, "_draw", lambda *_: u):
+        sent, rows = _run_batch(lo, lo + len(u), table, SimConfig(n_pulses=lo + len(u)))
+    oracle = np.searchsorted(edges[:-1], u, side="right")
+    hit = oracle < _CLICKED
+    want = cell_rows[oracle[hit]]
+    want["pulse_id"] = np.flatnonzero(hit) + lo
+    assert np.array_equal(rows, want)
+    cells = np.concatenate([cell, [0, 1, 2, 3]])  # the no-click cells follow CELLS
+    assert sent.tolist() == np.bincount(cells[oracle], minlength=4).tolist()
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(pmf=pair_pmfs(), eff=st.floats(0.01, 1.0), seed=st.integers(0, 2**64 - 1))
+def test_hbt_table_and_its_inversion(pmf, eff, seed):
+    cells = _hbt_cells(pmf, eff)
+    k = np.arange(pmf.n_max + 1)
+    silent = pmf.probs @ (1.0 - eff / 2.0) ** k
+    tol = pmf.tail_mass + 1e-12
+    assert abs(cells.sum() - 1.0) <= 2e-12  # the pmf's balance, 1e-12, plus rounding
+    assert abs(cells[2] + cells[3] - silent) <= tol  # arm a: silent alone in b and neither
+    assert abs(cells[0] + cells[3] - silent) <= tol
+    # arm a clicks in cells [a alone | both], arm b in [both | b alone]
+    edges = np.cumsum(cells)[:3]
+    u = edge_uniforms(edges, seed)
+    with patch.object(event_sim, "_draw", lambda *_: u):
+        a, b = _arm_clicks(cells, seed, 0)(0, len(u))
+    oracle = np.searchsorted(edges, u, side="right")
+    assert np.array_equal(a, oracle <= 1) and np.array_equal(b, (oracle == 1) | (oracle == 2))
+
+
+@settings(DERANDOMIZED, max_examples=100)
+@given(mu0=st.floats(0.01, 10.0), eta_s=st.floats(0.0, 1.0), eta_a=st.floats(0.0, 1.0),
+       y0_alice=st.floats(0.0, 1e-3), eff=st.floats(0.01, 1.0))
+def test_car_table_arm_marginals(mu0, eta_s, eta_a, y0_alice, eff):
+    src = SourceParams(mu0=mu0, eta_s=eta_s, eta_a=eta_a, y0_alice=y0_alice)
+    cells = _car_cells(src, eff)
+    pmf = poisson_pmf(mu0)
+    k = np.arange(pmf.n_max + 1)
+    tol = pmf.tail_mass + 1e-12
+    assert abs(cells.sum() - 1.0) <= 2e-12
+    # arm a is the signal detector, arm b the heralding (idler) one
+    assert abs(cells[2] + cells[3] - pmf.probs @ (1.0 - eta_s * eff) ** k) <= tol
+    assert abs(cells[0] + cells[3] - (1.0 - y0_alice) * pmf.probs @ (1.0 - eta_a) ** k) <= tol
 
 
 @settings(DERANDOMIZED, max_examples=200)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdqkd.rng import _hash, stream_salt, uniform_at, uniform_stream
+from pdqkd.rng import stream_salt, uniform_stream
 
 MASK = (1 << 64) - 1
 ORACLE_IDS = (0, 1, 2**32, 2**63 + 5, 2**64 - 1)
@@ -19,27 +19,17 @@ def splitmix_reference(seed: int, slot: int, pulse_id: int) -> int:
     return z
 
 
-def raw_stream(seed: int, slot: int, start: int, count: int) -> np.ndarray:
-    """uint64 hash values for pulse ids ``start .. start+count-1``."""
-    return _hash(np.arange(start, start + count, dtype=np.uint64), seed, slot)
-
-
 @pytest.mark.parametrize("seed, slot", [(0, 0), (901, 5), (2**64 - 1, 8)])
 def test_values_match_plain_int_splitmix(seed, slot):
-    want = [splitmix_reference(seed, slot, i) for i in ORACLE_IDS]
-    unit = [(w >> 11) / 2**53 for w in want]
-    for pulse_id, bits, u in zip(ORACLE_IDS, want, unit):
-        assert int(raw_stream(seed, slot, pulse_id, 1)[0]) == bits
-        assert float(uniform_stream(seed, slot, pulse_id, 1)[0]) == u
-    # whole ranges go through the same vector code as single ids
-    assert raw_stream(seed, slot, 0, 3).tolist() == [splitmix_reference(seed, slot, i)
-                                                     for i in range(3)]
-    assert raw_stream(seed, slot, 2**64 - 2, 2).tolist() == [
-        splitmix_reference(seed, slot, i) for i in (2**64 - 2, 2**64 - 1)]
-    ids = np.array(ORACLE_IDS, dtype=np.uint64)
-    before = ids.copy()
-    assert uniform_at(seed, slot, ids).tolist() == unit
-    assert np.array_equal(ids, before)  # the caller's ids are not hashed in place
+    def unit(pulse_id):
+        return (splitmix_reference(seed, slot, pulse_id) >> 11) / 2**53
+
+    for pulse_id in ORACLE_IDS:
+        assert float(uniform_stream(seed, slot, pulse_id, 1)[0]) == unit(pulse_id)
+    # whole ranges, across the wrap of the 64-bit ids too, give the values of single ids
+    assert uniform_stream(seed, slot, 0, 3).tolist() == [unit(i) for i in range(3)]
+    assert uniform_stream(seed, slot, 2**64 - 2, 2).tolist() == [unit(i) for i in (2**64 - 2,
+                                                                                   2**64 - 1)]
 
 
 def test_stream_is_batch_independent():
@@ -47,13 +37,6 @@ def test_stream_is_batch_independent():
     head = uniform_stream(seed=123, slot=2, start=0, count=400)
     tail = uniform_stream(seed=123, slot=2, start=400, count=600)
     assert np.array_equal(full, np.concatenate([head, tail]))
-
-
-def test_uniform_at_matches_stream():
-    ids = np.array([0, 17, 999, 123456789], dtype=np.uint64)
-    for pid in ids:
-        one = uniform_stream(seed=9, slot=5, start=int(pid), count=1)
-        assert uniform_at(9, 5, np.array([pid], dtype=np.uint64))[0] == one[0]
 
 
 def test_seeds_and_slots_give_distinct_streams():
@@ -83,11 +66,12 @@ def test_adjacent_slots_uncorrelated():
     assert abs(corr) < 5 / n ** 0.5
 
 
-def test_raw_stream_is_64bit():
-    bits = raw_stream(seed=3, slot=0, start=0, count=4096)
-    assert bits.dtype == np.uint64
-    # top bits must actually vary
-    assert len(np.unique(bits >> np.uint64(56))) > 100
+def test_stream_uses_53_bits():
+    bits = (uniform_stream(seed=3, slot=0, start=0, count=4096) * 2**53).astype(np.uint64)
+    assert np.all(bits < 2**53)
+    # the top bits and the lowest bit must actually vary
+    assert len(np.unique(bits >> np.uint64(45))) > 100
+    assert len(np.unique(bits & np.uint64(1))) == 2
 
 
 @pytest.mark.parametrize("start", [0, 2**32 - 1, 2**63 + 5, 2**64 - 1000])
