@@ -52,9 +52,8 @@ def _warn(message: str) -> None:
 
 def _config_keys_epilog() -> str:
     lines = ["config keys (flat 'key = value' files; losses always in dB):"]
-    for key, (kind, _, default) in dataio._SCHEMA.items():
-        doc = dataio.KEY_DOCS[key]
-        lines.append(f"  {key:<14} {doc} [default: {dataio._fmt(default)}]")
+    for key, (_, _, default, doc) in dataio._SCHEMA.items():
+        lines.append(f"  {key:<14} {doc} [default: {default!r}]")
     lines.append(f"presets: {', '.join(PRESET_NAMES)} "
                  f"(or a path; ${CONFIG_DIR_ENV} sets the search directory)")
     return "\n".join(lines)
@@ -97,9 +96,13 @@ def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
     if spec == "zero":
         return 0.0
     try:
-        return float(spec)
+        credit = float(spec)
     except ValueError:
-        raise ConfigError(f"--vacuum-credit must be 'calibrated', 'zero' or a number, got {spec!r}")
+        credit = math.nan
+    if not 0.0 <= credit <= 1.0:  # nan and inf fail here too
+        raise ConfigError(f"--vacuum-credit must be 'calibrated', 'zero' or a rate in [0, 1], "
+                          f"got {spec!r}")
+    return credit
 
 
 def _print_keyrate(result, obs) -> None:
@@ -194,8 +197,8 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     if not all(map(math.isfinite, (start, stop, step))):
         raise ConfigError(f"grid bounds and step must be finite, got {start:g}..{stop:g} "
                           f"step {step:g}")
-    if step <= 0 or stop < start:
-        raise ConfigError("need --to >= --from and --step > 0")
+    if start < 0 or step <= 0 or stop < start:
+        raise ConfigError("need 0 <= --from <= --to and --step > 0")
     # floor: the grid ends at --to or short of it, never a step beyond (1e-9 absorbs rounding);
     # the span stays a float until it is bounded, so a step too small for it reads as inf
     span = (stop - start) / step + 1e-9
@@ -209,11 +212,12 @@ def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
     """The loss scan of ``manifest`` over ``grid``, and its rows."""
     link = manifest.to_link_params()
     protocol = manifest.to_protocol_params()
+    credit = _vacuum_credit(vacuum_credit, manifest)  # a bad flag is reported before any scan
     if protocol.u_alpha and link.e_d == link.y0 == 0.0:  # E_N Q_N is zero at every loss
         raise DegenerateStatisticsError("E_N*Q_N", "e_d = 0 and y0_bob = 0 leave no errors to "
                                         "bound at any loss; set either, or u_alpha=0")
     scan = scan_loss(manifest.to_source_params(), link, protocol, grid, manifest["n_pulses"],
-                     vacuum_credit=_vacuum_credit(vacuum_credit, manifest))
+                     vacuum_credit=credit)
     return scan, [dataio.ResultsRow.from_scan_point(p) for p in scan.points]
 
 

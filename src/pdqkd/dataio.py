@@ -3,12 +3,11 @@
 All formats are text-first and versioned:
 
 - configs are flat ``key = value`` files (losses always in dB, never linear);
-- tallies are one-row CSV files: a tag line, a header of the counter names,
-  then the counts;
-- event logs are CSV: the pulses sent per trigger/basis cell on one line,
-  then one row per detection under a fixed header;
-- results tables are CSV with one row per loss point, serialized at full
-  double precision so re-reading reproduces every value exactly.
+- tallies, event logs and results tables share one CSV layout: a tag line,
+  fixed head lines ending in a header, then one record per line (a tally's
+  counts; per detection, under a line of the pulses sent per trigger/basis
+  cell; per loss point, at full double precision so re-reading reproduces
+  every value exactly).
 
 Readers report parse failures with file/line context and reject unknown or
 out-of-range keys by name; retired config keys read with a warning and are ignored.
@@ -40,28 +39,27 @@ EVENTS_HEADER = ",".join(EVENT_DTYPE.names)
 _SENT_LINE = re.compile(",".join(f"sent_{cell}=([0-9]+)" for cell in CELLS))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-# config schema: key -> (python type, (low, high) range or None, default)
-# dB keys hold losses (>= 0); linear transmittances never appear in files.
-_SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object]] = {
-    "mu0": (float, (0.0, math.inf), 0.1),
-    "eta_s_db": (float, (0.0, math.inf), 0.0),
-    "eta_a": (float, (0.0, 1.0), 0.1),
-    "y0_alice": (float, (0.0, 1.0), 0.0),
-    "eta_db": (float, (0.0, math.inf), 0.0),
-    "y0_bob": (float, (0.0, 1.0), 0.0),
-    "e_d": (float, (0.0, 1.0), 0.0),
-    "e0": (float, (0.0, 1.0), 0.5),
-    "q": (float, (0.0, 1.0), 0.5),
-    "f": (float, (1.0, math.inf), 1.2),
-    "u_alpha": (float, (0.0, math.inf), 5.0),
-    "n_pulses": (int, (1, math.inf), 1_000_000),
-    "seed": (int, None, 0),
+# key -> (python type, (low, high) range or None, default, documentation the CLI help prints
+# verbatim); dB keys hold losses (>= 0), and linear transmittances never appear in files
+_SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object, str]] = {
+    "mu0": (float, (0.0, math.inf), 0.1, "mean photon-pair number per pulse (dimensionless)"),
+    "eta_s_db": (float, (0.0, math.inf), 0.0, "sender internal loss, source + encoder, in dB"),
+    "eta_a": (float, (0.0, 1.0), 0.1,
+              "idler-arm transmittance incl. detector efficiency, linear in [0,1]"),
+    "y0_alice": (float, (0.0, 1.0), 0.0,
+                 "heralding-detector dark-count probability per pulse, linear"),
+    "eta_db": (float, (0.0, math.inf), 0.0,
+               "total receiver-side loss incl. channel and detector, in dB"),
+    "y0_bob": (float, (0.0, 1.0), 0.0, "receiver dark-count probability per pulse, linear"),
+    "e_d": (float, (0.0, 1.0), 0.0, "intrinsic detection error rate, linear in [0,1]"),
+    "e0": (float, (0.0, 1.0), 0.5,
+           "dark-count error rate, linear (1/2 unless doing sensitivity studies)"),
+    "q": (float, (0.0, 1.0), 0.5, "sift factor, linear in (0,1]"),
+    "f": (float, (1.0, math.inf), 1.2, "error-correction inefficiency, >= 1"),
+    "u_alpha": (float, (0.0, math.inf), 5.0,
+                "standard deviations for the fluctuation analysis, >= 0"),
+    "n_pulses": (int, (1, math.inf), 1_000_000, "number of pulses sent (N)"),
+    "seed": (int, None, 0, "64-bit random seed"),
 }
 
 # keys of older configs, read in the range they had with a warning and ignored: the engine
@@ -69,24 +67,6 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object]] = {
 _RETIRED: dict[str, tuple[type, tuple[float, float], None]] = {
     "batch_size": (int, (1, math.inf), None),
     "basis_bias": (float, (0.5, 0.5), None),
-}
-
-
-#: Human documentation per config key; the CLI help reproduces this verbatim.
-KEY_DOCS: dict[str, str] = {
-    "mu0": "mean photon-pair number per pulse (dimensionless)",
-    "eta_s_db": "sender internal loss, source + encoder, in dB",
-    "eta_a": "idler-arm transmittance incl. detector efficiency, linear in [0,1]",
-    "y0_alice": "heralding-detector dark-count probability per pulse, linear",
-    "eta_db": "total receiver-side loss incl. channel and detector, in dB",
-    "y0_bob": "receiver dark-count probability per pulse, linear",
-    "e_d": "intrinsic detection error rate, linear in [0,1]",
-    "e0": "dark-count error rate, linear (1/2 unless doing sensitivity studies)",
-    "q": "sift factor, linear in (0,1]",
-    "f": "error-correction inefficiency, >= 1",
-    "u_alpha": "standard deviations for the fluctuation analysis, >= 0",
-    "n_pulses": "number of pulses sent (N)",
-    "seed": "64-bit random seed",
 }
 
 
@@ -101,7 +81,7 @@ class RunManifest:
             _validate_key(key, val)
         for key in (k for k in _RETIRED if k in self.values):
             print(f"warning: config key {key} is retired and ignored", file=sys.stderr)
-        merged = {k: self.values.get(k, default) for k, (_, _, default) in _SCHEMA.items()}
+        merged = {k: self.values.get(k, default) for k, (_, _, default, _) in _SCHEMA.items()}
         object.__setattr__(self, "values", merged)
 
     def __getitem__(self, key: str):
@@ -152,7 +132,7 @@ def _coerce(key: str, text: str):
 
 
 def _validate_key(key: str, value) -> None:
-    kind, bounds, _ = _entry(key)
+    kind, bounds = _entry(key)[:2]
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"key {key}: expected a number, got {value!r}")
     if kind is int and not float(value).is_integer():
@@ -164,22 +144,67 @@ def _validate_key(key: str, value) -> None:
             raise ConfigError(f"key {key}: value {value!r} out of range {rng}")
 
 
-def _read_lines(path: Path, error=DataFormatError) -> list[str]:
+def _read_lines(path, error=DataFormatError) -> list[str]:
     """The lines of a text file; an unreadable or non-UTF-8 file raises ``error``."""
     try:
-        return path.read_text().splitlines()
+        return Path(path).read_text().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise error(f"not a readable text file ({exc})", str(path)) from exc
 
 
+def _write_table(path, head: Sequence[str], records) -> None:
+    """Write the ``head`` lines, then each record's fields joined by commas, one line each;
+    an unwritable path raises :class:`DataFormatError` naming it."""
+    try:
+        with Path(path).open("w") as fh:
+            fh.writelines(f"{line}\n" for line in head)
+            fh.writelines(",".join(fields) + "\n" for fields in records)
+    except OSError as exc:
+        raise DataFormatError(f"not a writable file ({exc})", str(path)) from exc
+
+
+def _read_table(path, tag: str, what: str, header: str, parse, head=(), dtype=object):
+    """The matches of ``head``, the records and their line numbers, of a table file.
+
+    The file is the optional version ``tag``, a line per ``(pattern, name)`` of ``head``,
+    ``header`` exactly, then one record of comma-separated fields per line; blank lines are
+    skipped.  Record ``i`` is stored as ``parse(fields)`` at ``i`` in an array of ``dtype``.
+    Every error, a ValueError or OverflowError of ``parse`` too, names the file's line.
+    """
+    lines = _read_lines(path)
+    linenos = [n for n, line in enumerate(lines, 1) if line.strip()]  # non-blank lines, 1-based
+    first = lines[linenos[0] - 1] if linenos else ""
+    if first.startswith(tag.rpartition(":")[0] + ":"):
+        if first.strip() != tag:
+            raise DataFormatError(f"unsupported {what} version {first!r}", str(path), linenos[0])
+        del linenos[0]
+    matches = []
+    for pattern, name in (*head, (re.compile(re.escape(header)), f"{what} header")):
+        n = linenos.pop(0) if linenos else len(lines) + 1
+        text = lines[n - 1].strip() if n <= len(lines) else ""
+        matches.append(pattern.fullmatch(text))
+        if matches[-1] is None:
+            got = f": {text!r}" if text else ""
+            raise DataFormatError(f"missing or malformed {name}{got}", str(path), n)
+    n_fields = header.count(",") + 1
+    records = np.empty(len(linenos), dtype)
+    try:
+        for i, n in enumerate(linenos):
+            fields = lines[n - 1].split(",")
+            if len(fields) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(fields)}")
+            records[i] = parse(fields)
+    except (ValueError, OverflowError) as exc:
+        raise DataFormatError(str(exc), str(path), n) from exc
+    return matches[:-1], records, linenos
+
+
 def write_config(manifest: RunManifest, path) -> None:
-    lines = [_CONFIG_TAG] + [f"{key} = {_fmt(manifest.values[key])}" for key in _SCHEMA]
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_table(path, [_CONFIG_TAG] + [f"{key} = {manifest[key]!r}" for key in _SCHEMA], ())
 
 
 def read_config(path) -> RunManifest:
     """Parse a flat key-value config; ``#`` lines are comments, missing keys take defaults."""
-    path = Path(path)
     values: dict = {}
     for lineno, raw in enumerate(_read_lines(path, ConfigError), start=1):
         line = raw.strip()
@@ -199,70 +224,37 @@ def read_config(path) -> RunManifest:
     return RunManifest(values=values)
 
 
-def _skip_tag(lines: list[str], tag: str, what: str, path: Path) -> int:
-    """Index of the first line after the optional version tag ``tag``."""
-    if lines and lines[0].startswith(tag.rpartition(":")[0] + ":"):
-        if lines[0].strip() != tag:
-            raise DataFormatError(f"unsupported {what} version {lines[0]!r}", str(path), 1)
-        return 1
-    return 0
-
-
 _TALLY_FIELDS = [f.name for f in fields(Tally)]
 TALLY_HEADER = ",".join(_TALLY_FIELDS)
 
 
 def write_tally(tally: Tally, path) -> None:
     """Write a tally as a one-row CSV (tag line, header, counts)."""
-    row = ",".join(str(getattr(tally, name)) for name in _TALLY_FIELDS)
-    Path(path).write_text(f"{_TALLY_TAG}\n{TALLY_HEADER}\n{row}\n")
+    _write_table(path, [_TALLY_TAG, TALLY_HEADER],
+                 [[str(getattr(tally, name)) for name in _TALLY_FIELDS]])
 
 
 def read_tally(path) -> Tally:
-    path = Path(path)
-    lines = [l for l in _read_lines(path) if l.strip()]
-    pos = _skip_tag(lines, _TALLY_TAG, "tally", path)
-    if pos >= len(lines):
-        raise DataFormatError("missing tally header", str(path), pos + 1)
-    header = [h.strip() for h in lines[pos].split(",")]
-    unknown = set(header) - set(_TALLY_FIELDS)
-    missing = set(_TALLY_FIELDS) - set(header)
-    if unknown or missing:
-        parts = []
-        if unknown:
-            parts.append(f"unknown tally fields: {', '.join(sorted(unknown))}")
-        if missing:
-            parts.append(f"missing tally fields: {', '.join(sorted(missing))}")
-        raise DataFormatError("; ".join(parts), str(path), pos + 1)
-    pos += 1
-    if pos >= len(lines) or len(lines) > pos + 1:
-        raise DataFormatError("expected exactly one tally row", str(path), pos + 1)
-    parts = lines[pos].split(",")
-    if len(parts) != len(header):
-        raise DataFormatError(f"expected {len(header)} fields, got {len(parts)}",
-                              str(path), pos + 1)
-    try:
-        values = {name: int(text) for name, text in zip(header, parts)}
-    except ValueError as exc:
-        raise DataFormatError(str(exc), str(path), pos + 1) from exc
-    try:
-        return Tally(**values)
-    except ParameterError as exc:
-        raise DataFormatError(str(exc), str(path)) from exc
+    _, tallies, lines = _read_table(path, _TALLY_TAG, "tally", TALLY_HEADER,
+                                    lambda fields: Tally(*map(int, fields)))
+    if len(tallies) != 1:
+        raise DataFormatError("expected exactly one tally row", str(path),
+                              lines[1] if len(lines) > 1 else None)
+    return tallies[0]
 
 
-def _checked_events(log, path=None, first_line=None) -> EventLog:
+def _checked_events(log, path=None, lines=None) -> EventLog:
     """``log`` itself, once it is an :class:`EventLog` that a tally can be made of.
 
     Its rows must be ``EVENT_DTYPE`` with 0/1 flags and pulse ids that
     increase strictly and stay below ``n_pulses``, and no cell may hold more
     rows than pulses sent.  A bad record ``r`` of a file is reported on line
-    ``first_line + r``.
+    ``lines[r]``.
     """
     where = None if path is None else str(path)
 
     def fail(message, record=None):
-        line = None if record is None or first_line is None else first_line + record
+        line = None if record is None or lines is None else lines[record]
         raise DataFormatError(message if record is None else f"{message} at record {record}",
                               where, line)
 
@@ -291,30 +283,18 @@ def write_events(events: EventLog, path) -> None:
     """Write an event log as CSV: tag, per-cell sent counts, header, one line per detection."""
     log = _checked_events(events)
     sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, log.sent))
-    with Path(path).open("w") as fh:
-        fh.write(f"{_EVENTS_TAG}\n{sent}\n{EVENTS_HEADER}\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in log.rows.tolist())
+    _write_table(path, [_EVENTS_TAG, sent, EVENTS_HEADER],
+                 (map(str, row) for row in log.rows.tolist()))
 
 
 def read_events(path) -> EventLog:
     """Read a CSV event log back into a checked :class:`EventLog`."""
-    path = Path(path)
-    lines = _read_lines(path)
-    pos = _skip_tag(lines, _EVENTS_TAG, "event log", path)
-    sent = _SENT_LINE.fullmatch(lines[pos].strip()) if pos < len(lines) else None
-    if sent is None:
-        raise DataFormatError("missing or malformed sent-count line", str(path), pos + 1)
-    if pos + 1 >= len(lines) or lines[pos + 1].strip() != EVENTS_HEADER:
-        raise DataFormatError("missing or wrong event header", str(path), pos + 2)
-    pos += 2
-    rows = np.empty(len(lines) - pos, dtype=EVENT_DTYPE)
-    for i, line in enumerate(lines[pos:]):
-        try:  # a wrong field count is a ValueError of the assignment
-            rows[i] = tuple(int(p) for p in line.split(","))
-        except (ValueError, OverflowError) as exc:
-            raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
+    (sent,), rows, lines = _read_table(path, _EVENTS_TAG, "event log", EVENTS_HEADER,
+                                       lambda fields: tuple(map(int, fields)),
+                                       head=[(_SENT_LINE, "sent-count line")],
+                                       dtype=EVENT_DTYPE)
     log = EventLog(sent=tuple(int(n) for n in sent.groups()), rows=rows)
-    return _checked_events(log, path, first_line=pos + 1)
+    return _checked_events(log, path, lines)
 
 
 def tally_from_events(events: EventLog) -> Tally:
@@ -366,34 +346,15 @@ def write_results(rows: Sequence[ResultsRow], path) -> None:
     """Write a rate table as CSV at full double precision."""
     if not rows:
         raise ParameterError("results table must contain at least one row")
-    path = Path(path)
-    with path.open("w") as fh:
-        fh.write(_RESULTS_TAG + "\n")
-        fh.write(RESULTS_HEADER + "\n")
-        for row in rows:
-            vals = [str(int(getattr(row, name))) if name in _RESULTS_FLAGS
-                    else repr(float(getattr(row, name))) for name in _RESULTS_FIELDS]
-            fh.write(",".join(vals) + "\n")
+    _write_table(path, [_RESULTS_TAG, RESULTS_HEADER],
+                 ([str(int(getattr(row, name))) if name in _RESULTS_FLAGS
+                   else repr(float(getattr(row, name))) for name in _RESULTS_FIELDS]
+                  for row in rows))
 
 
 def read_results(path) -> list[ResultsRow]:
-    path = Path(path)
-    lines = _read_lines(path)
-    pos = _skip_tag(lines, _RESULTS_TAG, "results", path)
-    if pos >= len(lines) or lines[pos].strip() != RESULTS_HEADER:
-        raise DataFormatError("missing or wrong results header", str(path), pos + 1)
-    pos += 1
-    rows = []
-    n_cols = len(_RESULTS_FIELDS)
-    for i, line in enumerate(lines[pos:]):
-        parts = line.split(",")
-        if len(parts) != n_cols:
-            raise DataFormatError(f"expected {n_cols} fields, got {len(parts)}",
-                                  str(path), pos + i + 1)
-        try:
-            values = {name: bool(int(p)) if name in _RESULTS_FLAGS else float(p)
-                      for name, p in zip(_RESULTS_FIELDS, parts)}
-        except ValueError as exc:
-            raise DataFormatError(str(exc), str(path), pos + i + 1) from exc
-        rows.append(ResultsRow(**values))
-    return rows
+    _, rows, _ = _read_table(path, _RESULTS_TAG, "results", RESULTS_HEADER,
+                             lambda fields: ResultsRow(*(
+                                 bool(int(p)) if name in _RESULTS_FLAGS else float(p)
+                                 for name, p in zip(_RESULTS_FIELDS, fields))))
+    return rows.tolist()

@@ -362,6 +362,14 @@ class TestScanAndReproduce:
         assert code == 2 and stdout == "" and not out.exists()
         assert "must be finite" in err
 
+    def test_negative_grid_start_is_a_data_error(self, tmp_path, capsys):
+        # a loss below 0 dB is a gain, which db_to_linear rejects; the grid rejects it first
+        out = tmp_path / "grid.csv"
+        code, stdout, err = run_cli(capsys, "scan-loss", "--config", "paper50km", "--from=-1",
+                                    "--out", str(out))
+        assert code == 2 and stdout == "" and not out.exists()
+        assert "need 0 <= --from <= --to" in err
+
     # a point costs about 2 KB, so these would fill memory, or overflow, if they were built
     @pytest.mark.parametrize("step", ["1e-300", "5e-324", "0.0003"])
     def test_oversized_grid_is_a_data_error(self, tmp_path, capsys, step):
@@ -480,3 +488,36 @@ class TestHelp:
                                "--seed", "1")
         assert code == 3
         assert "singles" in err or "g2" in err
+
+
+# direct published rates, so that estimate reads no input file
+DIRECT = ["--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6", "--e-n", "0.0399",
+          "--e-t", "0.0306"]
+
+
+@pytest.mark.parametrize("credit", ["2", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("argv", [["estimate", *DIRECT], ["scan-loss"]],
+                         ids=["estimate", "scan-loss"])
+def test_vacuum_credit_outside_0_1_is_a_data_error(capsys, argv, credit):
+    # scan-loss runs on the default config, whose scan would exit 3 for want of errors to
+    # bound: the flag is checked first
+    code, stdout, err = run_cli(capsys, *argv, f"--vacuum-credit={credit}")
+    assert code == 2 and stdout == ""
+    assert err == ("error: --vacuum-credit must be 'calibrated', 'zero' or a rate in [0, 1], "
+                   f"got {credit!r}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pulses", "1000", "--out"],
+    ["simulate", "--pulses", "1000", "--events"],
+    ["estimate", *DIRECT, "--out"],
+    ["scan-loss", "--config", "paper50km", "--to", "1", "--out"],
+    ["reproduce", "fig4", "--out"],
+], ids=["simulate --out", "simulate --events", "estimate --out", "scan-loss --out",
+        "reproduce fig4 --out"])
+def test_unwritable_output_path_is_a_data_error(tmp_path, capsys, argv):
+    # the run completes; the file it cannot write is a fault of the data, not a traceback
+    path = tmp_path / "no-such-directory" / "out.csv"
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 2 and err.startswith(f"error: {path}: not a writable file")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err

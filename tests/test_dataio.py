@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from pdqkd.dataio import (EVENTS_HEADER, ResultsRow, RunManifest,
-                          read_config, read_events, read_results, read_tally,
+from pdqkd.dataio import (EVENTS_HEADER, RESULTS_HEADER, TALLY_HEADER, ResultsRow,
+                          RunManifest, read_config, read_events, read_results, read_tally,
                           tally_from_events, write_config, write_events,
                           write_results, write_tally)
 from pdqkd.errors import ConfigError, DataFormatError, ParameterError
-from pdqkd.event_sim import EVENT_DTYPE, EventLog, SimConfig, simulate_run
+from pdqkd.event_sim import EVENT_DTYPE, EventLog, SimConfig, Tally, simulate_run
 from pdqkd.presets import preset_manifest
 
 
@@ -263,4 +263,46 @@ def test_binary_file_is_a_format_error(tmp_path, reader, error):
     np.save(path, np.arange(10))
     with pytest.raises(error, match="not a readable text file") as info:
         reader(path)
+    assert info.value.path == str(path)
+
+
+@pytest.mark.parametrize("reader, writer, value", [
+    (read_tally, write_tally, Tally(n_pulses=10, sent_n_match=10, det_n_match=3, err_n=1)),
+    (read_events, write_events, EventLog(sent=(0, 10, 0, 0), rows=np.array(
+        [(1, 0, 0, 1, 0, 1, 0, 0), (4, 0, 1, 0, 1, 1, 0, 0), (6, 0, 0, 0, 0, 0, 1, 0)],
+        dtype=EVENT_DTYPE))),
+    (read_results, write_results, [TestResults._row(), TestResults._row(12.5)]),
+], ids=["tally", "events", "results"])
+def test_table_reader_policy(tmp_path, reader, writer, value):
+    path = tmp_path / "table.csv"
+    writer(value, path)
+    lines = path.read_text().splitlines()
+    # blank lines, whitespace-only ones too, read as if they were not there
+    path.write_text("\n \n".join(lines) + "\n\n\n")
+    assert reader(path) == value
+    # an error names the file's own line, also below a leading blank line
+    path.write_text("\n" + "\n".join(lines[:-1] + ["1,x"]) + "\n")
+    with pytest.raises(DataFormatError, match="expected") as info:
+        reader(path)
+    assert info.value.row == len(lines) + 1
+    # the header's fields in another order do not read, nor do the records under it (a
+    # tally read them until every table came to require its header exactly)
+    at = next(i for i, line in enumerate(lines)
+              if line in (TALLY_HEADER, EVENTS_HEADER, RESULTS_HEADER))
+    flipped = lines[:at] + [",".join(reversed(line.split(","))) for line in lines[at:]]
+    path.write_text("\n".join(flipped) + "\n")
+    with pytest.raises(DataFormatError, match="header") as info:
+        reader(path)
+    assert info.value.row == at + 1
+
+
+@pytest.mark.parametrize("writer, value", [
+    (write_config, RunManifest(values={})), (write_tally, Tally()),
+    (write_events, EventLog(sent=(0, 0, 0, 0), rows=np.empty(0, dtype=EVENT_DTYPE))),
+    (write_results, [TestResults._row()]),
+])
+def test_unwritable_path_is_a_format_error(tmp_path, writer, value):
+    path = tmp_path / "no-such-directory" / "out.csv"
+    with pytest.raises(DataFormatError, match="not a writable file") as info:
+        writer(value, path)
     assert info.value.path == str(path)

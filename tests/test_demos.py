@@ -1,7 +1,4 @@
-"""Smoke test of the narrative demos: each runs to completion against the current API.
-
-Demo 05 (about 15 s) is left to a manual run.
-"""
+"""Smoke test of the narrative demos: each runs to completion against the current API."""
 
 import os
 import subprocess
@@ -12,7 +9,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_photon_statistics.py", "02_heralded_source_and_gains.py",
-         "03_key_rate_and_loss_scan.py", "04_monte_carlo_validation.py"]
+         "03_key_rate_and_loss_scan.py", "04_monte_carlo_validation.py",
+         "05_virtual_experiments.py"]
 
 
 @pytest.mark.parametrize("demo", DEMOS)

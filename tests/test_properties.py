@@ -231,7 +231,7 @@ def test_asymptotic_bounds_hold_on_the_criterion_5_box(mu0, eta_s, eta_a, log_et
 def configs(draw):
     """A value for every config key, anywhere in its schema range (integers past 2**53 too)."""
     values = {}
-    for key, (kind, bounds, _) in _SCHEMA.items():
+    for key, (kind, bounds, _, _) in _SCHEMA.items():
         lo, hi = bounds or (-math.inf, math.inf)
         if kind is int:
             values[key] = draw(st.integers(int(lo) if math.isfinite(lo) else None,

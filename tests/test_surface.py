@@ -11,6 +11,7 @@ import argparse
 import inspect
 
 import pdqkd
+from pdqkd import dataio
 from pdqkd.cli import build_parser
 from pdqkd.dataio import _SCHEMA
 
@@ -62,3 +63,14 @@ def test_defaulted_public_parameter_count():
                       "multimode_thermal_pmf": 1, "poisson_pmf": 1, "scan_loss": 1,
                       "simulate_car": 1, "simulate_hbt": 2, "simulate_run": 1, "thermal_pmf": 1}
     assert sum(counts.values()) == 12
+
+
+def test_traced_dataio_parameter_names():
+    # perfbench's tracer binds these calls' arguments by name and reads args["events"] and
+    # args["path"], so a renamed parameter would quietly corrupt its per-layer metrics
+    names = {name: list(inspect.signature(getattr(dataio, name)).parameters)
+             for name in ("write_events", "read_events", "tally_from_events", "write_tally",
+                          "read_tally", "write_results")}
+    assert names == {"write_events": ["events", "path"], "read_events": ["path"],
+                     "tally_from_events": ["events"], "write_tally": ["tally", "path"],
+                     "read_tally": ["path"], "write_results": ["rows", "path"]}
