@@ -1,8 +1,9 @@
 """Pulse-level Monte Carlo against the closed forms, and determinism.
 
-Each pulse draws one uniform, a pure function of (seed, pulse index, slot),
-and reads its outcome from a table the run builds once, so a run is
-reproducible bit-for-bit regardless of how many workers run it.  At a scaled-up transmittance
+Each block of 2**20 pulses draws its counts in each cell of an outcome table
+the run builds once, then the places and cells of its clicked pulses, all a
+pure function of (seed, slot, block index), so a run is reproducible
+bit-for-bit regardless of how many workers run it.  At a scaled-up transmittance
 (10 dB total loss keeps desk-scale runs well-populated) the empirical gains,
 error rates and heralding fraction must sit within a few standard errors of
 the analytic model - this is the engine's acceptance contract.

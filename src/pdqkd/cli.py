@@ -3,8 +3,9 @@
 Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 ``calibrate``, ``reproduce``.  Every subcommand is deterministic given
 (config, overrides, seed); ``--workers``, taken by the Monte Carlo commands
-``simulate``, ``hbt`` and ``car``, spreads the engine's fixed batches over
-threads and never changes any output byte; no setting cuts a run up.
+``simulate``, ``hbt`` and ``car``, spreads the engine's fixed blocks over
+threads and never changes any output byte; no setting cuts a run up.  Every
+output path is checked before any run or scan starts.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 """
@@ -90,6 +91,16 @@ def _run_manifest(args) -> dataio.RunManifest:
     return manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
 
 
+def _check_writable(*paths) -> None:
+    """Raise :class:`DataFormatError` for an output path that cannot be written, before any
+    work starts; creates no file."""
+    for path in filter(None, paths):
+        p = Path(path)
+        if p.is_dir() or not p.parent.is_dir() or not os.access(
+                p if p.exists() else p.parent, os.W_OK):
+            raise DataFormatError("not a writable file", str(path))
+
+
 def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
     if spec == "calibrated":
         return manifest["y0_bob"]
@@ -119,6 +130,7 @@ def _print_keyrate(result, obs) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _check_writable(args.out, args.events)
     manifest = _run_manifest(args)
     config = manifest.to_sim_config()
     source = manifest.to_source_params()
@@ -162,6 +174,7 @@ def _observed_from_args(args, manifest) -> ObservedStats:
 
 
 def cmd_estimate(args) -> int:
+    _check_writable(args.out)
     manifest = load_manifest(args.config, args.set)
     obs = _observed_from_args(args, manifest)
     if args.calibrate_eta_a:
@@ -222,6 +235,7 @@ def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
 
 
 def cmd_scan_loss(args) -> int:
+    _check_writable(args.out)
     scan, rows = _scan(load_manifest(args.config, args.set),
                        _grid(args.loss_from, args.loss_to, args.step), args.vacuum_credit)
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "
@@ -313,6 +327,7 @@ def _reproduce_table() -> int:
 
 def _reproduce_fig(out: str) -> int:
     """The published curve: paper50km at 0..35 dB in 0.1 dB steps, without vacuum credit."""
+    _check_writable(out)
     scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, 0.1), "zero")
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
     print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")

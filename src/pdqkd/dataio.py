@@ -63,7 +63,7 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object, str]] = {
 }
 
 # keys of older configs, read in the range they had with a warning and ignored: the engine
-# cuts a run into fixed batches, and both bases are equally likely (no default)
+# cuts a run into fixed blocks, and both bases are equally likely (no default)
 _RETIRED: dict[str, tuple[type, tuple[float, float], None]] = {
     "batch_size": (int, (1, math.inf), None),
     "basis_bias": (float, (0.5, 0.5), None),

@@ -5,20 +5,24 @@ two virtual source-characterization experiments (intensity correlation at a
 beam splitter, and signal/idler coincidence counting).  Serves as the
 empirical oracle for the closed-form gain/QBER model.
 
-Each pulse ``i`` draws one uniform, a pure function of ``(seed, i, slot)``
-with one slot per engine (see :mod:`pdqkd.rng`), so results are
-bit-identical regardless of how a run is cut up or how many workers run it;
-cross-pulse quantities such as delayed coincidences recompute their
-neighbours' uniforms instead of carrying state across chunk boundaries.
-Batches of ``_BATCH`` pulses go to the worker threads; chunks of ``_CHUNK``
-pulses within them bound the working set and reuse one workspace per thread
-(:class:`_Workspace`).
+The run is cut into fixed blocks of ``_BLOCK`` pulses.  Block ``b`` of an
+engine's slot draws from its own generator, numpy's counter-based Philox keyed
+by ``(seed, slot)`` with its counter set to ``b << 192`` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11), in this order: the
+block's cell counts, one multinomial over the engine's outcome table; the
+places of its clicked pulses; the order of their cells.  So a pulse's outcome
+is a pure function of ``(seed, slot, pulse_id // _BLOCK)`` and of its block's
+size.  No value depends on the number of workers; a run of n pulses is a
+prefix of a longer run only up to its last whole block; and a change of
+``_BLOCK`` moves every value, as a change of seed does.  Whole blocks are the
+tasks of the thread pool, and a run's cost follows its blocks and its clicks,
+not its pulses.
 
 Sampling model per pulse.  Pulses are i.i.d. and no output needs a pulse's
 pair number, only its outcome, so each run sums the per-pair-number model
 over the truncated source pmf (its tail folded into ``n_max``) into one
-table of outcome cells, and inverts each pulse's uniform through that
-table's CDF.  Given ``n`` pairs, the model is:
+table of outcome cells, over which each block draws its multinomial.  Given
+``n`` pairs, the model is:
 
 - heralding click with probability ``1 - (1 - y0_alice)(1 - eta_a)^n``;
 - ``{0, 1, >=2}`` surviving photons at the receiver, each photon surviving
@@ -34,14 +38,14 @@ The gains of the table equal the closed forms of
 :func:`pdqkd.link_model.gains_analytic` up to the pmf's truncation, but its
 E_N and E_T sit slightly above them (0.041602 against 0.041597 for E_N at
 ``paper50km``): two or more surviving photons squash to a random bit here,
-where the closed forms keep ``e_d``.  The virtual experiments invert their
-uniform through a four-cell table of the two arms' clicks.
+where the closed forms keep ``e_d``.  The virtual experiments draw from a
+four-cell table of the two arms' clicks, and count the delayed coincidences
+that cross a block edge from the clicks within the largest delay of it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -51,14 +55,13 @@ from .decoy_estimator import KeyRateResult, ObservedStats, ProtocolParams, key_r
 from .errors import ParameterError, UndefinedRatioError
 from .link_model import LinkParams
 from .photon_source import PhotonNumberPmf, SourceParams, poisson_pmf
-from .rng import uniform_stream
 
-_SLOT_RUN, _SLOT_HBT, _SLOT_CAR = 0, 1, 2  # the one stream of each engine
+_SLOT_RUN, _SLOT_HBT, _SLOT_CAR = 0, 1, 2  # the generator key of each engine
 _CLICKED = 96  # clicked cells of a protocol pulse, the first cells of its outcome table
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
-# at half this size, two workers waited on each other for the GIL 4x as often
-_CHUNK = 65_536  # pulses per call of the batch code: 512 KiB per float64 array
-_BATCH = 1_000_000  # pulses per pool task: two workers still share a 2e6-pulse run
+# pulses per block; sets every value, as the seed does.  A block costs ~60 us however few
+# pulses click, and above 5 % clicks its choice permutes a block-long array (8 MiB)
+_BLOCK = 2**20
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -191,22 +194,6 @@ def count_tally(log: EventLog) -> Tally:
                  dark_detections=int(np.count_nonzero(rows["dark_origin"])))
 
 
-class _Workspace(threading.local):
-    """Arrays for a chunk plus its delayed pulses, made once per thread and reused."""
-
-    def __init__(self):
-        self.u = np.empty(_CHUNK + _HBT_MAX_DELAY)
-        self.scratch = np.empty_like(self.u, dtype=np.uint64)
-
-
-_WORKSPACE = _Workspace()
-
-
-def _draw(seed: int, slot: int, start: int, count: int) -> np.ndarray:
-    """The stream in ``_WORKSPACE.u``, until the next draw."""
-    return uniform_stream(seed, slot, start, count, out=_WORKSPACE.u, scratch=_WORKSPACE.scratch)
-
-
 def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
     """The pair counts of the support as floats, and their probabilities with the tail
     mass folded into ``n_max``."""
@@ -215,25 +202,29 @@ def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(pmf.n_max + 1, dtype=np.float64), w
 
 
-def _map_batches(work, merge, config: SimConfig, workers: int):
-    """Fold ``work(lo, hi)`` over the run's pulses with ``merge``.
-
-    ``_BATCH``-pulse batches go to ``workers`` threads, each running ``work`` on
-    ``_CHUNK``-pulse chunks.  ``merge`` folds a list of results in pulse order:
-    each batch's chunks, then the batches.
-    """
+def _map_blocks(work, config: SimConfig, workers: int) -> list:
+    """``work(lo, hi)`` of each ``_BLOCK``-pulse block ``lo..hi-1`` of the run, in pulse
+    order, run on ``workers`` threads."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-
-    def batch(lo, hi):
-        return merge([work(c, min(c + _CHUNK, hi)) for c in range(lo, hi, _CHUNK)])
-
-    los = range(0, config.n_pulses, _BATCH)
-    his = [min(lo + _BATCH, config.n_pulses) for lo in los]
+    los = range(0, config.n_pulses, _BLOCK)
+    his = [min(lo + _BLOCK, config.n_pulses) for lo in los]
     if workers == 1 or len(los) == 1:
-        return merge(list(map(batch, los, his)))
+        return list(map(work, los, his))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return merge(list(pool.map(batch, los, his)))
+        return list(pool.map(work, los, his))
+
+
+def _block(probs: np.ndarray, clicked: int, seed: int, slot: int, lo: int, hi: int):
+    """The draws of the block of pulses ``lo..hi-1``: its count in each cell of ``probs``,
+    the sorted places (offsets from ``lo``) of its pulses in the first ``clicked`` cells, and
+    the cell of each place."""
+    g = np.random.Generator(np.random.Philox(key=seed % 2**64 | slot << 64,
+                                             counter=(lo // _BLOCK) << 192))
+    counts = g.multinomial(hi - lo, probs)
+    # shuffle=False keeps choice on Floyd's algorithm up to 5 % clicks, not a block permutation
+    places = np.sort(g.choice(hi - lo, counts[:clicked].sum(), replace=False, shuffle=False))
+    return counts, places, g.permutation(np.repeat(np.arange(clicked), counts[:clicked]))
 
 
 def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
@@ -245,13 +236,12 @@ def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
 
 
 def _outcome_table(source: SourceParams, link: LinkParams):
-    """The outcome cells of one protocol pulse: their CDF edges, the event row of each
+    """The outcome cells of one protocol pulse: their probabilities, the event row of each
     clicked cell, and each clicked cell's index in :data:`CELLS`.
 
-    The ``_CLICKED`` clicked cells come first, so that their edges sit near 0, where
-    float64 is finest: trigger x Alice's basis x Bob's basis x {lone photon, double click,
-    dark click alone} x Alice's bit x Bob's bit.  The four no-click cells of :data:`CELLS`
-    follow, and the last edge is inf.
+    The ``_CLICKED`` clicked cells come first: trigger x Alice's basis x Bob's basis x
+    {lone photon, double click, dark click alone} x Alice's bit x Bob's bit.  The four
+    no-click cells of :data:`CELLS` follow.
     """
     n, w = _weights(poisson_pmf(source.mu0))
     no_trig, none, single = _pulse_tables(n, source, source.eta_s * link.eta)
@@ -264,27 +254,22 @@ def _outcome_table(source: SourceParams, link: LinkParams):
     # a lone photon keeps Alice's bit but for e_d (1/2 in mismatched bases); others are random
     flip = np.where((kind == 0) & match, link.e_d, 0.5)
     clicked = p[t, kind] / 8.0 * np.where(bit_a == bit_b, 1.0 - flip, flip)
-    edges = np.cumsum(np.concatenate([clicked, np.repeat(p[:, 3], 2) / 2.0]))
-    edges[-1] = np.inf
+    probs = np.maximum(np.concatenate([clicked, np.repeat(p[:, 3], 2) / 2.0]), 0.0)  # rounding
     rows = np.zeros(_CLICKED, dtype=EVENT_DTYPE)
     for name, col in (("triggered", t), ("alice_basis", basis_a), ("bob_basis", basis_b),
                       ("alice_bit", bit_a), ("bob_bit", bit_b),
                       ("dark_origin", kind == 2), ("double_click", kind == 1)):
         rows[name] = col
-    return edges, rows, 2 * t + match
+    return probs, rows, 2 * t + match
 
 
 def _run_batch(lo: int, hi: int, table, config: SimConfig):
-    """Per-cell sent counts and the event-log rows of pulses ``lo..hi-1``."""
-    edges, cell_rows, cell = table
-    u = _draw(config.seed, _SLOT_RUN, lo, hi - lo)
-    hits = np.flatnonzero(u < edges[_CLICKED - 1])
-    clicked = np.searchsorted(edges, u[hits], side="right")
-    rows = cell_rows[clicked]
-    rows["pulse_id"] = hits + lo
-    # the pulses below each no-click cell's upper edge, less those below its lower edge
-    below = [len(hits), *(np.count_nonzero(u < e) for e in edges[_CLICKED:-1]), hi - lo]
-    return np.bincount(cell[clicked], minlength=4) + np.diff(below), rows
+    """Per-cell sent counts and the event-log rows of the block of pulses ``lo..hi-1``."""
+    probs, cell_rows, cell = table
+    counts, places, cells = _block(probs, _CLICKED, config.seed, _SLOT_RUN, lo, hi)
+    rows = cell_rows[cells]
+    rows["pulse_id"] = places + lo
+    return np.bincount(cell[cells], minlength=4) + counts[_CLICKED:], rows
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
@@ -292,17 +277,15 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     """Simulate a protocol run; returns ``(count_tally(log), log)``.
 
     Pair numbers are Poisson of mean ``mu0``.  ``workers`` parallelizes over
-    batches without affecting any output value.
+    blocks without affecting any output value.
     """
     if link.e0 != 0.5:
         raise ParameterError(f"e0 must be 0.5 to simulate a run: a dark-only detection gets "
                              f"a uniformly random bit, got e0={link.e0!r}")
     table = _outcome_table(source, link)
-    sent, rows = _map_batches(
-        lambda lo, hi: _run_batch(lo, hi, table, config),
-        lambda parts: (sum(s for s, _ in parts), np.concatenate([r for _, r in parts])),
-        config, workers)
-    log = EventLog(sent=tuple(sent.tolist()), rows=rows)
+    parts = _map_blocks(lambda lo, hi: _run_batch(lo, hi, table, config), config, workers)
+    log = EventLog(sent=tuple(sum(s for s, _ in parts).tolist()),
+                   rows=np.concatenate([r for _, r in parts]))
     return count_tally(log), log
 
 
@@ -310,8 +293,9 @@ def _arm_cells(w: np.ndarray, silent_a, silent_b, silent_both) -> np.ndarray:
     """Probabilities of the cells ``[a alone | both | b alone | neither]`` of two click arms,
     summed with the pair-count weights ``w`` over the per-count probabilities that arm a,
     arm b and both arms stay silent."""
-    return np.stack([silent_b - silent_both, 1.0 - silent_a - silent_b + silent_both,
-                     silent_a - silent_both, silent_both]) @ w
+    cells = np.stack([silent_b - silent_both, 1.0 - silent_a - silent_b + silent_both,
+                      silent_a - silent_both, silent_both]) @ w
+    return np.maximum(cells, 0.0)  # rounding may dip a cell of probability 0 below it
 
 
 def _hbt_cells(pmf: PhotonNumberPmf, detector_eff: float) -> np.ndarray:
@@ -327,18 +311,6 @@ def _car_cells(source: SourceParams, signal_eff: float) -> np.ndarray:
     n, w = _weights(poisson_pmf(source.mu0))
     idler, signal, _ = _pulse_tables(n, source, source.eta_s * signal_eff)
     return _arm_cells(w, signal, idler, signal * idler)
-
-
-def _arm_clicks(cells: np.ndarray, seed: int, slot: int):
-    """``clicks`` for :func:`_coincidences` from one uniform per pulse: arm a clicks below
-    the second CDF edge of ``cells``, arm b between the first and the third."""
-    first, second, third = np.cumsum(cells)[:3].tolist()
-
-    def clicks(lo, hi):
-        u = _draw(seed, slot, lo, hi - lo)
-        return u < second, (u >= first) & (u < third)
-
-    return clicks
 
 
 @dataclass(frozen=True)
@@ -361,25 +333,41 @@ class HbtHistogram:
     car: float
 
 
-def _coincidences(clicks, config: SimConfig, max_delay: int, workers: int) -> list[int]:
-    """``[singles_a, singles_b, cc_0, .., cc_max_delay]`` of two click streams.
+def _coincidence_block(cells: np.ndarray, seed: int, slot: int, max_delay: int, lo: int,
+                       hi: int):
+    """``[singles_a, singles_b, cc_0, .., cc_max_delay]`` of the block of pulses ``lo..hi-1``,
+    with its arm-a places within ``max_delay`` of its end (as offsets from the end) and its
+    arm-b places within ``max_delay`` of its start.
 
-    ``clicks(lo, hi)`` returns the click masks ``(a, b)`` of pulses
-    ``lo..hi-1``; ``cc_k`` counts pulses ``i`` with ``a[i] & b[i + k]``.  Each
-    chunk recomputes the ``max_delay`` pulses past its end, so no count
-    depends on where a chunk or batch ends.
+    Arm a clicks in the cells ``[a alone | both]`` of ``cells``, arm b in ``[both | b alone]``;
+    ``cc_k`` counts the arm-a places ``p`` for which ``p + k`` is an arm-b place.
     """
-    n_total = config.n_pulses
+    _, places, cell = _block(cells, 3, seed, slot, lo, hi)  # all but "neither" clicked
+    size = hi - lo
+    a, b = places[cell < 2], places[cell > 0]
+    b_end = np.append(b, -1)  # b_end[len(b)], past every b-place, equals no a + k
+    cc = [np.count_nonzero(b_end[np.searchsorted(b, a + k)] == a + k)
+          for k in range(max_delay + 1)]
+    return np.array([len(a), len(b), *cc]), a[a >= size - max_delay] - size, b[b < max_delay]
 
-    def work(lo, hi):
-        a, b = clicks(lo, min(hi + max_delay, n_total))
-        counts = [np.count_nonzero(a[:hi - lo]), np.count_nonzero(b[:hi - lo])]
-        for k in range(max_delay + 1):
-            limit = max(min(hi, n_total - k) - lo, 0)
-            counts.append(np.count_nonzero(a[:limit] & b[k:limit + k]))
-        return counts
 
-    return _map_batches(work, lambda parts: [int(sum(c)) for c in zip(*parts)], config, workers)
+def _coincidences(cells: np.ndarray, slot: int, config: SimConfig, max_delay: int,
+                  workers: int) -> list[int]:
+    """``[singles_a, singles_b, cc_0, .., cc_max_delay]`` of a run drawn from the arm
+    ``cells``; ``cc_k`` counts pulses ``i`` with an arm-a click at ``i`` and an arm-b click at
+    ``i + k``.
+
+    Each block counts its own pairs; the pairs that cross the edge between two blocks are
+    added from the first block's last and the second's first ``max_delay`` pulses.  Only the
+    last block can be shorter than ``max_delay``, so no pair spans two edges.
+    """
+    parts = _map_blocks(lambda lo, hi: _coincidence_block(cells, config.seed, slot, max_delay,
+                                                          lo, hi), config, workers)
+    counts = sum(c for c, _, _ in parts)
+    for (_, tail, _), (_, _, head) in zip(parts, parts[1:]):
+        delays = np.subtract.outer(head, tail).ravel()
+        counts[2:] += np.bincount(delays[delays <= max_delay], minlength=max_delay + 1)
+    return counts.tolist()
 
 
 def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
@@ -397,8 +385,7 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
     if config.n_pulses <= _HBT_MAX_DELAY:
         raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
     cells = _hbt_cells(poisson_pmf(source.mu0) if pmf is None else pmf, detector_eff)
-    clicks = _arm_clicks(cells, config.seed, _SLOT_HBT)
-    n1, n2, *cc = _coincidences(clicks, config, _HBT_MAX_DELAY, workers)
+    n1, n2, *cc = _coincidences(cells, _SLOT_HBT, config, _HBT_MAX_DELAY, workers)
     if n1 == 0 or n2 == 0:
         raise UndefinedRatioError("no singles recorded on one arm; g2 undefined")
     if not any(cc[1:]):
@@ -448,8 +435,8 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
     """
     if not (0.0 < signal_eff <= 1.0):
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
-    clicks = _arm_clicks(_car_cells(source, signal_eff), config.seed, _SLOT_CAR)
-    _, _, coinc, acc = _coincidences(clicks, config, 1, workers)
+    _, _, coinc, acc = _coincidences(_car_cells(source, signal_eff), _SLOT_CAR, config, 1,
+                                     workers)
     if acc == 0:
         return CarResult(car=float(coinc), coincidences=coinc, accidentals=0,
                          is_lower_bound=True)

@@ -1,7 +1,7 @@
 """Slow series oracles that the closed forms of the library are checked against.
 
-They evaluate the defining sums term by term and live with the tests, apart
-from the code they check.  Import them as ``from oracles import ...``.
+They evaluate the defining sums term by term, or count pulse by pulse, and
+live with the tests, apart from the code they check.  Import them as ``from oracles import ...``.
 """
 
 import math
@@ -9,6 +9,7 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
+from pdqkd import event_sim
 from pdqkd.errors import ParameterError
 from pdqkd.link_model import LinkParams, yield_n
 from pdqkd.photon_source import SourceParams, joint_signal_pmf
@@ -57,3 +58,26 @@ def gain_series(source: SourceParams, link: LinkParams,
     i = np.arange(p_n.n_max + 1)
     y = yield_n(i, link)
     return p_n.probs * y, p_t.probs * y
+
+
+def dense_cells(probs: np.ndarray, clicked: int, seed: int, slot: int,
+                n_pulses: int) -> np.ndarray:
+    """Every pulse's cell of a run, rebuilt from the engine's block draws; a pulse in none of
+    the first ``clicked`` cells reads ``clicked``."""
+    cells = np.full(n_pulses, clicked)
+    for lo in range(0, n_pulses, event_sim._BLOCK):
+        hi = min(lo + event_sim._BLOCK, n_pulses)
+        _, places, block_cells = event_sim._block(probs, clicked, seed, slot, lo, hi)
+        cells[lo + places] = block_cells
+    return cells
+
+
+def dense_coincidences(arm_cells: np.ndarray, seed: int, slot: int, n_pulses: int,
+                       max_delay: int) -> list[int]:
+    """``[singles_a, singles_b, cc_0, .., cc_max_delay]`` of a run drawn from the cells
+    ``[a alone | both | b alone | neither]``, counted over per-pulse click masks with no
+    block edges: ``cc_k`` sums ``a[i] & b[i + k]``."""
+    cells = dense_cells(arm_cells, 3, seed, slot, n_pulses)
+    a, b = cells < 2, (cells == 1) | (cells == 2)
+    return [int(a.sum()), int(b.sum()),
+            *(int(np.count_nonzero(a[:n_pulses - k] & b[k:])) for k in range(max_delay + 1))]

@@ -265,7 +265,7 @@ class TestCriterion6PhotonStatistics:
 
 
 def test_criterion_7_worker_determinism(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(event_sim, "_BATCH", 100_000)  # 3 workers share 5 batches
+    monkeypatch.setattr(event_sim, "_BLOCK", 100_000)  # 3 workers share 5 blocks
     outputs = {}
     for workers in ("1", "3"):
         base = tmp_path / f"w{workers}"

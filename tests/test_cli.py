@@ -2,10 +2,12 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pdqkd import cli, event_sim
 from pdqkd.cli import main
 from pdqkd.dataio import (EVENTS_HEADER, TALLY_HEADER, read_results, read_tally,
                           write_events, write_tally)
@@ -50,15 +52,16 @@ class TestSimulate:
     def test_output_bytes_pinned(self, tmp_path, capsys):
         # digests of the tally and CSV event log; any change to a simulated value fails here
         # (both were re-pinned when each pulse came to draw one uniform, through the run's
-        # outcome table)
+        # outcome table, and again when each block came to draw its cell counts, then its
+        # clicked pulses)
         tally, events = tmp_path / "pin.tally", tmp_path / "pin.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config", "paper0km", "--pulses", "20000",
                              "--seed", "7", "--out", str(tally), "--events", str(events))
         assert code == 0
         assert hashlib.sha256(tally.read_bytes()).hexdigest() == (
-            "1938683d71f6e31c22f21af156d77675253210ab82f856b7226afdd086114bf1")
+            "34c1bdaaadf760309f2c0a9d9ece46383ba7f71f224556d9a954c62bba202351")
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
-            "3d8e1d7b7bad29d2e656ee49c4c192188d45d2f58dcbadabab2981d40ed7b590")
+            "d617c2bd8bce0bc1914987a5acbdc0f65ee116b07a584f194a25e6cd0cf661b3")
 
     def test_dark_count_error_other_than_half_is_a_usage_error(self, tmp_path, capsys):
         # the engine gives a dark-only detection a random bit, so it simulates e0 = 1/2 alone
@@ -270,22 +273,33 @@ class TestEstimate:
         assert code == 2
 
     def test_calibrate_eta_a_from_triggers(self, tmp_path, capsys):
-        tally_path = tmp_path / "t.csv"
+        # a simulated tally, whose trigger count may land on the preset's mean, and the same
+        # tally with its triggers doubled, whose calibrated eta_a cannot be the preset's
+        simulated, doubled = tmp_path / "t.csv", tmp_path / "doubled.csv"
         code, _, _ = run_cli(capsys, "simulate", "--config", "paper50km",
                              "--pulses", "400000", "--seed", "12",
-                             "--set", "eta_db=8.0", "--out", str(tally_path))
+                             "--set", "eta_db=8.0", "--out", str(simulated))
         assert code == 0
-        tally = read_tally(tally_path)
-        eta_a = calibrate_eta_a(tally.n_triggers / tally.n_pulses,
-                                preset_manifest("paper50km")["mu0"])
-        argv = ["estimate", "--config", "paper50km", "--tally", str(tally_path),
-                "--set", "u_alpha=0"]
-        code, cal_out, _ = run_cli(capsys, *argv, "--calibrate-eta-a")
-        assert code == 0
-        # the same as handing the calibrated eta_a over by hand, and not the preset's eta_a
-        _, set_out, _ = run_cli(capsys, *argv, "--set", f"eta_a={eta_a!r}")
-        _, preset_out, _ = run_cli(capsys, *argv)
-        assert cal_out == set_out != preset_out
+        tally = read_tally(simulated)
+        half = tally.n_triggers // 2
+        write_tally(replace(tally, sent_n_match=tally.sent_n_match - half,
+                            sent_n_mismatch=tally.sent_n_mismatch - half,
+                            sent_t_match=tally.sent_t_match + half,
+                            sent_t_mismatch=tally.sent_t_mismatch + half), doubled)
+        for path in (simulated, doubled):
+            triggers = read_tally(path).n_triggers
+            eta_a = calibrate_eta_a(triggers / tally.n_pulses,
+                                    preset_manifest("paper50km")["mu0"])
+            argv = ["estimate", "--config", "paper50km", "--tally", str(path),
+                    "--set", "u_alpha=0"]
+            code, cal_out, _ = run_cli(capsys, *argv, "--calibrate-eta-a")
+            assert code == 0
+            # the same as handing the calibrated eta_a over by hand
+            _, set_out, _ = run_cli(capsys, *argv, "--set", f"eta_a={eta_a!r}")
+            assert cal_out == set_out
+        assert triggers > 1.9 * tally.n_triggers
+        _, preset_out, _ = run_cli(capsys, *argv)  # the doubled tally at the preset's eta_a
+        assert cal_out != preset_out
 
     def test_calibrate_eta_a_without_triggers_fails(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km",
@@ -521,3 +535,25 @@ def test_unwritable_output_path_is_a_data_error(tmp_path, capsys, argv):
     code, _, err = run_cli(capsys, *argv, str(path))
     assert code == 2 and err.startswith(f"error: {path}: not a writable file")
     assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["simulate", "--pulses", "1000", "--out"], (event_sim, "simulate_run")),
+    (["simulate", "--pulses", "1000", "--out", "ok.tally", "--events"],
+     (event_sim, "simulate_run")),
+    (["estimate", *DIRECT, "--out"], (cli, "key_rate")),
+    (["scan-loss", "--config", "paper50km", "--to", "1", "--out"], (cli, "scan_loss")),
+    (["reproduce", "fig4", "--out"], (cli, "scan_loss")),
+], ids=["simulate --out", "simulate --events", "estimate --out", "scan-loss --out",
+        "reproduce fig4 --out"])
+def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch, argv, work):
+    # an unwritable path exits 2 before the run, estimate or scan starts, and leaves no file
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output paths were checked")
+
+    monkeypatch.setattr(*work, never)
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "no-such-directory" / "out.csv"
+    code, stdout, err = run_cli(capsys, *argv, str(path))
+    assert (code, stdout, err) == (2, "", f"error: {path}: not a writable file\n")
+    assert list(tmp_path.iterdir()) == []

@@ -5,16 +5,17 @@ import sys
 import threading
 import tracemalloc
 from dataclasses import fields, replace
-from unittest.mock import patch
 
 import numpy as np
 import pytest
+from oracles import dense_cells, dense_coincidences
+from scipy.stats import chi2
 
 from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
-from pdqkd.event_sim import (_CHUNK, EventLog, SimConfig, Tally, count_tally, end_to_end,
-                             simulate_car, simulate_hbt, simulate_run)
+from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, EventLog, SimConfig, Tally, count_tally,
+                             end_to_end, simulate_car, simulate_hbt, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import (SourceParams, calibrate_mu0_from_car,
                                  poisson_pmf, thermal_pmf)
@@ -77,14 +78,17 @@ class TestSimulateRun:
         expected = p_multi + (p_photon - p_multi) * link.y0
         assert pull(tally.double_clicks / tally.n_pulses, expected, config.n_pulses) < 4.0
 
-    def test_deterministic_across_workers_and_batching(self, source50, link50):
-        base = SimConfig(n_pulses=1_500_000, seed=5)
-        base_tally, base_log = simulate_run(source50, link50, base)
-        assert len(base_log) > 0
-        for workers, batch in ((4, 1_000_000), (2, 123_457), (3, 77_777)):
-            with patch.object(event_sim, "_BATCH", batch):
-                tally, log = simulate_run(source50, link50, base, workers=workers)
-            assert tally == base_tally and log == base_log
+    def test_deterministic_across_workers_and_batching(self, source50, link50, monkeypatch):
+        # the block size sets the values, as the seed does; the workers that share the
+        # blocks do not
+        config = SimConfig(n_pulses=1_500_000, seed=5)
+        for block in (event_sim._BLOCK, 123_457, 77_777):
+            monkeypatch.setattr(event_sim, "_BLOCK", block)
+            base_tally, base_log = simulate_run(source50, link50, config)
+            assert len(base_log) > 0
+            for workers in (2, 3, 4):
+                tally, log = simulate_run(source50, link50, config, workers=workers)
+                assert tally == base_tally and log == base_log
 
     def test_dark_count_error_other_than_half_is_rejected(self, source50):
         # a dark-only detection gets a uniformly random bit, which is e0 = 1/2 and no other
@@ -108,7 +112,7 @@ class TestSimulateRun:
 
 class TestTally:
     def test_merge_is_field_wise_sum(self):
-        # the engine folds its chunks by summing their sent counts and joining their rows;
+        # the engine folds its blocks by summing their sent counts and joining their rows;
         # the tally of the joined log is the field-wise sum of the parts' tallies
         source = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
         link = LinkParams(eta=0.5, y0=1e-2, e_d=0.05)
@@ -175,12 +179,11 @@ class TestHbt:
                 assert cc * norm * pairs_scale == pytest.approx(1.0, abs=0.06)
 
     def test_batch_independence(self, monkeypatch):
+        # 25 blocks on one worker or shared by three
         source = SourceParams(mu0=0.3, eta_s=1.0, eta_a=0.0)
         config = SimConfig(n_pulses=300_000, seed=4)
-        monkeypatch.setattr(event_sim, "_BATCH", 300_000)
-        a = simulate_hbt(source, 0.2, config)
-        monkeypatch.setattr(event_sim, "_BATCH", 12_345)
-        assert simulate_hbt(source, 0.2, config, workers=3) == a
+        monkeypatch.setattr(event_sim, "_BLOCK", 12_345)
+        assert simulate_hbt(source, 0.2, config, workers=3) == simulate_hbt(source, 0.2, config)
 
     def test_sigma_shrinks_with_counts(self):
         source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
@@ -219,12 +222,11 @@ class TestCar:
             assert not res.is_lower_bound
 
     def test_batch_independence(self, monkeypatch):
+        # 41 blocks on one worker or shared by four
         source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.2)
         config = SimConfig(n_pulses=400_000, seed=8)
-        monkeypatch.setattr(event_sim, "_BATCH", 400_000)
-        a = simulate_car(source, 0.2, config)
-        monkeypatch.setattr(event_sim, "_BATCH", 9_999)
-        assert simulate_car(source, 0.2, config, workers=4) == a
+        monkeypatch.setattr(event_sim, "_BLOCK", 9_999)
+        assert simulate_car(source, 0.2, config, workers=4) == simulate_car(source, 0.2, config)
 
 
 class TestEndToEnd:
@@ -262,46 +264,100 @@ class TestEndToEnd:
 
 
 class TestChunking:
-    """The engine works in chunks of ``_CHUNK`` pulses; no value may depend on their edges.
+    """The engine cuts a run into blocks of ``_BLOCK`` pulses; no count may depend on their edges.
 
-    A batch (``_BATCH``) of 7,777 pulses never reaches a chunk edge, so runs at that batch
-    size are the reference.  The sources are bright, so detections and delayed coincidences
-    fall on both sides of each of the three edges.
+    The oracles rebuild every pulse's cell from the same block draws and count the run pulse
+    by pulse, with no edges.  Blocks of 1,000 pulses put 196 edges in the run; blocks of
+    65,535, 65,537 and 65,541 pulses leave a last block of 20, 14 and 2 pulses, the last
+    shorter than the largest delay; one block of the whole run has no edge.  The sources are
+    bright, so detections and delayed coincidences fall on both sides of the edges.
     """
 
-    N = 3 * _CHUNK + 17
-    CONFIGS = [(batch, workers) for batch in (_CHUNK - 1, _CHUNK + 1, N) for workers in (1, 2)]
+    N = 196_625
+    BRIGHT = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
+    LINK = LinkParams(eta=0.5, y0=1e-3, e_d=0.02)
+    HBT_SOURCE = SourceParams(mu0=1.0, eta_s=1.0, eta_a=0.0)
+    CONFIGS = [(block, workers) for block in (1_000, 65_535, 65_537, 65_541, N)
+               for workers in (1, 2)]
 
-    @pytest.fixture(scope="class")
-    def reference(self):
-        with patch.object(event_sim, "_BATCH", 7_777):
-            return self._outputs(SimConfig(n_pulses=self.N, seed=31), workers=1)
-
-    @staticmethod
-    def _outputs(config: SimConfig, workers: int):
-        bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
-        hbt_source = SourceParams(mu0=1.0, eta_s=1.0, eta_a=0.0)
-        return (simulate_run(bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02), config,
+    def _outputs(self, workers: int):
+        config = SimConfig(n_pulses=self.N, seed=31)
+        return (simulate_run(self.BRIGHT, self.LINK, config, workers=workers),
+                simulate_hbt(self.HBT_SOURCE, 0.8, config, pmf=thermal_pmf(1.0),
                              workers=workers),
-                simulate_hbt(hbt_source, 0.8, config, pmf=thermal_pmf(1.0), workers=workers),
-                simulate_car(bright, 0.5, config, workers=workers))
+                simulate_car(self.BRIGHT, 0.5, config, workers=workers))
 
-    def test_reference_crosses_edges_with_events(self, reference):
-        (tally, _), hist, car = reference
+    def _dense(self, arm_cells, slot, max_delay):
+        return dense_coincidences(arm_cells, 31, slot, self.N, max_delay)
+
+    def test_reference_crosses_edges_with_events(self, monkeypatch):
+        monkeypatch.setattr(event_sim, "_BLOCK", 1_000)
+        (tally, _), hist, car = self._outputs(workers=1)
         assert tally.detections_n + tally.detections_t > 10_000
         assert min(hist.coincidences) > 5_000 and car.accidentals > 500
+        # pairs that cross an edge, at each delay of the histogram
+        cells = dense_cells(event_sim._hbt_cells(thermal_pmf(1.0), 0.8), 3, 31,
+                            event_sim._SLOT_HBT, self.N)
+        a, b = cells < 2, (cells == 1) | (cells == 2)
+        for k in range(1, 6):
+            assert sum(np.count_nonzero(a[e - k:e] & b[e:e + k])
+                       for e in range(1_000, self.N, 1_000)) > 0
 
-    @pytest.mark.parametrize("batch, workers", CONFIGS)
-    def test_outputs_independent_of_chunk_edges(self, reference, batch, workers, monkeypatch):
-        monkeypatch.setattr(event_sim, "_BATCH", batch)
-        assert self._outputs(SimConfig(n_pulses=self.N, seed=31), workers) == reference
+    @pytest.mark.parametrize("block, workers", CONFIGS)
+    def test_outputs_independent_of_chunk_edges(self, block, workers, monkeypatch):
+        monkeypatch.setattr(event_sim, "_BLOCK", block)
+        (tally, log), hist, car = self._outputs(workers)
+        probs, cell_rows, _ = event_sim._outcome_table(self.BRIGHT, self.LINK)
+        cells = dense_cells(probs, _CLICKED, 31, event_sim._SLOT_RUN, self.N)
+        clicked = np.flatnonzero(cells < _CLICKED)
+        want = cell_rows[cells[clicked]]
+        want["pulse_id"] = clicked
+        assert np.array_equal(log.rows, want) and sum(log.sent) == self.N
+        assert count_tally(log) == tally
+        n1, n2, *cc = self._dense(event_sim._hbt_cells(thermal_pmf(1.0), 0.8),
+                                  event_sim._SLOT_HBT, 5)
+        assert (hist.singles_1, hist.singles_2, hist.coincidences) == (
+            n1, n2, tuple(cc[abs(k)] for k in hist.delays))
+        _, _, coinc, acc = self._dense(event_sim._car_cells(self.BRIGHT, 0.5),
+                                       event_sim._SLOT_CAR, 1)
+        assert (car.coincidences, car.accidentals) == (coinc, acc)
+
+
+def test_cell_counts_of_a_1e10_pulse_run_fit_the_outcome_table(paper50km):
+    # One run at the paper's scale.  Each row is mapped back to its cell of the table, and the
+    # pulses sent per trigger/basis cell give the four no-click cells.  Cells expected to hold
+    # fewer than 5 pulses are pooled into one bin; the threshold, the chi-square quantile at
+    # p = 1e-6 for the bins left, depends on the table alone and is fixed before the run.
+    manifest = paper50km.manifest()
+    source, link = manifest.to_source_params(), manifest.to_link_params()
+    n = 10**10
+    probs, cell_rows, cell = event_sim._outcome_table(source, link)
+    expected = n * probs
+    small = expected < 5.0
+    threshold = chi2.isf(1e-6, np.count_nonzero(~small))  # bins: the large cells and the pool
+
+    _, log = simulate_run(source, link, SimConfig(n_pulses=n, seed=2026))
+    flags = EVENT_DTYPE.names[1:]
+
+    def key(rows):
+        return sum(rows[name].astype(np.int64) << i for i, name in enumerate(flags))
+
+    order = np.argsort(key(cell_rows))
+    clicked = order[np.searchsorted(key(cell_rows)[order], key(log.rows))]
+    assert np.array_equal(cell_rows[clicked][list(flags)], log.rows[list(flags)])
+    observed = np.concatenate([np.bincount(clicked, minlength=_CLICKED),
+                               np.array(log.sent) - np.bincount(cell[clicked], minlength=4)])
+    assert observed.sum() == n
+    bins_o = np.append(observed[~small], observed[small].sum())
+    bins_e = np.append(expected[~small], expected[small].sum())
+    assert np.sum((bins_o - bins_e) ** 2 / bins_e) < threshold
 
 
 def test_memory_does_not_grow_with_batch_size(paper50km):
-    # A 4e6-pulse batch once held ~156 MiB of whole-batch temporaries.  In chunks a run
-    # holds a few chunk-sized arrays (512 KiB each) and ~110 detection rows, about
-    # 2.4 MiB; 16 MiB, fixed before the run, leaves room for allocator and numpy growth
-    # while staying far below any whole-batch footprint (32 MB per 4e6-pulse array).
+    # A 4e6-pulse batch once held ~156 MiB of whole-batch temporaries.  A block draws only
+    # its cell counts and its clicked pulses, ~30 at 50 km, so a run holds a few KiB; 16 MiB,
+    # fixed before the run, leaves room for allocator and numpy growth while staying far
+    # below any whole-batch footprint (32 MB per 4e6-pulse array).
     manifest = paper50km.manifest()
     config = SimConfig(n_pulses=4_000_000, seed=7)
     tracemalloc.start()
@@ -314,13 +370,13 @@ def test_memory_does_not_grow_with_batch_size(paper50km):
 
 
 def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
-    # Every chunk-length 8-byte array (512 KiB) lives in the thread's reused workspace;
-    # a chunk allocates only its boolean masks (64 KiB each) and detection rows, 0.56 MiB
-    # at peak.  A threshold gathered into a fresh array instead would read 0.74 MiB.
+    # No array of a block's length is made: a block allocates its 100 cell counts, its
+    # clicked pulses' places and cells, and their rows.  One float64 array per pulse of a
+    # block would read 8 MiB, one boolean mask 1 MiB.
     manifest = paper50km.manifest()
     source, link = manifest.to_source_params(), manifest.to_link_params()
     config = SimConfig(n_pulses=4_000_000, seed=7)
-    simulate_run(source, link, replace(config, n_pulses=1_000))  # allocates the workspace
+    simulate_run(source, link, replace(config, n_pulses=1_000))  # one-off imports and caches
     tracemalloc.start()
     try:
         simulate_run(source, link, config)
@@ -330,20 +386,38 @@ def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
     assert peak < 0.65 * 2**20
 
 
+def test_virtual_experiments_allocate_no_block_length_arrays():
+    # The benchmark's sources: a thermal beam splitter with 1.5 % of its pulses clicking and
+    # a CAR run with 3.5 %.  A block holds its clicked places, a hash set to draw them and a
+    # few arrays of arm clicks, 0.55 and 1.4 MiB at peak; one float64 array per pulse of a
+    # block would add 8 MiB.
+    config = SimConfig(n_pulses=4_000_000, seed=7)
+    thermal = SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.0)
+    runs = (lambda: simulate_hbt(thermal, 0.15, config, pmf=thermal_pmf(0.1)),
+            lambda: simulate_car(SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.2), 0.2, config))
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
 def test_concurrent_runs_in_threads_reproduce_their_serial_results(source50, link50,
                                                                    monkeypatch):
-    # Each thread reuses its own workspace; a workspace shared across threads would mix
-    # the streams of the two runs.  Switching threads every 10 us interleaves their chunks.
+    # Each block makes its own generator; state shared across threads would mix the draws
+    # of the two runs.  Switching threads every 10 us interleaves their blocks.
     bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
-    jobs = [(source50, link50, SimConfig(n_pulses=3 * _CHUNK + 17, seed=5)),
-            (bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02),
-             SimConfig(n_pulses=2 * _CHUNK + 3, seed=6))]
+    jobs = [(source50, link50, SimConfig(n_pulses=196_625, seed=5)),
+            (bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02), SimConfig(n_pulses=131_075, seed=6))]
 
     def run(i):  # one run on the calling thread, one on two pool threads
         results[i] = simulate_run(*jobs[i], workers=1 + i)
 
-    for batch in (_CHUNK - 1, _CHUNK + 1):
-        monkeypatch.setattr(event_sim, "_BATCH", batch)
+    for block in (4_099, 65_537):
+        monkeypatch.setattr(event_sim, "_BLOCK", block)
         serial = [simulate_run(*job) for job in jobs]
         results = [None] * len(jobs)
         interval = sys.getswitchinterval()

@@ -16,13 +16,13 @@ from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_t
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
                                    key_rate, y1_lower)
 from pdqkd.errors import UnboundedErrorRate
-from pdqkd.event_sim import (_CLICKED, SimConfig, Tally, _arm_clicks, _car_cells, _hbt_cells,
-                             _outcome_table, _run_batch, simulate_run)
+from pdqkd.event_sim import (_BLOCK, _CLICKED, EVENT_DTYPE, SimConfig, Tally, _block,
+                             _car_cells, _coincidence_block, _hbt_cells, _outcome_table,
+                             _run_batch, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, error_n, gains_analytic, yield_n
 from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf, poisson_pmf,
                                  thermal_pmf)
 from pdqkd.presets import REFERENCE_RUNS
-from pdqkd.rng import uniform_stream
 
 # a bright, low-loss link, so that a few thousand pulses give many detections
 SOURCE = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
@@ -35,10 +35,10 @@ DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
 @given(n=st.integers(1, 3000), batch=st.integers(1, 3000),
        workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**64 - 1))
 def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed):
+    # blocks of ``batch`` pulses, on one worker or shared by several
     config = SimConfig(n_pulses=n, seed=seed)
-    with patch.object(event_sim, "_BATCH", n):
+    with patch.object(event_sim, "_BLOCK", batch):
         tally, log = simulate_run(SOURCE, LINK, config)
-    with patch.object(event_sim, "_BATCH", batch):
         again = simulate_run(SOURCE, LINK, config, workers=workers)
     assert again == (tally, log)
     assert tally_from_events(log) == tally
@@ -46,6 +46,18 @@ def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed
         path = Path(tmp) / "events.csv"
         write_events(log, path)
         assert read_events(path) == log
+
+
+@settings(DERANDOMIZED, max_examples=40)
+@given(n=st.integers(1, 3000), extra=st.integers(1, 3000), block=st.integers(1, 1000),
+       seed=st.integers(0, 2**64 - 1))
+def test_run_is_a_prefix_of_a_longer_run_up_to_its_last_whole_block(n, extra, block, seed):
+    with patch.object(event_sim, "_BLOCK", block):
+        _, short = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n, seed=seed))
+        _, longer = simulate_run(SOURCE, LINK, SimConfig(n_pulses=n + extra, seed=seed))
+    whole = n - n % block
+    assert np.array_equal(short.rows[short.rows["pulse_id"] < whole],
+                          longer.rows[longer.rows["pulse_id"] < whole])
 
 
 @st.composite
@@ -100,7 +112,7 @@ def test_key_rate_does_not_grow_with_u_alpha_or_f(gain_scale, qber_scale, n_puls
 
 @st.composite
 def pair_pmfs(draw):
-    """Poisson, thermal and multimode thermal pmfs, and pmfs with zero entries (tied CDF steps)."""
+    """Poisson, thermal and multimode thermal pmfs, and pmfs with zero entries."""
     mu = draw(st.floats(0.01, 10.0))
     kind = draw(st.sampled_from(["poisson", "thermal", "multimode", "zeros"]))
     if kind == "thermal":
@@ -118,18 +130,10 @@ def pair_pmfs(draw):
     return PhotonNumberPmf(probs, pmf.n_max, 1.0 - math.fsum(probs.tolist()))
 
 
-def edge_uniforms(edges: np.ndarray, seed: int) -> np.ndarray:
-    """Uniforms at 0, at 1 - 2**-53, at every CDF edge and both its float neighbours, and
-    20,000 from a stream."""
-    u = np.concatenate([[0.0, 1.0 - 2.0**-53], edges, np.nextafter(edges, 0.0),
-                        np.nextafter(edges, 1.0), uniform_stream(seed, 0, 0, 20_000)])
-    return u[(u >= 0.0) & (u < 1.0)]
-
-
 @st.composite
 def box_runs(draw):
     """A source and link in criterion 5's parameter box; no dark counts or no misalignment
-    give cells of zero probability, whose CDF edges tie."""
+    give cells of zero probability."""
     src = SourceParams(mu0=draw(st.floats(0.05, 4.0)), eta_s=draw(st.floats(0.002, 1.0)),
                        eta_a=draw(st.floats(0.005, 0.6)))
     link = LinkParams(eta=10.0**draw(st.floats(-4.0, 0.0)),
@@ -144,8 +148,8 @@ def test_outcome_table_gains_equal_the_closed_forms(run):
     # E_N and E_T are not compared: the table squashes two or more surviving photons to a
     # random bit where the closed forms keep e_d, so its QBERs sit slightly above them
     src, link = run
-    edges, rows, _ = _outcome_table(src, link)
-    cells = np.diff(edges[:-1], prepend=0.0).tolist() + [1.0 - edges[-2]]
+    probs, rows, _ = _outcome_table(src, link)
+    cells = probs.tolist()
     triggered = rows["triggered"] == 1
     clicked = np.array(cells[:_CLICKED])
     analytic = gains_analytic(src, link)
@@ -157,20 +161,28 @@ def test_outcome_table_gains_equal_the_closed_forms(run):
 
 
 @settings(DERANDOMIZED, max_examples=150)
-@given(run=box_runs(), seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 2**40))
-def test_cell_inversion_equals_searchsorted(run, seed, lo):
+@given(run=box_runs(), seed=st.integers(0, 2**64 - 1), block=st.integers(0, 2**40),
+       size=st.integers(1, 5000))
+def test_block_draws_fit_the_block_and_the_table(run, seed, block, size):
     table = _outcome_table(*run)
-    edges, cell_rows, cell = table
-    u = edge_uniforms(edges[:-1], seed)
-    with patch.object(event_sim, "_draw", lambda *_: u):
-        sent, rows = _run_batch(lo, lo + len(u), table, SimConfig(n_pulses=lo + len(u)))
-    oracle = np.searchsorted(edges[:-1], u, side="right")
-    hit = oracle < _CLICKED
-    want = cell_rows[oracle[hit]]
-    want["pulse_id"] = np.flatnonzero(hit) + lo
-    assert np.array_equal(rows, want)
-    cells = np.concatenate([cell, [0, 1, 2, 3]])  # the no-click cells follow CELLS
-    assert sent.tolist() == np.bincount(cells[oracle], minlength=4).tolist()
+    probs, cell_rows, cell = table
+    lo = block * _BLOCK
+    counts, places, cells = _block(probs, _CLICKED, seed, 0, lo, lo + size)
+    assert counts.sum() == size
+    # the places are distinct, sorted and inside the block, one per clicked pulse
+    assert np.all(np.diff(places) > 0) and np.all((0 <= places) & (places < size))
+    assert np.bincount(cells, minlength=_CLICKED).tolist() == counts[:_CLICKED].tolist()
+    sent, rows = _run_batch(lo, lo + size, table, SimConfig(n_pulses=lo + size, seed=seed))
+    assert rows["pulse_id"].tolist() == (places + lo).tolist()
+    # each row reads back to its own cell of the table, and to its trigger/basis cell
+    flags = list(EVENT_DTYPE.names[1:])
+    table_rows = {tuple(r): i for i, r in enumerate(cell_rows[flags].tolist())}
+    assert len(table_rows) == _CLICKED
+    assert [table_rows[tuple(r)] for r in rows[flags].tolist()] == cells.tolist()
+    matched = rows["alice_basis"] == rows["bob_basis"]
+    assert np.array_equal(cell[cells], 2 * rows["triggered"] + matched)
+    assert sent.tolist() == (np.bincount(cell[cells], minlength=4)
+                             + counts[_CLICKED:]).tolist()
 
 
 @settings(DERANDOMIZED, max_examples=100)
@@ -183,13 +195,12 @@ def test_hbt_table_and_its_inversion(pmf, eff, seed):
     assert abs(cells.sum() - 1.0) <= 2e-12  # the pmf's balance, 1e-12, plus rounding
     assert abs(cells[2] + cells[3] - silent) <= tol  # arm a: silent alone in b and neither
     assert abs(cells[0] + cells[3] - silent) <= tol
-    # arm a clicks in cells [a alone | both], arm b in [both | b alone]
-    edges = np.cumsum(cells)[:3]
-    u = edge_uniforms(edges, seed)
-    with patch.object(event_sim, "_draw", lambda *_: u):
-        a, b = _arm_clicks(cells, seed, 0)(0, len(u))
-    oracle = np.searchsorted(edges, u, side="right")
-    assert np.array_equal(a, oracle <= 1) and np.array_equal(b, (oracle == 1) | (oracle == 2))
+    # one block: arm a clicks in cells [a alone | both], arm b in [both | b alone]
+    counts, _, _ = _block(cells, 3, seed, 0, 0, 5000)
+    singles_a, singles_b, cc_0, *_ = _coincidence_block(cells, seed, 0, 1, 0, 5000)[0]
+    assert counts.sum() == 5000
+    assert (singles_a, singles_b, cc_0) == (counts[0] + counts[1], counts[1] + counts[2],
+                                             counts[1])
 
 
 @settings(DERANDOMIZED, max_examples=100)

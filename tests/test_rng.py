@@ -1,88 +1,62 @@
-"""Determinism and statistical sanity of the counter-based streams."""
+"""The engine's random draws: numpy's Philox against its published test vector, and the
+generator of each block, keyed by seed and slot with the block's index in its counter."""
 
 import numpy as np
-import pytest
+from numpy.random import Generator, Philox
+from oracles import dense_cells
 
-from pdqkd.rng import stream_salt, uniform_stream
+from pdqkd.event_sim import _BLOCK, _block
 
-MASK = (1 << 64) - 1
-ORACLE_IDS = (0, 1, 2**32, 2**63 + 5, 2**64 - 1)
-
-
-def splitmix_reference(seed: int, slot: int, pulse_id: int) -> int:
-    """Plain-int splitmix64: golden-gamma counter plus the stream salt, two finalizer rounds."""
-    z = (pulse_id * 0x9E3779B97F4A7C15 + stream_salt(seed, slot)) & MASK
-    for _ in range(2):
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
-        z ^= z >> 31
-    return z
+# four cells, the first three of them clicked
+CELLS = np.array([0.1, 0.05, 0.1, 0.75])
 
 
-@pytest.mark.parametrize("seed, slot", [(0, 0), (901, 5), (2**64 - 1, 8)])
-def test_values_match_plain_int_splitmix(seed, slot):
-    def unit(pulse_id):
-        return (splitmix_reference(seed, slot, pulse_id) >> 11) / 2**53
-
-    for pulse_id in ORACLE_IDS:
-        assert float(uniform_stream(seed, slot, pulse_id, 1)[0]) == unit(pulse_id)
-    # whole ranges, across the wrap of the 64-bit ids too, give the values of single ids
-    assert uniform_stream(seed, slot, 0, 3).tolist() == [unit(i) for i in range(3)]
-    assert uniform_stream(seed, slot, 2**64 - 2, 2).tolist() == [unit(i) for i in (2**64 - 2,
-                                                                                   2**64 - 1)]
+def test_philox4x64_10_known_answer():
+    # Random123's philox4x64-10 vector for key 0 and counter 0; numpy's Philox steps its
+    # counter before the first output, so the counter starts one below 0
+    assert Philox(key=0, counter=2**256 - 1).random_raw(4).tolist() == [
+        0x16554d9eca36314c, 0xdb20fe9d672d0fdc, 0xd7e772cee186176b, 0x7e68b68aec7ba23b]
 
 
 def test_stream_is_batch_independent():
-    full = uniform_stream(seed=123, slot=2, start=0, count=1000)
-    head = uniform_stream(seed=123, slot=2, start=0, count=400)
-    tail = uniform_stream(seed=123, slot=2, start=400, count=600)
-    assert np.array_equal(full, np.concatenate([head, tail]))
+    # every block reads its own window of the one Philox stream of (seed, slot): the stream
+    # advanced by the block's index times 2**192 counter steps, whatever the run around it
+    seed, slot, index, size = 2**64 + 901, 2, 5, 3000
+    g = Generator(Philox(key=901 | 2 << 64).advance(index << 192))
+    counts = g.multinomial(size, CELLS)
+    places = np.sort(g.choice(size, counts[:3].sum(), replace=False, shuffle=False))
+    cells = g.permutation(np.repeat(np.arange(3), counts[:3]))
+    got = _block(CELLS, 3, seed, slot, index * _BLOCK, index * _BLOCK + size)
+    assert all(np.array_equal(x, y) for x, y in zip(got, (counts, places, cells)))
 
 
 def test_seeds_and_slots_give_distinct_streams():
-    a = uniform_stream(seed=1, slot=0, start=0, count=64)
-    b = uniform_stream(seed=2, slot=0, start=0, count=64)
-    c = uniform_stream(seed=1, slot=1, start=0, count=64)
-    assert not np.array_equal(a, b)
-    assert not np.array_equal(a, c)
-    assert stream_salt(1, 0) != stream_salt(1, 1) != stream_salt(2, 0)
+    def places(seed, slot, index=0):
+        return _block(CELLS, 3, seed, slot, index * _BLOCK, index * _BLOCK + 1000)[1].tolist()
+
+    draws = [places(1, 0), places(2, 0), places(1, 1), places(1, 0, index=1),
+             places(2**64 - 1, 0), places(-1, 0)]
+    assert draws[4] == draws[5]  # the seed is taken modulo 2**64
+    assert len({tuple(d) for d in draws[:5]}) == 5
 
 
 def test_uniformity_and_range():
-    u = uniform_stream(seed=7, slot=3, start=0, count=200_000)
-    assert np.all((0.0 <= u) & (u < 1.0))
-    # moment checks at ~5 sigma of the exact binomial/variance scales
-    assert abs(u.mean() - 0.5) < 5 * (1 / 12) ** 0.5 / 200_000 ** 0.5
-    hist, _ = np.histogram(u, bins=16, range=(0.0, 1.0))
-    expected = 200_000 / 16
+    # the clicked pulses of a block are spread evenly over it: 25 % of 2**20 pulses
+    counts, places, cells = _block(CELLS, 3, 7, 3, 0, _BLOCK)
+    assert len(places) == len(cells) == counts[:3].sum()
+    assert places.min() >= 0 and places.max() < _BLOCK
+    expected = counts[:3].sum() / 16
+    hist, _ = np.histogram(places, bins=16, range=(0, _BLOCK))
     assert np.all(np.abs(hist - expected) < 5 * expected ** 0.5)
+    # and the cells over the places: each cell's pulses fall evenly in both halves
+    for c in range(3):
+        first = np.count_nonzero(places[cells == c] < _BLOCK // 2)
+        assert abs(first - counts[c] / 2) < 5 * (counts[c] / 4) ** 0.5
 
 
 def test_adjacent_slots_uncorrelated():
     n = 100_000
-    a = uniform_stream(seed=11, slot=7, start=0, count=n)
-    b = uniform_stream(seed=11, slot=8, start=0, count=n)
+    a = dense_cells(CELLS, 3, 11, 1, n) < 3
+    b = dense_cells(CELLS, 3, 11, 2, n) < 3
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 5 / n ** 0.5
-
-
-def test_stream_uses_53_bits():
-    bits = (uniform_stream(seed=3, slot=0, start=0, count=4096) * 2**53).astype(np.uint64)
-    assert np.all(bits < 2**53)
-    # the top bits and the lowest bit must actually vary
-    assert len(np.unique(bits >> np.uint64(45))) > 100
-    assert len(np.unique(bits & np.uint64(1))) == 2
-
-
-@pytest.mark.parametrize("start", [0, 2**32 - 1, 2**63 + 5, 2**64 - 1000])
-@pytest.mark.parametrize("spare", [0, 37])
-def test_stream_into_buffers_matches_oracle(start, spare):
-    count = 1000
-    buf = np.full(count + spare, np.nan)
-    scratch = np.empty(count + spare, dtype=np.uint64)
-    got = uniform_stream(77, 4, start, count, out=buf, scratch=scratch)
-    assert got.base is buf and len(got) == count  # the values land in buf, nothing else
-    picks = [0, 1, count - 1]
-    assert got[picks].tolist() == [(splitmix_reference(77, 4, (start + i) & MASK) >> 11) / 2**53
-                                   for i in picks]
-    assert np.isnan(buf[count:]).all()  # entries past count are left alone
