@@ -32,7 +32,7 @@ print(f"  eta_a   = -ln(1 - N_A/N) / mu0 = {calibrate_eta_a(trigger_rate, source
 
 print("\nconditional photon-number laws (per-branch, sub-normalized):")
 p_n = joint_signal_pmf(source, "N")
-p_t = joint_signal_pmf(source, "T", n_max=p_n.n_max)
+p_t = joint_signal_pmf(source, "T")
 print(f"  P(no trigger) = {p_n.norm:.4f},  P(trigger) = {p_t.norm:.4f}")
 print(f"  conditional mean photons | N : {p_n.mean():.6f}")
 print(f"  conditional mean photons | T : {p_t.mean():.6f}")

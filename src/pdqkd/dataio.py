@@ -87,10 +87,10 @@ class RunManifest:
     def __getitem__(self, key: str):
         return self.values[key]
 
-    def with_overrides(self, overrides: dict) -> "RunManifest":
+    def with_overrides(self, overrides: dict[str, str]) -> "RunManifest":
         vals = dict(self.values)
         for key, raw in overrides.items():
-            vals[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+            vals[key] = _coerce(key, raw)
         return RunManifest(values=vals)
 
     def to_source_params(self) -> SourceParams:
@@ -133,8 +133,9 @@ def _coerce(key: str, text: str):
 
 def _validate_key(key: str, value) -> None:
     kind, bounds = _entry(key)[:2]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"key {key}: expected a number, got {value!r}")
+    if (not isinstance(value, (int, float)) or isinstance(value, bool)
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"key {key}: expected a finite number, got {value!r}")
     if kind is int and not float(value).is_integer():
         raise ConfigError(f"key {key}: expected an integer, got {value!r}")
     if bounds is not None:

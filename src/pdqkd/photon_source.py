@@ -16,7 +16,7 @@ probability vector with explicit tail accounting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
@@ -101,7 +101,6 @@ class PhotonNumberPmf:
     n_max: int
     tail_mass: float
     norm: float = 1.0
-    _ns: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
@@ -119,9 +118,6 @@ class PhotonNumberPmf:
         if abs(balance - self.norm) > _PMF_BALANCE_TOL:
             raise ParameterError(
                 f"pmf mass {balance!r} does not balance norm {self.norm!r} within {_PMF_BALANCE_TOL}")
-        ns = np.arange(self.n_max + 1, dtype=np.float64)
-        ns.setflags(write=False)
-        object.__setattr__(self, "_ns", ns)
 
     @property
     def support_mass(self) -> float:
@@ -133,86 +129,70 @@ class PhotonNumberPmf:
         mass = self.support_mass
         if mass <= 0.0:
             raise UndefinedRatioError("pmf has zero mass on its support")
-        return float(self._ns @ self.probs) / mass
+        return float(np.arange(self.n_max + 1, dtype=np.float64) @ self.probs) / mass
 
     def second_factorial_moment(self) -> float:
         """<n(n-1)> conditional on the truncated support."""
         mass = self.support_mass
         if mass <= 0.0:
             raise UndefinedRatioError("pmf has zero mass on its support")
-        return float((self._ns * (self._ns - 1.0)) @ self.probs) / mass
+        ns = np.arange(self.n_max + 1, dtype=np.float64)
+        return float((ns * (ns - 1.0)) @ self.probs) / mass
 
 
-def _pmf(mu: float, n_max: int | None, make) -> PhotonNumberPmf:
-    """``make(n_max)`` for ``mu > 0``, the point mass at 0 for ``mu == 0``.
-
-    Checks ``mu`` and, when given, ``n_max`` (``None`` leaves the order to ``make``).
-    """
+def _pmf(mu: float, make) -> PhotonNumberPmf:
+    """``make()`` for ``mu > 0``, the point mass at 0 for ``mu == 0``; checks ``mu``."""
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
-    if n_max is not None:
-        n_max = int(n_max)
-        if n_max < 0:
-            raise ParameterError("n_max must be non-negative")
-        if n_max > MAX_N_CAP:
-            raise TruncationError(f"n_max {n_max} exceeds the cap {MAX_N_CAP}")
-    if mu > 0.0:
-        return make(n_max)
-    probs = np.zeros((n_max or 0) + 1)
-    probs[0] = 1.0
-    return PhotonNumberPmf(probs, len(probs) - 1, 0.0)
+    return make() if mu > 0.0 else PhotonNumberPmf(np.ones(1), 0, 0.0)
 
 
-def _summed(body, n_max: int | None, name: str, start: int = 8) -> PhotonNumberPmf:
-    """The pmf ``body(n)`` on ``0..n_max``, its tail the missing mass.
-
-    ``n_max=None`` takes the first order, probing by doubling from ``start`` up to
-    MAX_N_CAP, whose tail is below ``DEFAULT_TAIL_CUTOFF``.
-    """
-    n = n_max
-    if n is None:
-        n = start
-        while n < MAX_N_CAP and 1.0 - math.fsum(body(n).tolist()) > DEFAULT_TAIL_CUTOFF:
-            n = min(2 * n, MAX_N_CAP)
-    probs = body(n)
-    tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
-    if n_max is None and tail > DEFAULT_TAIL_CUTOFF:
-        raise TruncationError(
-            f"{name} tail {tail:g} above cutoff {DEFAULT_TAIL_CUTOFF:g} at n_max={n}")
-    return PhotonNumberPmf(probs, n, tail)
+def _summed(body, name: str, start: int = 8) -> PhotonNumberPmf:
+    """The pmf ``body(n)`` on ``0..n``, its tail the missing mass, at the first ``n`` of
+    ``start, 2 start, 4 start, ..`` (capped at MAX_N_CAP) whose tail is within the cutoff."""
+    n = start
+    while True:
+        probs = body(n)
+        tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
+        if tail <= DEFAULT_TAIL_CUTOFF:
+            return PhotonNumberPmf(probs, n, tail)
+        if n == MAX_N_CAP:
+            raise TruncationError(f"{name} tail {tail:g} above cutoff "
+                                  f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
+        n = min(2 * n, MAX_N_CAP)
 
 
-def poisson_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
+def poisson_pmf(mu: float) -> PhotonNumberPmf:
     """Poisson photon-number distribution p[n] = mu^n e^-mu / n!.
 
-    ``n_max=None`` selects the smallest truncation order whose tail is below
-    ``DEFAULT_TAIL_CUTOFF`` (capped at MAX_N_CAP).
+    The truncation order is the first of 8, 16, 32, .. (capped at MAX_N_CAP) whose
+    tail is at most ``DEFAULT_TAIL_CUTOFF``, so ``poisson_pmf(2.329).n_max`` is 32.
     """
     def body(n):
         k = np.arange(n + 1, dtype=np.float64)
         return np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
 
-    return _pmf(mu, n_max, lambda n: _summed(body, n, "poisson"))
+    return _pmf(mu, lambda: _summed(body, "poisson"))
 
 
-def thermal_pmf(mu: float, n_max: int | None = None) -> PhotonNumberPmf:
+def thermal_pmf(mu: float) -> PhotonNumberPmf:
     """Single-mode thermal (Bose-Einstein) distribution p[n] = mu^n / (1+mu)^(n+1)."""
-    def make(n):
+    def make():
         ratio = mu / (1.0 + mu)
-        if n is None:
-            # geometric tail is exactly ratio^(n+1)
-            n = math.ceil(math.log(DEFAULT_TAIL_CUTOFF) / math.log(ratio)) - 1
-            n = min(MAX_N_CAP, max(8, n))
-            if ratio ** (n + 1) > DEFAULT_TAIL_CUTOFF:
-                raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
-                                      f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
+        # the geometric tail is exactly ratio^(n+1): the smallest order >= 8 within the cutoff
+        n = (math.ceil(math.log(DEFAULT_TAIL_CUTOFF) / math.log(ratio)) - 1 if ratio < 1.0
+             else MAX_N_CAP)  # mu so large that mu/(1+mu) rounds to 1
+        n = min(MAX_N_CAP, max(8, n))
+        if ratio ** (n + 1) > DEFAULT_TAIL_CUTOFF:
+            raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
+                                  f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
         k = np.arange(n + 1, dtype=np.float64)
         return PhotonNumberPmf(np.exp(k * math.log(ratio)) / (1.0 + mu), n, ratio ** (n + 1))
 
-    return _pmf(mu, n_max, make)
+    return _pmf(mu, make)
 
 
-def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> PhotonNumberPmf:
+def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
     """K-fold convolution of thermal modes carrying mu/K each (negative binomial).
 
     Models a pump pulse spanning ``k_modes`` independent temporal modes; the
@@ -222,7 +202,7 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> 
     if not isinstance(k_modes, (int, np.integer)) or k_modes < 1:
         raise ParameterError(f"k_modes must be a positive integer, got {k_modes!r}")
     if k_modes == 1:
-        return thermal_pmf(mu, n_max)
+        return thermal_pmf(mu)
 
     def body(n):
         theta = mu / k_modes
@@ -231,10 +211,10 @@ def multimode_thermal_pmf(mu: float, k_modes: int, n_max: int | None = None) -> 
         return np.exp(gammaln(k + k_modes) - gammaln(k + 1.0) - gammaln(k_modes)
                       + k * log_p + k_modes * log_q)
 
-    return _pmf(mu, n_max, lambda n: _summed(body, n, "multimode", start=16))
+    return _pmf(mu, lambda: _summed(body, "multimode", start=16))
 
 
-def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None) -> PhotonNumberPmf:
+def joint_signal_pmf(s: SourceParams, outcome: str) -> PhotonNumberPmf:
     """Joint law of (heralding outcome, i photons entering the channel).
 
     ``outcome`` is ``"N"`` (no trigger) or ``"T"`` (trigger).  The result is
@@ -248,7 +228,7 @@ def joint_signal_pmf(s: SourceParams, outcome: str, n_max: int | None = None) ->
     """
     if outcome not in ("N", "T"):
         raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
-    marginal = poisson_pmf(s.mu, n_max)
+    marginal = poisson_pmf(s.mu)
     # heralding leakage from signal photons lost inside Alice
     leak = math.exp(-(s.mu0 - s.mu) * s.eta_a)
     k = np.arange(marginal.n_max + 1, dtype=np.float64)

@@ -46,15 +46,14 @@ def joint_signal_pmf_series(s: SourceParams, outcome: str, n_max: int) -> np.nda
     return out
 
 
-def gain_series(source: SourceParams, link: LinkParams,
-                n_max: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def gain_series(source: SourceParams, link: LinkParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-photon-number gain terms ``(Q_N_i, Q_T_i) = (P_N(i) Y_i, P_T(i) Y_i)``.
 
     Partial sums converge to the closed-form overall gains; used as the
     series oracle for :func:`gains_analytic`.
     """
-    p_n = joint_signal_pmf(source, "N", n_max)
-    p_t = joint_signal_pmf(source, "T", n_max)
+    p_n = joint_signal_pmf(source, "N")
+    p_t = joint_signal_pmf(source, "T")
     i = np.arange(p_n.n_max + 1)
     y = yield_n(i, link)
     return p_n.probs * y, p_t.probs * y

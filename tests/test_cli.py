@@ -557,3 +557,33 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     code, stdout, err = run_cli(capsys, *argv, str(path))
     assert (code, stdout, err) == (2, "", f"error: {path}: not a writable file\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_call_leaves_no_setting_to_the_next(capsys, monkeypatch):
+    # calls share one process: --set and --mu0 must not outlive their call
+    seen = []
+
+    def spy(source, signal_eff, config, workers):
+        seen.append((source.mu0, source.eta_a, config.seed))
+        return real(source, signal_eff, config, workers=workers)
+
+    real = event_sim.simulate_car
+    monkeypatch.setattr(event_sim, "simulate_car", spy)
+    base = ["car", "--config", "paper50km", "--pulses", "1000"]
+    assert run_cli(capsys, *base, "--set", "eta_a=0.2", "--set", "seed=7", "--mu0", "0.1")[0] == 0
+    assert run_cli(capsys, *base)[0] == 0
+    preset = preset_manifest("paper50km")
+    assert seen == [(0.1, 0.2, 7), (preset["mu0"], preset["eta_a"], preset["seed"])]
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["simulate", "--config", "paper50km", "--pulses", "1000", "--set", "eta_db=inf"], "eta_db"),
+    (["simulate", "--config", "paper50km", "--pulses", "1000", "--set", "mu0=inf"], "mu0"),
+    (["hbt", "--pulses", "1000", "--mu0", "inf"], "mu0"),
+    (["estimate", *DIRECT, "--set", "u_alpha=inf"], "u_alpha"),
+    (["estimate", *DIRECT, "--set", "f=inf"], "f"),
+], ids=["simulate eta_db", "simulate mu0", "hbt --mu0", "estimate u_alpha", "estimate f"])
+def test_non_finite_config_value_is_a_data_error(capsys, argv, key):
+    # a bound of inf is no licence for the value inf: the run would print a key of 0
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: key {key}: expected a finite number, got inf\n")

@@ -99,6 +99,17 @@ class TestConfig:
         bumped = manifest.with_overrides({"mu0": "2.5", "seed": "42"})
         assert bumped["mu0"] == 2.5 and bumped["seed"] == 42
 
+    @pytest.mark.parametrize("key", ["mu0", "eta_s_db", "eta_db", "f", "u_alpha"])
+    def test_non_finite_value_is_an_error(self, tmp_path, key):
+        # the keys without an upper bound; a file line fails as its override does
+        for text in ("inf", "-inf", "nan"):
+            with pytest.raises(ConfigError, match=f"key {key}: expected a finite number"):
+                RunManifest(values={}).with_overrides({key: text})
+        path = tmp_path / "inf.cfg"
+        path.write_text(f"{key} = inf\n")
+        with pytest.raises(ConfigError, match=f":1: key {key}: expected a finite number"):
+            read_config(path)
+
 
 class TestEvents:
     @staticmethod

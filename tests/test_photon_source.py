@@ -1,6 +1,7 @@
 """Photon statistics: pmf construction, heralding laws, calibrations."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 from oracles import joint_signal_pmf_series
 from pdqkd.errors import ParameterError, TruncationError, UndefinedRatioError
 from pdqkd.event_sim import _pulse_tables
-from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
-                                 calibrate_mu0_from_car, g2_of_pmf, joint_signal_pmf,
-                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+from pdqkd.photon_source import (DEFAULT_TAIL_CUTOFF, PhotonNumberPmf, SourceParams,
+                                 calibrate_eta_a, calibrate_mu0_from_car, g2_of_pmf,
+                                 joint_signal_pmf, multimode_thermal_pmf, poisson_pmf, thermal_pmf)
 
 ETA_S_192DB = 0.012022644346174132  # 10^(-19.2/10)
 
@@ -24,20 +25,34 @@ def tv_distance(a: PhotonNumberPmf, b: PhotonNumberPmf) -> float:
     return 0.5 * (np.abs(pa - pb).sum() + a.tail_mass + b.tail_mass)
 
 
-@pytest.mark.parametrize("make", [poisson_pmf, thermal_pmf,
-                                  lambda mu, n_max=None: multimode_thermal_pmf(mu, 3, n_max)],
+MULTIMODE_3 = partial(multimode_thermal_pmf, k_modes=3)
+
+
+@pytest.mark.parametrize("make", [poisson_pmf, thermal_pmf, MULTIMODE_3],
                          ids=["poisson", "thermal", "multimode"])
 def test_constructors_check_mu_and_n_max_alike(make):
-    # the vacuum point mass obeys the same n_max rules as every mu > 0
-    for mu in (0.0, 0.5):
-        with pytest.raises(ParameterError):
-            make(mu, n_max=-1)
-        with pytest.raises(TruncationError):
-            make(mu, n_max=600)
-        assert make(mu, n_max=512).n_max == 512
-    assert make(0.0, n_max=3).probs.tolist() == [1.0, 0.0, 0.0, 0.0]
+    # every constructor picks its own order: none takes an n_max, and vacuum is the point mass
+    with pytest.raises(TypeError):
+        make(0.5, n_max=20)
+    assert make(0.0).probs.tolist() == [1.0]
     for mu in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
+            make(mu)
+
+
+PRESET_MU0 = 0.028 / ETA_S_192DB  # 2.329, the presets' pump-side mean
+
+
+@pytest.mark.parametrize("make", [poisson_pmf, thermal_pmf, MULTIMODE_3,
+                                  lambda mu: joint_signal_pmf(SourceParams(mu, 1.0, 0.0295), "T")],
+                         ids=["poisson", "thermal", "multimode", "joint"])
+def test_constructors_reach_the_cutoff_or_raise(make):
+    for mu in (PRESET_MU0, 0.1):
+        pmf = make(mu)
+        assert pmf.tail_mass <= DEFAULT_TAIL_CUTOFF
+        assert math.fsum(pmf.probs.tolist()) + pmf.tail_mass == pytest.approx(pmf.norm, abs=1e-12)
+    for mu in (400.0, 1e17):  # at 1e17, mu/(1+mu) rounds to 1
+        with pytest.raises(TruncationError):
             make(mu)
 
 
@@ -93,14 +108,16 @@ class TestMultimodeThermalPmf:
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_matches_explicit_convolution(self, k):
-        # oracle: literal K-fold convolution of the single-mode law
+        # oracle: literal K-fold convolution of the single-mode law, over the support the
+        # two pmfs' own orders share
         mu = 1.3
-        single = thermal_pmf(mu / k, n_max=80)
+        single = thermal_pmf(mu / k)
         conv = single.probs
         for _ in range(k - 1):
             conv = np.convolve(conv, single.probs)
-        nb = multimode_thermal_pmf(mu, k, n_max=80)
-        assert np.allclose(nb.probs, conv[:81], rtol=0, atol=1e-10)
+        nb = multimode_thermal_pmf(mu, k)
+        n = min(nb.n_max, single.n_max) + 1
+        assert np.allclose(nb.probs[:n], conv[:n], rtol=0, atol=1e-10)
 
     @pytest.mark.parametrize("k", [1, 2, 10, 350])
     def test_mean_and_g2(self, k):
@@ -189,20 +206,20 @@ class TestJointSignalPmf:
         s = SourceParams(mu0=1.7, eta_s=0.3, eta_a=0.0)
         p_n = joint_signal_pmf(s, "N")
         p_t = joint_signal_pmf(s, "T")
-        marginal = poisson_pmf(s.mu, p_n.n_max)
+        marginal = poisson_pmf(s.mu)
         assert np.allclose(p_n.probs, marginal.probs, atol=1e-15)
         assert np.all(p_t.probs == 0.0)
 
     def test_series_matches_closed_form(self):
         for outcome in ("N", "T"):
-            closed = joint_signal_pmf(self.s, outcome, n_max=20)
-            series = joint_signal_pmf_series(self.s, outcome, n_max=20)
+            closed = joint_signal_pmf(self.s, outcome)
+            series = joint_signal_pmf_series(self.s, outcome, closed.n_max)
             assert np.allclose(closed.probs, series, rtol=0, atol=1e-10)
 
     def test_branches_sum_to_poisson_marginal(self):
         p_n = joint_signal_pmf(self.s, "N")
-        p_t = joint_signal_pmf(self.s, "T", n_max=p_n.n_max)
-        marginal = poisson_pmf(self.s.mu, p_n.n_max)
+        p_t = joint_signal_pmf(self.s, "T")
+        marginal = poisson_pmf(self.s.mu)
         assert np.allclose(p_n.probs + p_t.probs, marginal.probs, rtol=0, atol=1e-10)
 
     def test_total_mass_is_one(self):
@@ -223,7 +240,7 @@ class TestJointSignalPmf:
 
     def test_marginal_mean_is_mu(self):
         p_n = joint_signal_pmf(self.s, "N")
-        p_t = joint_signal_pmf(self.s, "T", n_max=p_n.n_max)
+        p_t = joint_signal_pmf(self.s, "T")
         ns = np.arange(p_n.n_max + 1)
         mean = float(ns @ (p_n.probs + p_t.probs))
         assert mean == pytest.approx(self.s.mu, abs=1e-9)

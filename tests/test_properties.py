@@ -248,7 +248,7 @@ def configs(draw):
             values[key] = draw(st.integers(int(lo) if math.isfinite(lo) else None,
                                            int(hi) if math.isfinite(hi) else None))
         else:
-            values[key] = draw(st.floats(lo, hi, allow_nan=False))
+            values[key] = draw(st.floats(lo, hi, allow_nan=False, allow_infinity=False))
     return RunManifest(values=values)
 
 

@@ -59,10 +59,9 @@ def test_public_names():
 
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
-    assert counts == {"end_to_end": 2, "joint_signal_pmf": 1, "key_rate": 1,
-                      "multimode_thermal_pmf": 1, "poisson_pmf": 1, "scan_loss": 1,
-                      "simulate_car": 1, "simulate_hbt": 2, "simulate_run": 1, "thermal_pmf": 1}
-    assert sum(counts.values()) == 12
+    assert counts == {"end_to_end": 2, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
+                      "simulate_hbt": 2, "simulate_run": 1}
+    assert sum(counts.values()) == 8
 
 
 def test_traced_dataio_parameter_names():
