@@ -28,7 +28,9 @@ print(f"  mu      = {run.mu}  (mean photon number entering the channel)")
 print(f"  mu0     = mu / eta_s = {source.mu0:.6f}")
 trigger_rate = run.n_triggers / manifest["n_pulses"]
 print(f"  N_A / N = {trigger_rate:.6f}")
-print(f"  eta_a   = -ln(1 - N_A/N) / mu0 = {calibrate_eta_a(trigger_rate, source.mu0):.6f}")
+eta_a = calibrate_eta_a(trigger_rate, source.mu0, source.y0_alice)
+print(f"  eta_a   = [ln(1 - y0_alice) - ln(1 - N_A/N)] / mu0 = {eta_a:.6f}"
+      f"  (y0_alice = {source.y0_alice})")
 
 print("\nconditional photon-number laws (per-branch, sub-normalized):")
 p_n = joint_signal_pmf(source, "N")

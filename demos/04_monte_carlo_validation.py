@@ -42,7 +42,7 @@ line("Q_T", obs.q_t, ao.q_t, config.n_pulses)
 line("E_N", obs.e_n, ao.e_n, tally.det_n_match)
 line("E_T", obs.e_t, ao.e_t, tally.det_t_match)
 line("trigger fraction", tally.n_triggers / tally.n_pulses,
-     1 - math.exp(-source.mu0 * source.eta_a), config.n_pulses)
+     source.trigger_prob, config.n_pulses)
 line("sift fraction", tally.n_sifted / tally.n_pulses, 0.5, config.n_pulses)
 
 print("\ndeterminism: same seed, different worker counts")

@@ -182,7 +182,8 @@ def cmd_estimate(args) -> int:
             raise ConfigError("--calibrate-eta-a needs the trigger count of a --tally or "
                               "--events input; for direct rates, run calibrate "
                               "--trigger-rate N_A/N --mu0 MU0 and pass --set eta_a=...")
-        eta_a = calibrate_eta_a(obs.n_triggers / obs.n_pulses, manifest["mu0"])
+        eta_a = calibrate_eta_a(obs.n_triggers / obs.n_pulses, manifest["mu0"],
+                                manifest["y0_alice"])
         manifest = manifest.with_overrides({"eta_a": repr(eta_a)})
     source = manifest.to_source_params()
     credit = _vacuum_credit(args.vacuum_credit, manifest)
@@ -240,11 +241,15 @@ def cmd_scan_loss(args) -> int:
                        _grid(args.loss_from, args.loss_to, args.step), args.vacuum_credit)
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "
           f"step {args.step:g} ({len(rows)} points)")
+    return _report_scan(scan, rows, args.out)
+
+
+def _report_scan(scan, rows, out: str | None) -> int:
     print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
     print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")
-    if args.out:
-        dataio.write_results(rows, args.out)
-        print(f"results written: {args.out}")
+    if out:
+        dataio.write_results(rows, out)
+        print(f"results written: {out}")
     return EXIT_OK
 
 
@@ -299,7 +304,7 @@ def cmd_calibrate(args) -> int:
     if args.trigger_rate is not None:
         if args.mu0 is None:
             raise ConfigError("--trigger-rate needs --mu0")
-        eta_a = calibrate_eta_a(args.trigger_rate, args.mu0)
+        eta_a = calibrate_eta_a(args.trigger_rate, args.mu0, 0.0)
         print(f"eta_a          : {eta_a:.6f}")
     else:
         mu0 = calibrate_mu0_from_car(args.car)
@@ -329,11 +334,7 @@ def _reproduce_fig(out: str) -> int:
     """The published curve: paper50km at 0..35 dB in 0.1 dB steps, without vacuum credit."""
     _check_writable(out)
     scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, 0.1), "zero")
-    print(f"R_N reaches 0  : {_fmt_cutoff(scan.r_n_cutoff_db)}")
-    print(f"R   reaches 0  : {_fmt_cutoff(scan.r_cutoff_db)}")
-    dataio.write_results(rows, out)
-    print(f"results written: {out}")
-    return EXIT_OK
+    return _report_scan(scan, rows, out)
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -409,7 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_car)
 
     p = sub.add_parser("calibrate", help="invert trigger fraction or CAR into source parameters")
-    p.add_argument("--trigger-rate", type=float, help="measured N_A / N")
+    p.add_argument("--trigger-rate", type=float,
+                   help="measured N_A / N, inverted with no heralding dark count (y0_alice = 0)")
     p.add_argument("--mu0", type=float, help="mean pair number for --trigger-rate")
     p.add_argument("--car", type=float, help="measured coincidence-to-accidental ratio")
     p.set_defaults(func=cmd_calibrate)

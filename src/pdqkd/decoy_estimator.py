@@ -206,7 +206,7 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
     - ``Q_N^L  = Q_N (1 - u / sqrt(N Q_N))``
     - ``Q^U    = Q (1 + u / sqrt(N Q))``
     - ``(E_T Q_T)^U`` and ``(E_N Q_N)^U`` analogously raised
-    - ``Y_0^U  = e^(mu + (mu0 - mu) eta_a) (E_N Q_N)^U / e0``
+    - ``Y_0^U  = (E_N Q_N)^U / (e0 P_N(0))``, every N-branch error charged to vacuum
 
     ``u = 0`` reduces every bound to its central value (the dark-count yield
     then becomes its central estimate, still derived from the observations).
@@ -215,13 +215,12 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
     """
     n, u = obs.n_pulses, protocol.u_alpha
     enqn_up = _shift(obs.e_n * obs.q_n, n, u, +1, "E_N*Q_N")
-    mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
     return FluctuationBounds(
         q_n_low=_shift(obs.q_n, n, u, -1, "Q_N"),
         q_up=_shift(obs.q, n, u, +1, "Q"),
         etqt_up=_shift(obs.e_t * obs.q_t, n, u, +1, "E_T*Q_T"),
         enqn_up=enqn_up,
-        y0_up=math.exp(mu + (mu0 - mu) * eta_a) * enqn_up / protocol.e0,
+        y0_up=enqn_up / (protocol.e0 * source.branch_terms[0]),
         u_alpha=u,
     )
 
@@ -240,19 +239,18 @@ def y1_lower(q_n: float, q: float, y0_for_subtraction: float,
 
     Implements
 
-        ``Y_1^L = [e^(mu + mu0 eta_a - mu eta_a) Q_N
-                   - (1 - eta_a)^2 e^mu Q
+        ``Y_1^L = [Q_N / P_N(0) - (1 - eta_a)^2 e^mu Q
                    - (2 eta_a - eta_a^2) Y_0] / [mu eta_a (1 - eta_a)]``
 
     obtained by cancelling the zero- and multi-photon contributions between
-    ``(1 - eta_a)^2 Q`` and ``Q_N``.  For a conservative finite-size bound
-    pass ``Q_N^L``, ``Q^U`` and ``Y_0^U``; each substitution can only lower
-    the result.  Returns ``(value, clamped)`` with the value clamped into
-    [0, 1].
+    ``(1 - eta_a)^2 Q`` and ``Q_N / P_N(0)``, whose i-photon weight is
+    ``(mu (1 - eta_a))^i / i!``.  For a conservative finite-size bound pass
+    ``Q_N^L``, ``Q^U`` and ``Y_0^U``; each substitution can only lower the
+    result.  Returns ``(value, clamped)`` with the value clamped into [0, 1].
     """
     _require_heralding(source)
-    mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
-    numerator = (math.exp(mu + mu0 * eta_a - mu * eta_a) * q_n
+    mu, eta_a = source.mu, source.eta_a
+    numerator = (q_n / source.branch_terms[0]
                  - (1.0 - eta_a) ** 2 * math.exp(mu) * q
                  - (2.0 * eta_a - eta_a ** 2) * y0_for_subtraction)
     raw = numerator / (mu * eta_a * (1.0 - eta_a))
@@ -263,42 +261,29 @@ def y1_lower(q_n: float, q: float, y0_for_subtraction: float,
 def e1_upper(etqt: float, y1_low: float, source: SourceParams) -> tuple[float, bool]:
     """Upper bound on the single-photon error rate.
 
-    ``e_1^U = e^mu E_T Q_T / (mu [1 - (1-eta_a) e^(-(mu0-mu) eta_a)] Y_1^L)``:
-    every error in the triggered branch is attributed to its single-photon
-    slice.  Pass the fluctuation-raised ``(E_T Q_T)^U`` when bounding the
-    non-triggered branch; the central value suffices for the triggered one.
-    Returns ``(value, clamped)``, clamped at 1.  Raises
-    :class:`UnboundedErrorRate` when ``y1_low == 0``.
+    ``e_1^U = E_T Q_T / (P_T(1) Y_1^L)``: every error in the triggered branch
+    is attributed to its single-photon slice.  Pass the fluctuation-raised
+    ``(E_T Q_T)^U`` when bounding the non-triggered branch; the central value
+    suffices for the triggered one.  Returns ``(value, clamped)``, clamped at 1.
+    Raises :class:`UnboundedErrorRate` when ``y1_low == 0``.
     """
     _require_heralding(source)
     if etqt < 0.0:
         raise ParameterError(f"E_T*Q_T must be non-negative, got {etqt!r}")
     if y1_low <= 0.0:
         raise UnboundedErrorRate("single-photon error rate unbounded: Y_1^L is zero")
-    mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
-    bracket = -math.expm1(math.log1p(-eta_a) - (mu0 - mu) * eta_a)
-    raw = math.exp(mu) * etqt / (mu * bracket * y1_low)
+    raw = etqt / (source.branch_terms[3] * y1_low)
     return min(1.0, raw), raw > 1.0
 
 
 def single_photon_gains(y1: float, y0: float,
                         source: SourceParams) -> tuple[float, float, float, float]:
-    """Single-photon and vacuum gains ``(Q_N1, Q_T1, Q_N0, Q_T0)``.
-
-    These are the i = 0, 1 terms of the joint gain series with the yields
-    replaced by the supplied ``y1`` and ``y0`` (typically a bound and a
-    vacuum-credit choice).
-    """
+    """Single-photon and vacuum gains ``(Q_N1, Q_T1, Q_N0, Q_T0)``: ``Q_j1 = P_j(1) y1``
+    and ``Q_j0 = P_j(0) y0``, with ``y1`` and ``y0`` typically a bound and a vacuum credit."""
     if not (0.0 <= y1 <= 1.0) or not (0.0 <= y0 <= 1.0):
         raise ParameterError("y1 and y0 must be probabilities")
-    mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
-    leak = math.exp(-(mu0 - mu) * eta_a)
-    herald_keep = (1.0 - eta_a) * leak
-    q_n1 = mu * math.exp(-mu) * herald_keep * y1
-    q_t1 = mu * math.exp(-mu) * (1.0 - herald_keep) * y1
-    q_n0 = math.exp(-(mu + (mu0 - mu) * eta_a)) * y0
-    q_t0 = math.exp(-mu) * (1.0 - leak) * y0
-    return q_n1, q_t1, q_n0, q_t0
+    p_n0, p_t0, p_n1, p_t1 = source.branch_terms
+    return p_n1 * y1, p_t1 * y1, p_n0 * y0, p_t0 * y0
 
 
 def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,

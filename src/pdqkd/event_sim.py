@@ -437,11 +437,8 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
     _, _, coinc, acc = _coincidences(_car_cells(source, signal_eff), _SLOT_CAR, config, 1,
                                      workers)
-    if acc == 0:
-        return CarResult(car=float(coinc), coincidences=coinc, accidentals=0,
-                         is_lower_bound=True)
-    return CarResult(car=coinc / acc, coincidences=coinc, accidentals=acc,
-                     is_lower_bound=False)
+    return CarResult(car=coinc / max(acc, 1), coincidences=coinc, accidentals=acc,
+                     is_lower_bound=acc == 0)
 
 
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,

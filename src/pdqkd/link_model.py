@@ -107,18 +107,17 @@ def error_n(i, link: LinkParams):
 def gains_analytic(source: SourceParams, link: LinkParams) -> AnalyticObservables:
     """Closed-form overall gains and QBERs for both heralding branches.
 
-    With ``B = (1 - y0_alice) e^(-mu0 eta_a)`` (the non-trigger probability):
+    With B and the N-branch mean ``mu_N`` of the heralding law, ``P_N(i) = B Pois(mu_N, i)``:
 
-    - ``Q_N  = B [1 - (1 - Y0) e^(mu eta (eta_a - 1))]``
+    - ``Q_N  = B [1 - (1 - Y0) e^(-mu_N eta)]``
     - ``Q    = 1 - (1 - Y0) e^(-mu eta)`` and ``Q_T = Q - Q_N``
     - ``E_N Q_N = e_d Q_N + (e0 - e_d) Y0 B``
     - ``E Q  = e_d Q + (e0 - e_d) Y0`` and ``E_T Q_T = EQ - E_N Q_N``
     """
-    mu, mu0, eta_a = source.mu, source.mu0, source.eta_a
     y0, e_d, e0 = link.y0, link.e_d, link.e0
-    p_no_trigger = (1.0 - source.y0_alice) * math.exp(-mu0 * eta_a)
-    q_n = p_no_trigger * -math.expm1(math.log1p(-y0) + mu * link.eta * (eta_a - 1.0))
-    q = -math.expm1(math.log1p(-y0) - mu * link.eta)
+    p_no_trigger = source.no_trigger_prob
+    q_n = p_no_trigger * -math.expm1(math.log1p(-y0) - source.mu_n * link.eta)
+    q = -math.expm1(math.log1p(-y0) - source.mu * link.eta)
     q_t = q - q_n
     enqn = e_d * q_n + (e0 - e_d) * y0 * p_no_trigger
     eq = e_d * q + (e0 - e_d) * y0

@@ -8,6 +8,13 @@ non-trigger (N) splits the signal mode into two effective sources with
 different photon-number distributions, which is what the passive decoy-state
 analysis exploits.
 
+The heralding law, stated once here and read by every closed form: i photons
+enter the channel with ``Pois(mu, i)`` and leave the heralding detector silent
+with ``h_i = (1 - y0_alice) (1 - eta_a)^i e^(-(mu0 - mu) eta_a)``, so ``P_N(i) =
+Pois(mu, i) h_i = B Pois(mu (1 - eta_a), i)`` and ``P_T(i) = Pois(mu, i) (1 - h_i)``
+with ``B = (1 - y0_alice) e^(-mu0 eta_a)``.  :class:`SourceParams` carries B, ``h_i``,
+the N-branch mean ``mu (1 - eta_a)`` and ``P_N(0), P_T(0), P_N(1), P_T(1)``.
+
 All distributions are represented by :class:`PhotonNumberPmf`, a truncated
 (and possibly sub-normalized, for the joint trigger/photon-number laws)
 probability vector with explicit tail accounting.
@@ -17,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -59,8 +67,6 @@ class SourceParams:
         linear in [0, 1].
     y0_alice : float
         Dark-count probability per pulse of the heralding detector, in [0, 1).
-        Defaults to 0, which drops the (1 - y0_alice) factor from the
-        non-trigger probability.
     """
 
     mu0: float
@@ -81,9 +87,46 @@ class SourceParams:
         return self.eta_s * self.mu0
 
     @property
+    def no_trigger_prob(self) -> float:
+        """B, the per-pulse probability that the heralding detector stays silent."""
+        return (1.0 - self.y0_alice) * math.exp(-self.mu0 * self.eta_a)
+
+    @property
     def trigger_prob(self) -> float:
-        """Per-pulse probability that the heralding detector clicks."""
-        return 1.0 - (1.0 - self.y0_alice) * math.exp(-self.mu0 * self.eta_a)
+        """Per-pulse probability that the heralding detector clicks, 1 - B."""
+        return 1.0 - self.no_trigger_prob
+
+    @property
+    def mu_n(self) -> float:
+        """Mean of the N branch's Poisson law, ``mu (1 - eta_a)``."""
+        return self.mu * (1.0 - self.eta_a)
+
+    def herald(self, i):
+        """``h_i`` at a photon count or an integer array of them."""
+        return ((1.0 - self.y0_alice) * np.power(1.0 - self.eta_a, i)
+                * math.exp(-(self.mu0 - self.mu) * self.eta_a))
+
+    @cached_property
+    def branch_terms(self) -> tuple[float, float, float, float]:
+        """``(P_N(0), P_T(0), P_N(1), P_T(1))``, computed once per instance."""
+        log_h0 = math.log1p(-self.y0_alice) - (self.mu0 - self.mu) * self.eta_a
+        log_h1 = log_h0 + math.log1p(-self.eta_a)
+        mu, vacuum = self.mu, math.exp(-self.mu)
+        return (math.exp(log_h0 - mu), vacuum * -math.expm1(log_h0),
+                mu * math.exp(log_h1 - mu), mu * vacuum * -math.expm1(log_h1))
+
+
+def calibrate_eta_a(trigger_rate: float, mu0: float, y0_alice: float) -> float:
+    """Idler-arm transmittance from the measured trigger fraction.
+
+    Inverts ``1 - trigger_rate = B``; a result outside [0, 1] (a trigger fraction below
+    ``y0_alice``, or one no eta_a reaches) is clamped into it rather than propagated.
+    """
+    _check_prob("trigger_rate", trigger_rate, upper_open=True)
+    if not (math.isfinite(mu0) and mu0 > 0.0):
+        raise ParameterError(f"mu0 must be positive, got {mu0!r}")
+    y0_alice = _check_prob("y0_alice", y0_alice, upper_open=True)
+    return min(1.0, max(0.0, (math.log1p(-y0_alice) - math.log1p(-trigger_rate)) / mu0))
 
 
 @dataclass(frozen=True)
@@ -205,11 +248,11 @@ def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
         return thermal_pmf(mu)
 
     def body(n):
-        theta = mu / k_modes
-        log_p, log_q = math.log(theta) - math.log1p(theta), -math.log1p(theta)
+        # p_k = mu^k / k! prod_{j<k} (1 + j/K) (1 + mu/K)^-(K+k), stable at any K
         k = np.arange(n + 1, dtype=np.float64)
-        return np.exp(gammaln(k + k_modes) - gammaln(k + 1.0) - gammaln(k_modes)
-                      + k * log_p + k_modes * log_q)
+        rising = np.concatenate(([0.0], np.cumsum(np.log1p(k[:-1] / k_modes))))
+        return np.exp(k * math.log(mu) - gammaln(k + 1.0) + rising
+                      - (k_modes + k) * math.log1p(mu / k_modes))
 
     return _pmf(mu, lambda: _summed(body, "multimode", start=16))
 
@@ -217,29 +260,18 @@ def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
 def joint_signal_pmf(s: SourceParams, outcome: str) -> PhotonNumberPmf:
     """Joint law of (heralding outcome, i photons entering the channel).
 
-    ``outcome`` is ``"N"`` (no trigger) or ``"T"`` (trigger).  The result is
-    sub-normalized: its ``norm`` equals the branch probability, and the two
-    branches sum element-wise to the Poisson marginal of mean ``mu``.
-
-    Closed forms (y0_alice folds in as a (1 - y0_alice) factor on the N branch):
-
-    - ``P_N(i) = (1 - y0_alice) * mu^i/i! * e^-mu * (1-eta_a)^i * e^-((mu0-mu) eta_a)``
-    - ``P_T(i) = Poisson(mu, i) - P_N(i)``
+    ``outcome`` is ``"N"`` (``P_N(i)``) or ``"T"`` (``P_T(i)``).  The result is
+    sub-normalized: its ``norm`` is the branch probability, and the two branches
+    sum element-wise to the Poisson marginal of mean ``mu``.
     """
     if outcome not in ("N", "T"):
         raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
     marginal = poisson_pmf(s.mu)
-    # heralding leakage from signal photons lost inside Alice
-    leak = math.exp(-(s.mu0 - s.mu) * s.eta_a)
-    k = np.arange(marginal.n_max + 1, dtype=np.float64)
-    thin = np.power(1.0 - s.eta_a, k)
-    p_n = (1.0 - s.y0_alice) * marginal.probs * thin * leak
-    norm_n = (1.0 - s.y0_alice) * math.exp(-s.mu0 * s.eta_a)
+    p_n = marginal.probs * s.herald(np.arange(marginal.n_max + 1))
     if outcome == "N":
-        probs, norm = p_n, norm_n
+        probs, norm = p_n, s.no_trigger_prob
     else:
-        probs = marginal.probs - p_n
-        norm = 1.0 - norm_n
+        probs, norm = marginal.probs - p_n, s.trigger_prob
     tail = max(0.0, norm - math.fsum(probs.tolist()))
     return PhotonNumberPmf(probs, marginal.n_max, tail, norm)
 
@@ -254,21 +286,6 @@ def g2_of_pmf(pmf: PhotonNumberPmf) -> float:
     if mean <= 0.0:
         raise UndefinedRatioError("g2 is undefined for a zero-mean distribution")
     return pmf.second_factorial_moment() / (mean * mean)
-
-
-def calibrate_eta_a(trigger_rate: float, mu0: float) -> float:
-    """Idler-arm transmittance from the measured trigger fraction.
-
-    Inverts ``trigger_rate = 1 - exp(-mu0 * eta_a)``.  Results above 1 are
-    clamped to 1 (physically impossible input combination, reported rather
-    than propagated).
-    """
-    if not (0.0 <= trigger_rate < 1.0):
-        raise ParameterError(f"trigger_rate must be in [0, 1), got {trigger_rate!r}")
-    if not (math.isfinite(mu0) and mu0 > 0.0):
-        raise ParameterError(f"mu0 must be positive, got {mu0!r}")
-    eta_a = -math.log1p(-trigger_rate) / mu0
-    return min(1.0, eta_a)
 
 
 def calibrate_mu0_from_car(car: float) -> float:

@@ -6,7 +6,7 @@ published operating points of the passive decoy-state demonstration over
 receiver-side loss, heralding counts, calibrated dark-count and error rates,
 and the post-processing parameters.  The idler-arm transmittance is
 calibrated from the heralding fraction exactly as an operator would
-(``calibrate_eta_a(N_A / N, mu0)``).
+(``calibrate_eta_a(N_A / N, mu0, 0.0)``: the runs take no heralding dark count).
 
 Shared by all three runs: the sender loss ``ETA_S_DB``, the intrinsic
 receiver error ``E_D`` and the pulse count ``N_PULSES``.  Each run has its
@@ -63,7 +63,7 @@ class ReferenceRun:
 
     @property
     def eta_a(self) -> float:
-        return calibrate_eta_a(self.n_triggers / N_PULSES, self.mu0)
+        return calibrate_eta_a(self.n_triggers / N_PULSES, self.mu0, 0.0)
 
     def observed_stats(self) -> ObservedStats:
         return ObservedStats(q_n=self.q_n, q_t=self.q_t, e_n=self.e_n, e_t=self.e_t,
@@ -90,9 +90,9 @@ class ReferenceRun:
 
 # The 0 km and 25 km QBERs call for a larger receiver dark count than the
 # 50 km calibration.  With e_d = E_D fixed, the closed form
-# E_N Q_N = e_d Q_N + (e0 - e_d) Y0 B, where B = exp(-mu0 eta_a) is the
-# non-trigger probability (y0_alice = 0), gives each run's dark count from
-# its own published Q_N and E_N:
+# E_N Q_N = e_d Q_N + (e0 - e_d) Y0 B, where B = 1 - N_A / N is the
+# no-trigger probability (``SourceParams.no_trigger_prob``), gives each run's
+# dark count from its own published Q_N and E_N:
 #     Y0 = (E_N - e_d) Q_N / ((e0 - e_d) B)
 # 0 km: 4.32e-6, 25 km: 4.38e-6 (50 km: 1.49e-6, against the pinned 1.6e-6).
 # Q_T and E_T are not used, so they stay out-of-sample checks.

@@ -288,8 +288,9 @@ class TestEstimate:
                             sent_t_mismatch=tally.sent_t_mismatch + half), doubled)
         for path in (simulated, doubled):
             triggers = read_tally(path).n_triggers
-            eta_a = calibrate_eta_a(triggers / tally.n_pulses,
-                                    preset_manifest("paper50km")["mu0"])
+            manifest = preset_manifest("paper50km")
+            eta_a = calibrate_eta_a(triggers / tally.n_pulses, manifest["mu0"],
+                                    manifest["y0_alice"])
             argv = ["estimate", "--config", "paper50km", "--tally", str(path),
                     "--set", "u_alpha=0"]
             code, cal_out, _ = run_cli(capsys, *argv, "--calibrate-eta-a")
@@ -300,6 +301,23 @@ class TestEstimate:
         assert triggers > 1.9 * tally.n_triggers
         _, preset_out, _ = run_cli(capsys, *argv)  # the doubled tally at the preset's eta_a
         assert cal_out != preset_out
+
+    def test_calibrate_eta_a_honours_the_heralding_dark_count(self, tmp_path, capsys):
+        # inverting 1 - exp(-mu0 eta_a) alone read this tally's eta_a as 0.0427
+        out = tmp_path / "dark.tally"
+        dark = ["--config", "paper0km", "--set", "y0_alice=0.05", "--set", "eta_db=0"]
+        code, _, _ = run_cli(capsys, "simulate", *dark, "--pulses", "2e7", "--seed", "4",
+                             "--out", str(out))
+        assert code == 0
+        manifest = preset_manifest("paper0km")
+        rate = read_tally(out).n_triggers / 2e7
+        eta_a = calibrate_eta_a(rate, manifest["mu0"], 0.05)
+        sigma = math.sqrt(rate * (1.0 - rate) / 2e7) / (manifest["mu0"] * (1.0 - rate))
+        assert abs(eta_a - manifest["eta_a"]) <= 4.0 * sigma
+        argv = ["estimate", *dark, "--tally", str(out)]
+        _, cal_out, _ = run_cli(capsys, *argv, "--calibrate-eta-a")
+        _, set_out, _ = run_cli(capsys, *argv, "--set", f"eta_a={eta_a!r}")
+        assert cal_out == set_out
 
     def test_calibrate_eta_a_without_triggers_fails(self, capsys):
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km",
@@ -427,6 +445,11 @@ class TestVirtualExperiments:
         g2 = float(stdout.split("g2(0)          :")[1].split()[0])
         assert g2 == pytest.approx(1.0, abs=0.1)
 
+    def test_hbt_on_a_many_mode_source(self, capsys):
+        code, stdout, _ = run_cli(capsys, "hbt", "--source", "multimode", "--k-modes",
+                                  "100000000", "--mu0", "0.5", "--pulses", "1e5")
+        assert code == 0 and "g2(0)" in stdout
+
     def test_car_then_calibrate_round_trip(self, capsys):
         code, stdout, _ = run_cli(capsys, "car", "--mu0", "0.1", "--pulses", "8000000",
                                   "--seed", "2", "--set", "eta_a=0.2", "--set", "eta_s_db=0.0",
@@ -444,6 +467,9 @@ class TestVirtualExperiments:
         assert code == 0
         eta_a = float(stdout.split("eta_a          :")[1].split()[0])
         assert eta_a == pytest.approx(0.0295, abs=2e-4)
+        # the inversion takes no heralding dark count, and its help says so
+        code, stdout, _ = run_cli(capsys, "calibrate", "--help")
+        assert code == 0 and "y0_alice = 0" in " ".join(stdout.split())
 
     def test_calibrate_requires_one_mode(self, capsys):
         code, _, _ = run_cli(capsys, "calibrate")

@@ -17,7 +17,7 @@ ETA_50KM = 0.0009120108393559096  # 10^(-30.4/10)
 def paper50_source():
     mu0 = 0.028 / db_to_linear(19.2)
     return SourceParams(mu0=mu0, eta_s=db_to_linear(19.2),
-                        eta_a=calibrate_eta_a(3.99e9 / 6e10, mu0))
+                        eta_a=calibrate_eta_a(3.99e9 / 6e10, mu0, 0.0))
 
 
 def paper50_link():

@@ -139,6 +139,14 @@ class TestMultimodeThermalPmf:
         assert (tv_distance(multimode_thermal_pmf(mu, 350), target)
                 < tv_distance(multimode_thermal_pmf(mu, 10), target))
 
+    @pytest.mark.parametrize("k", [10**4, 10**5, 10**8])
+    def test_many_modes_balance_and_approach_poisson(self, k):
+        # the log-gamma difference gammaln(n + K) - gammaln(K) cancelled here and raised
+        mu = 0.5
+        pmf = multimode_thermal_pmf(mu, k)
+        assert math.fsum(pmf.probs.tolist()) + pmf.tail_mass == pytest.approx(1.0, abs=1e-12)
+        assert tv_distance(pmf, poisson_pmf(mu)) < mu ** 2 / k
+
     def test_zero_modes_rejected(self):
         with pytest.raises(ParameterError):
             multimode_thermal_pmf(1.0, 0)
@@ -233,7 +241,7 @@ class TestJointSignalPmf:
         rate = 3.99e9 / 6e10
         mu0 = 0.028 / ETA_S_192DB
         s = SourceParams(mu0=mu0, eta_s=ETA_S_192DB,
-                         eta_a=calibrate_eta_a(rate, mu0))
+                         eta_a=calibrate_eta_a(rate, mu0, 0.0))
         p_t = joint_signal_pmf(s, "T")
         assert p_t.norm == pytest.approx(rate, rel=1e-10)
         assert 1.0 - math.exp(-s.mu0 * s.eta_a) == pytest.approx(rate, rel=1e-10)
@@ -262,23 +270,30 @@ class TestG2:
 
 class TestCalibrations:
     def test_eta_a_zero_rate(self):
-        assert calibrate_eta_a(0.0, 2.3) == 0.0
+        assert calibrate_eta_a(0.0, 2.3, 0.0) == 0.0
 
     def test_eta_a_paper_numbers(self):
-        assert calibrate_eta_a(0.0665, 2.329) == pytest.approx(0.029546722198522862, rel=1e-12)
+        assert calibrate_eta_a(0.0665, 2.329, 0.0) == pytest.approx(0.029546722198522862, rel=1e-12)
 
     def test_eta_a_round_trip(self):
         mu0, rate = 2.329, 0.0665
-        eta_a = calibrate_eta_a(rate, mu0)
+        eta_a = calibrate_eta_a(rate, mu0, 0.0)
         s = SourceParams(mu0=mu0, eta_s=0.012, eta_a=eta_a)
         assert joint_signal_pmf(s, "T").norm == pytest.approx(rate, abs=1e-10)
 
     def test_eta_a_clamped(self):
-        assert calibrate_eta_a(0.99, 0.5) == 1.0
+        assert calibrate_eta_a(0.99, 0.5, 0.0) == 1.0
+        assert calibrate_eta_a(0.01, 0.5, 0.02) == 0.0  # fewer triggers than dark counts
+
+    @pytest.mark.parametrize("y0_alice", [0.01, 0.05, 0.3])
+    def test_eta_a_inverts_the_no_trigger_probability(self, y0_alice):
+        s = SourceParams(mu0=0.5, eta_s=0.1, eta_a=0.0251, y0_alice=y0_alice)
+        assert calibrate_eta_a(s.trigger_prob, s.mu0, y0_alice) == pytest.approx(s.eta_a,
+                                                                                 rel=1e-12)
 
     def test_eta_a_domain(self):
         with pytest.raises(ParameterError):
-            calibrate_eta_a(1.0, 2.0)
+            calibrate_eta_a(1.0, 2.0, 0.0)
 
     def test_mu0_from_car(self):
         assert calibrate_mu0_from_car(2.0) == 1.0

@@ -1,6 +1,7 @@
 """Property tests of the engine, file-format and estimator invariants (derandomized, so deterministic)."""
 
 import math
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -20,8 +21,8 @@ from pdqkd.event_sim import (_BLOCK, _CLICKED, EVENT_DTYPE, SimConfig, Tally, _b
                              _car_cells, _coincidence_block, _hbt_cells, _outcome_table,
                              _run_batch, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, error_n, gains_analytic, yield_n
-from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf, poisson_pmf,
-                                 thermal_pmf)
+from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, joint_signal_pmf,
+                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
 from pdqkd.presets import REFERENCE_RUNS
 
 # a bright, low-loss link, so that a few thousand pulses give many detections
@@ -158,6 +159,36 @@ def test_outcome_table_gains_equal_the_closed_forms(run):
     assert abs(clicked[triggered].sum() - analytic.q_t) <= tol
     # the no-click cells follow CELLS: n_mismatch, n_match, t_mismatch, t_match
     assert abs(clicked[triggered].sum() + sum(cells[-2:]) - src.trigger_prob) <= tol
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@given(run=box_runs(), y0_alice=st.floats(0.0, 0.5, exclude_max=True))
+def test_bounds_read_the_heralding_dark_count_from_the_source(run, y0_alice):
+    # on closed-form observables at u = 0, a heralding dark count scales every N-branch term
+    # by (1 - y0_alice), so the bounds it feeds stay where they are and stay sound.  Values
+    # below the smallest normal double (a subnormal y0 or e_d) keep no relative precision,
+    # so each comparison also allows that absolute amount
+    tiny = sys.float_info.min
+    src, link = run
+    dark = replace(src, y0_alice=y0_alice)
+    protocol = ProtocolParams(u_alpha=0.0)
+
+    def bounds(s):
+        obs = ObservedStats.from_analytic(gains_analytic(s, link), s, 10**12)
+        return obs, key_rate(obs, protocol, s)
+
+    _, clear = bounds(src)
+    obs, res = bounds(dark)
+    assert math.isclose(res.bounds.y0_up, clear.bounds.y0_up, rel_tol=1e-9, abs_tol=tiny)
+    assert math.isclose(res.y1_low, clear.y1_low, rel_tol=1e-9, abs_tol=tiny)
+    assert res.bounds.y0_up >= link.y0 - tiny
+    y1 = yield_n(1, link)
+    assert res.y1_low <= y1 * (1 + 1e-9)  # criterion 5's rounding allowance
+    if res.y1_low > 0.0:
+        e1 = e1_upper(obs.e_t * obs.q_t, res.y1_low, dark)[0]
+        assert e1 >= error_n(1, link) * (1 - 1e-9) - tiny
+    for outcome, q1 in (("N", res.single.q_n1), ("T", res.single.q_t1)):
+        assert q1 <= joint_signal_pmf(dark, outcome).probs[1] * y1 * (1 + 1e-9)
 
 
 @settings(DERANDOMIZED, max_examples=150)
