@@ -14,7 +14,7 @@ hundred modes).
 
 import numpy as np
 
-from pdqkd import g2_of_pmf, multimode_thermal_pmf, poisson_pmf, thermal_pmf
+from pdqkd import multimode_thermal_pmf, poisson_pmf, thermal_pmf
 
 MU0 = 2.33
 
@@ -28,6 +28,14 @@ k350 = multimode_thermal_pmf(MU0, 350)
 for n in range(8):
     print(f"{n:>3} {thermal.probs[n]:>12.6f} {k10.probs[n]:>12.6f} "
           f"{k350.probs[n]:>12.6f} {poisson.probs[n]:>12.6f}")
+
+
+def g2_of_pmf(pmf):
+    """<n(n-1)> / <n>^2, both moments taken on the pmf's support."""
+    n = np.arange(pmf.n_max + 1)
+    mass, mean = pmf.probs.sum(), n @ pmf.probs
+    return (n * (n - 1)) @ pmf.probs * mass / mean ** 2
+
 
 print("\nsecond-order correlation g2(0):")
 print(f"  thermal : {g2_of_pmf(thermal):.6f}   (expect 2)")

@@ -13,8 +13,7 @@ closed-form gains/QBERs with the published tallies.
 
 import numpy as np
 
-from pdqkd import (calibrate_eta_a, db_to_linear, gains_analytic, joint_signal_pmf,
-                   yield_n)
+from pdqkd import calibrate_eta_a, db_to_linear, gains_analytic, poisson_pmf
 from pdqkd.presets import REFERENCE_RUNS
 
 run = REFERENCE_RUNS["paper50km"]
@@ -33,11 +32,11 @@ print(f"  eta_a   = [ln(1 - y0_alice) - ln(1 - N_A/N)] / mu0 = {eta_a:.6f}"
       f"  (y0_alice = {source.y0_alice})")
 
 print("\nconditional photon-number laws (per-branch, sub-normalized):")
-p_n = joint_signal_pmf(source, "N")
-p_t = joint_signal_pmf(source, "T")
-print(f"  P(no trigger) = {p_n.norm:.4f},  P(trigger) = {p_t.norm:.4f}")
-print(f"  conditional mean photons | N : {p_n.mean():.6f}")
-print(f"  conditional mean photons | T : {p_t.mean():.6f}")
+# P_N(i) = B Pois(mu_N, i) with mu_N = mu (1 - eta_a), and P_T(i) = Pois(mu, i) - P_N(i)
+b = source.no_trigger_prob
+print(f"  P(no trigger) = {b:.4f},  P(trigger) = {source.trigger_prob:.4f}")
+print(f"  conditional mean photons | N : {source.mu_n:.6f}")
+print(f"  conditional mean photons | T : {(source.mu - b * source.mu_n) / (1 - b):.6f}")
 print("  (triggered pulses carry more photons; that is the decoy contrast)")
 
 print("\nclosed-form gains vs published tallies:")
@@ -47,9 +46,11 @@ for label, model, published in (("Q_N", ao.q_n, run.q_n), ("Q_T", ao.q_t, run.q_
     print(f"  {label}: model {model:.4e}   published {published:.4e}   "
           f"({model / published - 1:+.1%})")
 
-q_n_terms = p_n.probs * yield_n(np.arange(p_n.n_max + 1), link)  # Q_N_i = P_N(i) Y_i
+p_n = b * poisson_pmf(source.mu_n).probs
+i = np.arange(p_n.size)
+q_n_terms = p_n * (1 - (1 - link.y0) * (1 - link.eta) ** i)  # Q_N_i = P_N(i) Y_i
 print("\nseries convergence of the non-trigger gain (partial sums):")
-for upto in (0, 1, 2, 5, p_n.n_max):
+for upto in (0, 1, 2, 5, i[-1]):
     print(f"  i <= {upto:>2}: {q_n_terms[:upto + 1].sum():.6e}")
 print(f"  closed form: {ao.q_n:.6e}")
 print(f"  residual at full truncation: {abs(q_n_terms.sum() - ao.q_n):.1e}")

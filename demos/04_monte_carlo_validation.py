@@ -43,7 +43,8 @@ line("E_N", obs.e_n, ao.e_n, tally.det_n_match)
 line("E_T", obs.e_t, ao.e_t, tally.det_t_match)
 line("trigger fraction", tally.n_triggers / tally.n_pulses,
      source.trigger_prob, config.n_pulses)
-line("sift fraction", tally.n_sifted / tally.n_pulses, 0.5, config.n_pulses)
+line("sift fraction", (tally.sent_n_match + tally.sent_t_match) / tally.n_pulses, 0.5,
+     config.n_pulses)
 
 print("\ndeterminism: same seed, different worker counts")
 small = SimConfig(n_pulses=2_000_000, seed=99)

@@ -11,12 +11,11 @@ Both are simulated at desk scale here; the g2 run mirrors the reference
 experiment's measured 0.994 +/- 0.014 on its Poissonian source.
 """
 
-from pdqkd import (SimConfig, SourceParams, calibrate_mu0_from_car,
+from pdqkd import (SimConfig, SourceParams, calibrate_mu0_from_car, poisson_pmf,
                    simulate_car, simulate_hbt, thermal_pmf)
 
 print("beam-splitter correlation, Poissonian source (mu0 = 0.2, eff = 0.15):")
-source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
-hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=20_000_000, seed=31))
+hist = simulate_hbt(poisson_pmf(0.2), 0.15, SimConfig(n_pulses=20_000_000, seed=31))
 print(f"  singles: {hist.singles_1} / {hist.singles_2}")
 print(f"  g2(0) = {hist.g2_zero:.4f} +/- {hist.g2_zero_sigma:.4f}   "
       "(reference measurement: 0.994 +/- 0.014)")
@@ -26,8 +25,7 @@ flat = ", ".join(f"{c * norm:.3f}" for d, c in zip(hist.delays, hist.coincidence
 print(f"  off-zero bins (should be ~1): {flat}")
 
 print("\nsame optics, single-mode thermal source of equal mean:")
-hist_th = simulate_hbt(source, 0.15, SimConfig(n_pulses=20_000_000, seed=32),
-                       pmf=thermal_pmf(0.2))
+hist_th = simulate_hbt(thermal_pmf(0.2), 0.15, SimConfig(n_pulses=20_000_000, seed=32))
 print(f"  g2(0) = {hist_th.g2_zero:.4f} +/- {hist_th.g2_zero_sigma:.4f}   (expect ~2)")
 
 print("\ncoincidence-to-accidental calibration round trip:")

@@ -3,7 +3,7 @@
 Library layout:
 
 - :mod:`pdqkd.photon_source` -- pair-number statistics and heralding model
-- :mod:`pdqkd.link_model` -- closed-form yields, gains and QBERs
+- :mod:`pdqkd.link_model` -- closed-form gains and QBERs
 - :mod:`pdqkd.decoy_estimator` -- fluctuation bounds, single-photon bounds, key rates
 - :mod:`pdqkd.event_sim` -- deterministic pulse-level Monte Carlo engine
 - :mod:`pdqkd.dataio` -- config / event-log / results persistence
@@ -17,11 +17,10 @@ from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
                               key_rate, scan_loss, single_photon_gains, y1_lower)
 from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
                         simulate_car, simulate_hbt, simulate_run)
-from .link_model import (AnalyticObservables, LinkParams, db_to_linear, error_n,
-                         gains_analytic, linear_to_db, yield_n)
+from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
 from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
-                            calibrate_mu0_from_car, g2_of_pmf, joint_signal_pmf,
-                            multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+                            calibrate_mu0_from_car, multimode_thermal_pmf, poisson_pmf,
+                            thermal_pmf)
 
 __version__ = "0.1.0"
 
@@ -31,9 +30,8 @@ __all__ = [
     "PhotonNumberPmf", "ProtocolParams", "ScanResult", "SimConfig",
     "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
     "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
-    "end_to_end", "error_n", "fluctuation_bounds", "g2_of_pmf",
-    "gains_analytic", "joint_signal_pmf", "key_rate", "linear_to_db",
+    "end_to_end", "fluctuation_bounds", "gains_analytic", "key_rate",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
     "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",
-    "yield_n", "y1_lower",
+    "y1_lower",
 ]

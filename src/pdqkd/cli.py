@@ -92,13 +92,17 @@ def _run_manifest(args) -> dataio.RunManifest:
 
 
 def _check_writable(*paths) -> None:
-    """Raise :class:`DataFormatError` for an output path that cannot be written, before any
-    work starts; creates no file."""
+    """Raise :class:`DataFormatError` for an output path that cannot be written, or that
+    names the same file as another output, before any work starts; creates no file."""
+    seen = set()
     for path in filter(None, paths):
         p = Path(path)
         if p.is_dir() or not p.parent.is_dir() or not os.access(
                 p if p.exists() else p.parent, os.W_OK):
             raise DataFormatError("not a writable file", str(path))
+        if p.resolve() in seen:
+            raise DataFormatError("names the same file as another output", str(path))
+        seen.add(p.resolve())
 
 
 def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
@@ -273,8 +277,8 @@ def cmd_hbt(args) -> int:
     manifest = _run_manifest(args)
     source = manifest.to_source_params()
     config = manifest.to_sim_config()
-    hist = event_sim.simulate_hbt(source, args.detector_eff, config,
-                                  pmf=_hbt_pmf(args, manifest["mu0"]), workers=args.workers)
+    hist = event_sim.simulate_hbt(_hbt_pmf(args, source.mu0), args.detector_eff, config,
+                                  workers=args.workers)
     print(f"pulses         : {hist.n_pulses}")
     print(f"singles        : {hist.singles_1} / {hist.singles_2}")
     print(f"g2(0)          : {hist.g2_zero:.4f} +/- {hist.g2_zero_sigma:.4f}")

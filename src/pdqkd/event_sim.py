@@ -130,10 +130,6 @@ class Tally:
         return self.sent_t_match + self.sent_t_mismatch
 
     @property
-    def n_sifted(self) -> int:
-        return self.sent_n_match + self.sent_t_match
-
-    @property
     def detections_n(self) -> int:
         return self.det_n_match + self.det_n_mismatch
 
@@ -370,9 +366,9 @@ def _coincidences(cells: np.ndarray, slot: int, config: SimConfig, max_delay: in
     return counts.tolist()
 
 
-def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
-                 pmf: PhotonNumberPmf | None = None, workers: int = 1) -> HbtHistogram:
-    """Virtual intensity-correlation experiment on the signal mode.
+def simulate_hbt(pmf: PhotonNumberPmf, detector_eff: float, config: SimConfig,
+                 workers: int = 1) -> HbtHistogram:
+    """Virtual intensity-correlation experiment on a mode whose photon number follows ``pmf``.
 
     Each photon routes independently to one of two arms of a balanced
     splitter and is detected with probability ``detector_eff``; threshold
@@ -384,7 +380,7 @@ def simulate_hbt(source: SourceParams, detector_eff: float, config: SimConfig,
         raise ParameterError(f"detector_eff must be in (0, 1], got {detector_eff!r}")
     if config.n_pulses <= _HBT_MAX_DELAY:
         raise UndefinedRatioError(f"delay {config.n_pulses} has no pulse pairs; g2 undefined")
-    cells = _hbt_cells(poisson_pmf(source.mu0) if pmf is None else pmf, detector_eff)
+    cells = _hbt_cells(pmf, detector_eff)
     n1, n2, *cc = _coincidences(cells, _SLOT_HBT, config, _HBT_MAX_DELAY, workers)
     if n1 == 0 or n2 == 0:
         raise UndefinedRatioError("no singles recorded on one arm; g2 undefined")

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ParameterError, UndefinedRatioError
 from .photon_source import SourceParams
 
@@ -55,53 +53,28 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class AnalyticObservables:
-    """Closed-form per-pulse gains and QBERs, split by heralding outcome.
-
-    ``q = q_n + q_t`` and ``eq = e_n q_n + e_t q_t`` hold as algebraic
-    identities of the implemented formulas.
-    """
+    """Closed-form per-pulse gains and QBERs, split by heralding outcome."""
 
     q_n: float
     q_t: float
     e_n: float
     e_t: float
-    q: float
-    eq: float
 
     def __post_init__(self):
-        for name in ("q_n", "q_t", "q", "eq"):
+        for name in ("q_n", "q_t"):
             if getattr(self, name) < 0.0:
                 raise ParameterError(f"{name} must be non-negative")
         for name in ("e_n", "e_t"):
             if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ParameterError(f"{name} must be in [0, 1]")
 
+    @property
+    def q(self) -> float:
+        return self.q_n + self.q_t
 
-def yield_n(i, link: LinkParams):
-    """Detection probability given i photons entered the channel.
-
-    Monotone non-decreasing in i, with ``yield_n(0) == y0``.  Accepts a
-    scalar count or an integer array.
-    """
-    i_arr = np.asarray(i)
-    if np.any(i_arr < 0):
-        raise ParameterError("photon count i must be non-negative")
-    y = 1.0 - (1.0 - link.y0) * np.power(1.0 - link.eta, i_arr.astype(np.float64))
-    if np.isscalar(i) or i_arr.ndim == 0:
-        return float(y)
-    return y
-
-
-def error_n(i, link: LinkParams):
-    """Error rate of detections given i photons entered the channel.
-
-    ``e_i = [e_d Y_i + (e0 - e_d) Y0] / Y_i``; interpolates between the
-    dark-count value e0 (channel fully opaque) and the intrinsic e_d.
-    """
-    y = yield_n(i, link)
-    if np.any(np.asarray(y) == 0.0):
-        raise UndefinedRatioError("error rate undefined where the yield is zero")
-    return (link.e_d * y + (link.e0 - link.e_d) * link.y0) / y
+    @property
+    def eq(self) -> float:
+        return self.e_n * self.q_n + self.e_t * self.q_t
 
 
 def gains_analytic(source: SourceParams, link: LinkParams) -> AnalyticObservables:
@@ -124,7 +97,7 @@ def gains_analytic(source: SourceParams, link: LinkParams) -> AnalyticObservable
     etqt = eq - enqn
     e_n = enqn / q_n if q_n > 0.0 else _degenerate_qber(q_n, enqn)
     e_t = etqt / q_t if q_t > 0.0 else _degenerate_qber(q_t, etqt)
-    return AnalyticObservables(q_n=q_n, q_t=q_t, e_n=e_n, e_t=e_t, q=q, eq=eq)
+    return AnalyticObservables(q_n=q_n, q_t=q_t, e_n=e_n, e_t=e_t)
 
 
 def _degenerate_qber(gain: float, error_mass: float) -> float:
@@ -140,10 +113,3 @@ def db_to_linear(loss_db: float) -> float:
     if not (isinstance(loss_db, (int, float)) and math.isfinite(loss_db) and loss_db >= 0.0):
         raise ParameterError(f"loss_db must be a finite non-negative number, got {loss_db!r}")
     return 10.0 ** (-loss_db / 10.0)
-
-
-def linear_to_db(transmittance: float) -> float:
-    """Loss in dB from a linear transmittance in (0, 1]."""
-    if not (isinstance(transmittance, (int, float)) and 0.0 < transmittance <= 1.0):
-        raise ParameterError(f"transmittance must be in (0, 1], got {transmittance!r}")
-    return -10.0 * math.log10(transmittance)

@@ -12,12 +12,11 @@ The heralding law, stated once here and read by every closed form: i photons
 enter the channel with ``Pois(mu, i)`` and leave the heralding detector silent
 with ``h_i = (1 - y0_alice) (1 - eta_a)^i e^(-(mu0 - mu) eta_a)``, so ``P_N(i) =
 Pois(mu, i) h_i = B Pois(mu (1 - eta_a), i)`` and ``P_T(i) = Pois(mu, i) (1 - h_i)``
-with ``B = (1 - y0_alice) e^(-mu0 eta_a)``.  :class:`SourceParams` carries B, ``h_i``,
-the N-branch mean ``mu (1 - eta_a)`` and ``P_N(0), P_T(0), P_N(1), P_T(1)``.
+with ``B = (1 - y0_alice) e^(-mu0 eta_a)``.  :class:`SourceParams` carries B, the
+N-branch mean ``mu (1 - eta_a)`` and ``P_N(0), P_T(0), P_N(1), P_T(1)``.
 
-All distributions are represented by :class:`PhotonNumberPmf`, a truncated
-(and possibly sub-normalized, for the joint trigger/photon-number laws)
-probability vector with explicit tail accounting.
+Pair-number distributions are represented by :class:`PhotonNumberPmf`, a
+truncated probability vector with explicit tail accounting.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import ParameterError, TruncationError, UndefinedRatioError
+from .errors import ParameterError, TruncationError
 
 #: Tail probability above the truncation order that a pmf may leave unaccounted.
 DEFAULT_TAIL_CUTOFF = 1e-12
@@ -101,11 +100,6 @@ class SourceParams:
         """Mean of the N branch's Poisson law, ``mu (1 - eta_a)``."""
         return self.mu * (1.0 - self.eta_a)
 
-    def herald(self, i):
-        """``h_i`` at a photon count or an integer array of them."""
-        return ((1.0 - self.y0_alice) * np.power(1.0 - self.eta_a, i)
-                * math.exp(-(self.mu0 - self.mu) * self.eta_a))
-
     @cached_property
     def branch_terms(self) -> tuple[float, float, float, float]:
         """``(P_N(0), P_T(0), P_N(1), P_T(1))``, computed once per instance."""
@@ -134,21 +128,17 @@ class PhotonNumberPmf:
     """Truncated photon-number distribution with explicit tail mass.
 
     ``probs[n]`` is the probability of n photons for n in ``0..n_max``;
-    ``tail_mass`` is the probability beyond ``n_max``.  ``norm`` is the total
-    mass of the underlying distribution: 1 for ordinary pmfs, the branch
-    probability for sub-normalized joint laws.  The balance
-    ``sum(probs) + tail_mass == norm`` holds to 1e-12.
+    ``tail_mass`` is the probability beyond ``n_max``.  The balance
+    ``sum(probs) + tail_mass == 1`` holds to 1e-12.
     """
 
     probs: np.ndarray
-    n_max: int
     tail_mass: float
-    norm: float = 1.0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
-        if probs.ndim != 1 or probs.size != self.n_max + 1:
-            raise ParameterError(f"probs must have length n_max+1 = {self.n_max + 1}, got shape {probs.shape}")
+        if probs.ndim != 1 or probs.size == 0:
+            raise ParameterError(f"probs must be a non-empty vector, got shape {probs.shape}")
         if np.any(probs < -1e-15) or not np.all(np.isfinite(probs)):
             raise ParameterError("probs must be finite and non-negative")
         probs = np.clip(probs, 0.0, None)
@@ -158,36 +148,20 @@ class PhotonNumberPmf:
             raise ParameterError(f"tail_mass must be non-negative, got {self.tail_mass!r}")
         object.__setattr__(self, "tail_mass", max(0.0, float(self.tail_mass)))
         balance = math.fsum(probs.tolist()) + self.tail_mass
-        if abs(balance - self.norm) > _PMF_BALANCE_TOL:
-            raise ParameterError(
-                f"pmf mass {balance!r} does not balance norm {self.norm!r} within {_PMF_BALANCE_TOL}")
+        if abs(balance - 1.0) > _PMF_BALANCE_TOL:
+            raise ParameterError(f"pmf mass {balance!r} is not 1 within {_PMF_BALANCE_TOL}")
 
     @property
-    def support_mass(self) -> float:
-        """Probability mass on the truncated support 0..n_max."""
-        return float(self.probs.sum())
-
-    def mean(self) -> float:
-        """Mean photon number, conditional on the truncated support."""
-        mass = self.support_mass
-        if mass <= 0.0:
-            raise UndefinedRatioError("pmf has zero mass on its support")
-        return float(np.arange(self.n_max + 1, dtype=np.float64) @ self.probs) / mass
-
-    def second_factorial_moment(self) -> float:
-        """<n(n-1)> conditional on the truncated support."""
-        mass = self.support_mass
-        if mass <= 0.0:
-            raise UndefinedRatioError("pmf has zero mass on its support")
-        ns = np.arange(self.n_max + 1, dtype=np.float64)
-        return float((ns * (ns - 1.0)) @ self.probs) / mass
+    def n_max(self) -> int:
+        """The truncation order: the largest photon number of ``probs``."""
+        return self.probs.size - 1
 
 
 def _pmf(mu: float, make) -> PhotonNumberPmf:
     """``make()`` for ``mu > 0``, the point mass at 0 for ``mu == 0``; checks ``mu``."""
     if not (math.isfinite(mu) and mu >= 0.0):
         raise ParameterError(f"mu must be a finite non-negative number, got {mu!r}")
-    return make() if mu > 0.0 else PhotonNumberPmf(np.ones(1), 0, 0.0)
+    return make() if mu > 0.0 else PhotonNumberPmf(np.ones(1), 0.0)
 
 
 def _summed(body, name: str, start: int = 8) -> PhotonNumberPmf:
@@ -198,7 +172,7 @@ def _summed(body, name: str, start: int = 8) -> PhotonNumberPmf:
         probs = body(n)
         tail = max(0.0, 1.0 - math.fsum(probs.tolist()))
         if tail <= DEFAULT_TAIL_CUTOFF:
-            return PhotonNumberPmf(probs, n, tail)
+            return PhotonNumberPmf(probs, tail)
         if n == MAX_N_CAP:
             raise TruncationError(f"{name} tail {tail:g} above cutoff "
                                   f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
@@ -230,7 +204,7 @@ def thermal_pmf(mu: float) -> PhotonNumberPmf:
             raise TruncationError(f"thermal tail {ratio ** (n + 1):g} above cutoff "
                                   f"{DEFAULT_TAIL_CUTOFF:g} at the cap {MAX_N_CAP}")
         k = np.arange(n + 1, dtype=np.float64)
-        return PhotonNumberPmf(np.exp(k * math.log(ratio)) / (1.0 + mu), n, ratio ** (n + 1))
+        return PhotonNumberPmf(np.exp(k * math.log(ratio)) / (1.0 + mu), ratio ** (n + 1))
 
     return _pmf(mu, make)
 
@@ -255,37 +229,6 @@ def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
                       - (k_modes + k) * math.log1p(mu / k_modes))
 
     return _pmf(mu, lambda: _summed(body, "multimode", start=16))
-
-
-def joint_signal_pmf(s: SourceParams, outcome: str) -> PhotonNumberPmf:
-    """Joint law of (heralding outcome, i photons entering the channel).
-
-    ``outcome`` is ``"N"`` (``P_N(i)``) or ``"T"`` (``P_T(i)``).  The result is
-    sub-normalized: its ``norm`` is the branch probability, and the two branches
-    sum element-wise to the Poisson marginal of mean ``mu``.
-    """
-    if outcome not in ("N", "T"):
-        raise ParameterError(f"outcome must be 'N' or 'T', got {outcome!r}")
-    marginal = poisson_pmf(s.mu)
-    p_n = marginal.probs * s.herald(np.arange(marginal.n_max + 1))
-    if outcome == "N":
-        probs, norm = p_n, s.no_trigger_prob
-    else:
-        probs, norm = marginal.probs - p_n, s.trigger_prob
-    tail = max(0.0, norm - math.fsum(probs.tolist()))
-    return PhotonNumberPmf(probs, marginal.n_max, tail, norm)
-
-
-def g2_of_pmf(pmf: PhotonNumberPmf) -> float:
-    """Normalized second-order correlation at zero delay, <n(n-1)> / <n>^2.
-
-    1 for Poissonian statistics, 2 for single-mode thermal, 1 + 1/K for a
-    K-mode thermal mixture, 0 for an ideal single-photon state.
-    """
-    mean = pmf.mean()
-    if mean <= 0.0:
-        raise UndefinedRatioError("g2 is undefined for a zero-mean distribution")
-    return pmf.second_factorial_moment() / (mean * mean)
 
 
 def calibrate_mu0_from_car(car: float) -> float:

@@ -15,6 +15,7 @@ import time
 
 import numpy as np
 
+from oracles import error_n, g2_of_pmf, yield_n
 from pdqkd import event_sim
 from pdqkd.cli import main as cli_main
 from pdqkd.dataio import (ResultsRow, read_results, write_config, read_config,
@@ -23,9 +24,8 @@ from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper,
                                    fluctuation_bounds, key_rate, y1_lower)
 from pdqkd.errors import UnboundedErrorRate
 from pdqkd.event_sim import SimConfig, simulate_hbt, simulate_run
-from pdqkd.link_model import LinkParams, error_n, gains_analytic, yield_n
-from pdqkd.photon_source import (SourceParams, g2_of_pmf, multimode_thermal_pmf,
-                                 poisson_pmf, thermal_pmf)
+from pdqkd.link_model import LinkParams, gains_analytic
+from pdqkd.photon_source import SourceParams, multimode_thermal_pmf, poisson_pmf, thermal_pmf
 from pdqkd.presets import REFERENCE_RUNS, preset_manifest, table1_rows
 
 
@@ -230,9 +230,8 @@ class TestCriterion6PhotonStatistics:
         assert tv_ok, tvs
 
     def test_virtual_hbt_at_1e8(self, capsys):
-        source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
         t0 = time.time()
-        hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=100_000_000, seed=606),
+        hist = simulate_hbt(poisson_pmf(0.2), 0.15, SimConfig(n_pulses=100_000_000, seed=606),
                             workers=2)
         elapsed = time.time() - t0
         off_zero = [c for d, c in zip(hist.delays, hist.coincidences) if d != 0]
@@ -250,10 +249,9 @@ class TestCriterion6PhotonStatistics:
     def test_virtual_hbt_thermal_at_1e8(self, capsys):
         # threshold clicks saturate slightly: the exact click-level value at
         # these settings is 1.9852, inside the 2.0 +/- 0.05 band
-        source = SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.0)
         t0 = time.time()
-        hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=200_000_000, seed=607),
-                            pmf=thermal_pmf(0.1), workers=2)
+        hist = simulate_hbt(thermal_pmf(0.1), 0.15, SimConfig(n_pulses=200_000_000, seed=607),
+                            workers=2)
         elapsed = time.time() - t0
         ok = abs(hist.g2_zero - 2.0) <= 0.05
         with capsys.disabled():

@@ -585,6 +585,24 @@ def test_output_paths_are_checked_before_any_work(tmp_path, capsys, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("events", ["out.tally", "sub/../out.tally", "link.tally"],
+                         ids=["same name", "other spelling", "symlink"])
+def test_two_outputs_naming_one_file_is_a_data_error(tmp_path, capsys, monkeypatch, events):
+    # the event log would overwrite the tally that simulate reports as written
+    def never(*args, **kwargs):
+        raise AssertionError("the run started before the output paths were checked")
+
+    monkeypatch.setattr(event_sim, "simulate_run", never)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.tally").symlink_to(tmp_path / "out.tally")
+    code, stdout, err = run_cli(capsys, "simulate", "--pulses", "1000", "--out", "out.tally",
+                                "--events", events)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {events}: names the same file as another output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tally", "sub"]
+
+
 def test_a_call_leaves_no_setting_to_the_next(capsys, monkeypatch):
     # calls share one process: --set and --mu0 must not outlive their call
     seen = []

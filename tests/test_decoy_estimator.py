@@ -6,14 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import gain_series
+from oracles import error_n, gain_series, yield_n
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams,
                                    binary_entropy, e1_upper,
                                    fluctuation_bounds, key_rate, scan_loss,
                                    single_photon_gains, y1_lower)
 from pdqkd.errors import (DegenerateHeraldingError, DegenerateStatisticsError,
                           ParameterError, UnboundedErrorRate)
-from pdqkd.link_model import LinkParams, error_n, gains_analytic, yield_n
+from pdqkd.link_model import LinkParams, gains_analytic
 from pdqkd.photon_source import SourceParams
 from pdqkd.presets import REFERENCE_RUNS
 

@@ -59,7 +59,8 @@ class TestSimulateRun:
     def test_sift_conservation(self, source50, link50):
         config = SimConfig(n_pulses=2_000_000, seed=3)
         tally, _ = simulate_run(source50, link50, config)
-        assert pull(tally.n_sifted / tally.n_pulses, 0.5, config.n_pulses) < 4.0
+        sifted = tally.sent_n_match + tally.sent_t_match
+        assert pull(sifted / tally.n_pulses, 0.5, config.n_pulses) < 4.0
 
     def test_double_click_rate_consistent_with_multi_survivors(self):
         # strong source + lossy threshold detector: doubles come from >=2
@@ -158,20 +159,16 @@ class TestTally:
 
 class TestHbt:
     def test_poisson_g2_near_one(self):
-        source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
-        hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=20_000_000, seed=21))
+        hist = simulate_hbt(poisson_pmf(0.2), 0.15, SimConfig(n_pulses=20_000_000, seed=21))
         assert hist.g2_zero == pytest.approx(1.0, abs=0.05)
         assert hist.g2_zero_sigma < 0.02
 
     def test_thermal_g2_near_two(self):
-        source = SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.0)
-        hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=20_000_000, seed=22),
-                            pmf=thermal_pmf(0.1))
+        hist = simulate_hbt(thermal_pmf(0.1), 0.15, SimConfig(n_pulses=20_000_000, seed=22))
         assert hist.g2_zero == pytest.approx(2.0, abs=0.15)
 
     def test_off_zero_bins_flat(self):
-        source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
-        hist = simulate_hbt(source, 0.15, SimConfig(n_pulses=20_000_000, seed=23))
+        hist = simulate_hbt(poisson_pmf(0.2), 0.15, SimConfig(n_pulses=20_000_000, seed=23))
         norm = hist.n_pulses / (hist.singles_1 * float(hist.singles_2))
         for delay, cc in zip(hist.delays, hist.coincidences):
             if delay != 0:
@@ -180,15 +177,15 @@ class TestHbt:
 
     def test_batch_independence(self, monkeypatch):
         # 25 blocks on one worker or shared by three
-        source = SourceParams(mu0=0.3, eta_s=1.0, eta_a=0.0)
+        pmf = poisson_pmf(0.3)
         config = SimConfig(n_pulses=300_000, seed=4)
         monkeypatch.setattr(event_sim, "_BLOCK", 12_345)
-        assert simulate_hbt(source, 0.2, config, workers=3) == simulate_hbt(source, 0.2, config)
+        assert simulate_hbt(pmf, 0.2, config, workers=3) == simulate_hbt(pmf, 0.2, config)
 
     def test_sigma_shrinks_with_counts(self):
-        source = SourceParams(mu0=0.2, eta_s=1.0, eta_a=0.0)
-        small = simulate_hbt(source, 0.15, SimConfig(n_pulses=1_000_000, seed=5))
-        large = simulate_hbt(source, 0.15, SimConfig(n_pulses=16_000_000, seed=5))
+        pmf = poisson_pmf(0.2)
+        small = simulate_hbt(pmf, 0.15, SimConfig(n_pulses=1_000_000, seed=5))
+        large = simulate_hbt(pmf, 0.15, SimConfig(n_pulses=16_000_000, seed=5))
         assert large.g2_zero_sigma < 0.5 * small.g2_zero_sigma
 
 
@@ -276,15 +273,13 @@ class TestChunking:
     N = 196_625
     BRIGHT = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
     LINK = LinkParams(eta=0.5, y0=1e-3, e_d=0.02)
-    HBT_SOURCE = SourceParams(mu0=1.0, eta_s=1.0, eta_a=0.0)
     CONFIGS = [(block, workers) for block in (1_000, 65_535, 65_537, 65_541, N)
                for workers in (1, 2)]
 
     def _outputs(self, workers: int):
         config = SimConfig(n_pulses=self.N, seed=31)
         return (simulate_run(self.BRIGHT, self.LINK, config, workers=workers),
-                simulate_hbt(self.HBT_SOURCE, 0.8, config, pmf=thermal_pmf(1.0),
-                             workers=workers),
+                simulate_hbt(thermal_pmf(1.0), 0.8, config, workers=workers),
                 simulate_car(self.BRIGHT, 0.5, config, workers=workers))
 
     def _dense(self, arm_cells, slot, max_delay):
@@ -392,8 +387,7 @@ def test_virtual_experiments_allocate_no_block_length_arrays():
     # few arrays of arm clicks, 0.55 and 1.4 MiB at peak; one float64 array per pulse of a
     # block would add 8 MiB.
     config = SimConfig(n_pulses=4_000_000, seed=7)
-    thermal = SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.0)
-    runs = (lambda: simulate_hbt(thermal, 0.15, config, pmf=thermal_pmf(0.1)),
+    runs = (lambda: simulate_hbt(thermal_pmf(0.1), 0.15, config),
             lambda: simulate_car(SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.2), 0.2, config))
     for run in runs:
         tracemalloc.start()

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from pdqkd.errors import ParameterError, UndefinedRatioError
-from oracles import gain_series
-from pdqkd.link_model import (LinkParams, db_to_linear, error_n, gains_analytic, linear_to_db,
-                              yield_n)
+from oracles import error_n, gain_series, linear_to_db, yield_n
+from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import SourceParams, calibrate_eta_a
 
 ETA_50KM = 0.0009120108393559096  # 10^(-30.4/10)
@@ -122,8 +121,9 @@ class TestGains:
                           y0=float(rng.uniform(0.0, 1e-4)),
                           e_d=float(rng.uniform(0.0, 0.05)))
         ao = gains_analytic(source, link)
-        assert ao.q_n + ao.q_t == pytest.approx(ao.q, abs=1e-12)
-        assert ao.e_n * ao.q_n + ao.e_t * ao.q_t == pytest.approx(ao.eq, abs=1e-12)
+        q = 1.0 - (1.0 - link.y0) * math.exp(-source.mu * link.eta)
+        assert ao.q == pytest.approx(q, abs=1e-12)
+        assert ao.eq == pytest.approx(link.e_d * q + (link.e0 - link.e_d) * link.y0, abs=1e-12)
         assert 0.0 <= ao.e_n <= 1.0 and 0.0 <= ao.e_t <= 1.0
 
     def test_q_monotone_in_eta_and_mu(self):

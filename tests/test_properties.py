@@ -1,4 +1,11 @@
-"""Property tests of the engine, file-format and estimator invariants (derandomized, so deterministic)."""
+"""Property tests of the engine, file-format and estimator invariants.
+
+The tests are derandomized, yet their draws still depend on the modules loaded: hypothesis
+takes some values from a pool that includes the literal constants of every local module in
+``sys.modules``, so running a test alone or beside ``tests/test_cli.py`` draws different values.
+The edge values each property depends on (0, the ends of its ranges and the smallest
+subnormal double) are therefore pinned as explicit examples, which every selection runs.
+"""
 
 import math
 import sys
@@ -8,9 +15,10 @@ from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from oracles import error_n, joint_signal_pmf, yield_n
 from pdqkd import event_sim
 from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_tally,
                           tally_from_events, write_config, write_events, write_tally)
@@ -20,9 +28,9 @@ from pdqkd.errors import UnboundedErrorRate
 from pdqkd.event_sim import (_BLOCK, _CLICKED, EVENT_DTYPE, SimConfig, Tally, _block,
                              _car_cells, _coincidence_block, _hbt_cells, _outcome_table,
                              _run_batch, simulate_run)
-from pdqkd.link_model import LinkParams, db_to_linear, error_n, gains_analytic, yield_n
-from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, joint_signal_pmf,
-                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
+from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf,
+                                 poisson_pmf, thermal_pmf)
 from pdqkd.presets import REFERENCE_RUNS
 
 # a bright, low-loss link, so that a few thousand pulses give many detections
@@ -30,9 +38,14 @@ SOURCE = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
 LINK = LinkParams(eta=db_to_linear(3.0), y0=1e-3, e_d=0.02)
 
 DERANDOMIZED = settings(derandomize=True, database=None, deadline=None)
+TINY = 5e-324  # the smallest subnormal double
+SEED_MAX = 2**64 - 1
 
 
 @settings(DERANDOMIZED, max_examples=40)
+@example(n=1, batch=1, workers=1, seed=0)
+@example(n=3000, batch=1, workers=3, seed=SEED_MAX)
+@example(n=3000, batch=3000, workers=2, seed=0)
 @given(n=st.integers(1, 3000), batch=st.integers(1, 3000),
        workers=st.sampled_from([1, 2, 3]), seed=st.integers(0, 2**64 - 1))
 def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed):
@@ -50,6 +63,8 @@ def test_run_independent_of_batching_and_log_round_trips(n, batch, workers, seed
 
 
 @settings(DERANDOMIZED, max_examples=40)
+@example(n=1, extra=1, block=1, seed=0)
+@example(n=3000, extra=3000, block=1000, seed=SEED_MAX)
 @given(n=st.integers(1, 3000), extra=st.integers(1, 3000), block=st.integers(1, 1000),
        seed=st.integers(0, 2**64 - 1))
 def test_run_is_a_prefix_of_a_longer_run_up_to_its_last_whole_block(n, extra, block, seed):
@@ -76,7 +91,17 @@ def tallies(draw):
                  dark_detections=draw(st.integers(0, n_det)))
 
 
+def full_tally(sent: int) -> Tally:
+    """Every cell at ``sent`` pulses, each detected and each matched detection an error."""
+    cells = {f"{kind}_{cell}": sent for kind in ("sent", "det")
+             for cell in ("n_match", "n_mismatch", "t_match", "t_mismatch")}
+    return Tally(n_pulses=4 * sent, **cells, err_n=sent, err_t=sent, double_clicks=4 * sent,
+                 dark_detections=4 * sent)
+
+
 @settings(DERANDOMIZED, max_examples=100)
+@example(tally=full_tally(0))
+@example(tally=full_tally(60_000_000_000))
 @given(tally=tallies())
 def test_tally_file_round_trips(tally):
     with tempfile.TemporaryDirectory() as tmp:
@@ -91,6 +116,8 @@ SOURCE50 = RUN50.manifest().to_source_params()
 
 
 @settings(DERANDOMIZED, max_examples=200)
+@example(gain_scale=0.2, qber_scale=0.2, n_pulses=10**6, u_alpha=[0.0, 10.0], f=[1.0, 3.0])
+@example(gain_scale=5.0, qber_scale=3.0, n_pulses=10**11, u_alpha=[0.0, 0.0], f=[1.0, 1.0])
 @given(gain_scale=st.floats(0.2, 5.0), qber_scale=st.floats(0.2, 3.0),
        n_pulses=st.integers(10**6, 10**11),
        u_alpha=st.lists(st.floats(0.0, 10.0), min_size=2, max_size=2),
@@ -128,7 +155,7 @@ def pair_pmfs(draw):
     probs[zeroed] = 0.0
     assume(probs.sum() > 0.0)
     # rounding can leave the kept probabilities a few ulps above 1, a tail the pmf takes as 0
-    return PhotonNumberPmf(probs, pmf.n_max, 1.0 - math.fsum(probs.tolist()))
+    return PhotonNumberPmf(probs, 1.0 - math.fsum(probs.tolist()))
 
 
 @st.composite
@@ -143,7 +170,22 @@ def box_runs(draw):
     return src, link
 
 
+def box_run(mu0, eta_s, eta_a, eta, y0, e_d):
+    return SourceParams(mu0=mu0, eta_s=eta_s, eta_a=eta_a), LinkParams(eta=eta, y0=y0, e_d=e_d)
+
+
+# the box's low corner with no dark count and no misalignment, its high corner with both at
+# their maxima, and each corner with both at the smallest subnormal
+LOW_CORNER, HIGH_CORNER = (0.05, 0.002, 0.005, 1e-4), (4.0, 1.0, 0.6, 1.0)
+BOX_EDGES = [box_run(*LOW_CORNER, 0.0, 0.0), box_run(*HIGH_CORNER, 1e-4, 0.05),
+             box_run(*LOW_CORNER, TINY, TINY), box_run(*HIGH_CORNER, TINY, TINY)]
+
+
 @settings(DERANDOMIZED, max_examples=200)
+@example(run=BOX_EDGES[0])
+@example(run=BOX_EDGES[1])
+@example(run=BOX_EDGES[2])
+@example(run=BOX_EDGES[3])
 @given(run=box_runs())
 def test_outcome_table_gains_equal_the_closed_forms(run):
     # E_N and E_T are not compared: the table squashes two or more surviving photons to a
@@ -162,6 +204,10 @@ def test_outcome_table_gains_equal_the_closed_forms(run):
 
 
 @settings(DERANDOMIZED, max_examples=200)
+@example(run=BOX_EDGES[0], y0_alice=0.0)
+@example(run=BOX_EDGES[1], y0_alice=math.nextafter(0.5, 0.0))
+@example(run=BOX_EDGES[2], y0_alice=TINY)
+@example(run=BOX_EDGES[3], y0_alice=math.nextafter(0.5, 0.0))
 @given(run=box_runs(), y0_alice=st.floats(0.0, 0.5, exclude_max=True))
 def test_bounds_read_the_heralding_dark_count_from_the_source(run, y0_alice):
     # on closed-form observables at u = 0, a heralding dark count scales every N-branch term
@@ -192,6 +238,9 @@ def test_bounds_read_the_heralding_dark_count_from_the_source(run, y0_alice):
 
 
 @settings(DERANDOMIZED, max_examples=150)
+@example(run=BOX_EDGES[0], seed=0, block=0, size=1)
+@example(run=BOX_EDGES[1], seed=SEED_MAX, block=2**40, size=5000)
+@example(run=BOX_EDGES[2], seed=0, block=2**40, size=5000)
 @given(run=box_runs(), seed=st.integers(0, 2**64 - 1), block=st.integers(0, 2**40),
        size=st.integers(1, 5000))
 def test_block_draws_fit_the_block_and_the_table(run, seed, block, size):
@@ -217,6 +266,9 @@ def test_block_draws_fit_the_block_and_the_table(run, seed, block, size):
 
 
 @settings(DERANDOMIZED, max_examples=100)
+@example(pmf=poisson_pmf(0.01), eff=0.01, seed=0)
+@example(pmf=thermal_pmf(10.0), eff=1.0, seed=SEED_MAX)
+@example(pmf=multimode_thermal_pmf(10.0, 20), eff=1.0, seed=0)
 @given(pmf=pair_pmfs(), eff=st.floats(0.01, 1.0), seed=st.integers(0, 2**64 - 1))
 def test_hbt_table_and_its_inversion(pmf, eff, seed):
     cells = _hbt_cells(pmf, eff)
@@ -235,6 +287,9 @@ def test_hbt_table_and_its_inversion(pmf, eff, seed):
 
 
 @settings(DERANDOMIZED, max_examples=100)
+@example(mu0=0.01, eta_s=0.0, eta_a=0.0, y0_alice=0.0, eff=0.01)
+@example(mu0=10.0, eta_s=1.0, eta_a=1.0, y0_alice=1e-3, eff=1.0)
+@example(mu0=0.01, eta_s=TINY, eta_a=TINY, y0_alice=TINY, eff=0.01)
 @given(mu0=st.floats(0.01, 10.0), eta_s=st.floats(0.0, 1.0), eta_a=st.floats(0.0, 1.0),
        y0_alice=st.floats(0.0, 1e-3), eff=st.floats(0.01, 1.0))
 def test_car_table_arm_marginals(mu0, eta_s, eta_a, y0_alice, eff):
@@ -250,6 +305,10 @@ def test_car_table_arm_marginals(mu0, eta_s, eta_a, y0_alice, eff):
 
 
 @settings(DERANDOMIZED, max_examples=200)
+@example(mu0=0.05, eta_s=0.002, eta_a=0.005, log_eta=-4.0, y0=0.0, e_d=0.0)
+@example(mu0=4.0, eta_s=1.0, eta_a=0.6, log_eta=0.0, y0=1e-4, e_d=0.05)
+@example(mu0=0.05, eta_s=0.002, eta_a=0.005, log_eta=-4.0, y0=TINY, e_d=TINY)
+@example(mu0=4.0, eta_s=1.0, eta_a=0.6, log_eta=0.0, y0=TINY, e_d=TINY)
 @given(mu0=st.floats(0.05, 4.0), eta_s=st.floats(0.002, 1.0), eta_a=st.floats(0.005, 0.6),
        log_eta=st.floats(-4.0, 0.0), y0=st.floats(0.0, 1e-4), e_d=st.floats(0.0, 0.05))
 def test_asymptotic_bounds_hold_on_the_criterion_5_box(mu0, eta_s, eta_a, log_eta, y0, e_d):
@@ -283,7 +342,22 @@ def configs(draw):
     return RunManifest(values=values)
 
 
+def edge_config(end: int, zero: float = 0.0) -> RunManifest:
+    """Every key at the low (``end=0``) or high (``end=1``) end of its schema range, a float
+    range's end at 0 as ``zero``; an open end is the largest finite float or a 65-bit integer."""
+    open_ends = {float: (-sys.float_info.max, sys.float_info.max), int: (-2**64 - 1, 2**64 + 1)}
+    values = {}
+    for key, (kind, bounds, _, _) in _SCHEMA.items():
+        value = (bounds or (-math.inf, math.inf))[end]
+        value = kind(value) if math.isfinite(value) else open_ends[kind][end]
+        values[key] = zero if kind is float and value == 0.0 else value
+    return RunManifest(values=values)
+
+
 @settings(DERANDOMIZED, max_examples=150)
+@example(manifest=edge_config(0))
+@example(manifest=edge_config(0, zero=TINY))
+@example(manifest=edge_config(1))
 @given(manifest=configs())
 def test_config_write_read_write_is_exact(manifest):
     with tempfile.TemporaryDirectory() as tmp:

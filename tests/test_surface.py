@@ -2,12 +2,13 @@
 
 A settable value is an option flag of a CLI subcommand (summed over the
 subcommands, ``--help`` excluded), a defaulted parameter of a public library
-function (a function in ``pdqkd.__all__``; dataclass fields are not counted),
-or a config key.  The totals, and the public names themselves, are pinned so
-that a change which adds or removes one says so.
+function (a function in ``pdqkd.__all__``), a config key, or a field of a public
+dataclass that callers build.  The totals, the field names and the public names
+themselves are pinned so that a change which adds or removes one says so.
 """
 
 import argparse
+import dataclasses
 import inspect
 
 import pdqkd
@@ -51,17 +52,32 @@ def test_public_names():
         "LinkParams", "ObservedStats", "PhotonNumberPmf", "ProtocolParams", "ScanResult",
         "SimConfig", "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
         "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper", "end_to_end",
-        "error_n", "fluctuation_bounds", "g2_of_pmf", "gains_analytic", "joint_signal_pmf",
-        "key_rate", "linear_to_db", "multimode_thermal_pmf", "poisson_pmf", "scan_loss",
-        "simulate_car", "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",
-        "y1_lower", "yield_n"]
+        "fluctuation_bounds", "gains_analytic", "key_rate", "multimode_thermal_pmf",
+        "poisson_pmf", "scan_loss", "simulate_car", "simulate_hbt", "simulate_run",
+        "single_photon_gains", "thermal_pmf", "y1_lower"]
+    assert len(pdqkd.__all__) == 32
 
 
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
     assert counts == {"end_to_end": 2, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
-                      "simulate_hbt": 2, "simulate_run": 1}
-    assert sum(counts.values()) == 8
+                      "simulate_hbt": 1, "simulate_run": 1}
+    assert sum(counts.values()) == 7
+
+
+def test_public_dataclass_fields():
+    # each field of a dataclass that callers build is a value they set
+    pinned = {
+        "SourceParams": ["mu0", "eta_s", "eta_a", "y0_alice"],
+        "LinkParams": ["eta", "y0", "e_d", "e0"],
+        "ProtocolParams": ["q", "f", "u_alpha", "e0"],
+        "SimConfig": ["n_pulses", "seed"],
+        "PhotonNumberPmf": ["probs", "tail_mass"],
+        "ObservedStats": ["q_n", "q_t", "e_n", "e_t", "n_pulses", "n_triggers"],
+        "AnalyticObservables": ["q_n", "q_t", "e_n", "e_t"],
+    }
+    assert {name: [f.name for f in dataclasses.fields(getattr(pdqkd, name))]
+            for name in pinned} == pinned
 
 
 def test_traced_dataio_parameter_names():
