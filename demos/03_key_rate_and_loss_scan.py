@@ -21,7 +21,7 @@ for name, run in REFERENCE_RUNS.items():
     manifest = run.manifest()
     result = key_rate(run.observed_stats(), manifest.to_protocol_params(),
                       manifest.to_source_params(), vacuum_credit=manifest["y0_bob"])
-    print(f"  {name:<10}: Y1^L {result.y1_low:.3e}  e1^U {result.single.e1_up:.4f}  "
+    print(f"  {name:<10}: Y1^L {result.y1_low:.3e}  e1^U {result.branch_n.e1_up:.4f}  "
           f"key {result.key_bits / 1e3:9.1f} kbit  "
           f"(published {run.key_bits_published / 1e3:7.1f} kbit)")
 

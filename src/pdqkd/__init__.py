@@ -12,9 +12,9 @@ Library layout:
 """
 
 from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
-                              ProtocolParams, ScanResult, SinglePhotonBounds,
-                              binary_entropy, e1_upper, fluctuation_bounds,
-                              key_rate, scan_loss, single_photon_gains, y1_lower)
+                              ProtocolParams, ScanResult, binary_entropy, e1_upper,
+                              fluctuation_bounds, key_rate, scan_loss, single_photon_gains,
+                              y1_lower)
 from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
                         simulate_car, simulate_hbt, simulate_run)
 from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
@@ -28,8 +28,8 @@ __all__ = [
     "AnalyticObservables", "CarResult", "FluctuationBounds",
     "HbtHistogram", "KeyRateResult", "LinkParams", "ObservedStats",
     "PhotonNumberPmf", "ProtocolParams", "ScanResult", "SimConfig",
-    "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
-    "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
+    "SourceParams", "Tally", "binary_entropy", "calibrate_eta_a",
+    "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
     "end_to_end", "fluctuation_bounds", "gains_analytic", "key_rate",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
     "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",

@@ -5,7 +5,7 @@ Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 (config, overrides, seed); ``--workers``, taken by the Monte Carlo commands
 ``simulate``, ``hbt`` and ``car``, spreads the engine's fixed blocks over
 threads and never changes any output byte; no setting cuts a run up.  Every
-output path is checked before any run or scan starts.
+output path is checked, against the others and the inputs too, before any work starts.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 """
@@ -60,21 +60,28 @@ def _config_keys_epilog() -> str:
     return "\n".join(lines)
 
 
+def _config_path(name_or_path: str | None) -> Path | None:
+    """The config file that ``--config`` names; None for no config or a preset."""
+    if name_or_path is None or name_or_path in PRESET_NAMES:
+        return None
+    path = Path(name_or_path)
+    if not path.exists():
+        base = os.environ.get(CONFIG_DIR_ENV)
+        if not (base and (Path(base) / name_or_path).exists()):
+            raise ConfigError(f"config {name_or_path!r} is neither a preset "
+                              f"({', '.join(PRESET_NAMES)}) nor an existing file")
+        path = Path(base) / name_or_path
+    return path
+
+
 def load_manifest(name_or_path: str | None, overrides: list[str]) -> dataio.RunManifest:
-    if name_or_path is None:
-        manifest = dataio.RunManifest(values={})
-    elif name_or_path in PRESET_NAMES:
-        manifest = preset_manifest(name_or_path)
-    else:
-        path = Path(name_or_path)
-        if not path.exists():
-            base = os.environ.get(CONFIG_DIR_ENV)
-            if base and (Path(base) / name_or_path).exists():
-                path = Path(base) / name_or_path
-            else:
-                raise ConfigError(f"config {name_or_path!r} is neither a preset "
-                                  f"({', '.join(PRESET_NAMES)}) nor an existing file")
+    path = _config_path(name_or_path)
+    if path is not None:
         manifest = dataio.read_config(path)
+    elif name_or_path is None:
+        manifest = dataio.RunManifest(values={})
+    else:
+        manifest = preset_manifest(name_or_path)
     parsed = {}
     for item in overrides:
         if "=" not in item:
@@ -91,18 +98,19 @@ def _run_manifest(args) -> dataio.RunManifest:
     return manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
 
 
-def _check_writable(*paths) -> None:
+def _check_writable(*outputs, reads=()) -> None:
     """Raise :class:`DataFormatError` for an output path that cannot be written, or that
-    names the same file as another output, before any work starts; creates no file."""
-    seen = set()
-    for path in filter(None, paths):
+    names the same file as another output or as one of the files the command ``reads``,
+    before any work starts; creates no file."""
+    taken = {Path(p).resolve(): "an input" for p in reads if p}
+    for path in filter(None, outputs):
         p = Path(path)
         if p.is_dir() or not p.parent.is_dir() or not os.access(
                 p if p.exists() else p.parent, os.W_OK):
             raise DataFormatError("not a writable file", str(path))
-        if p.resolve() in seen:
-            raise DataFormatError("names the same file as another output", str(path))
-        seen.add(p.resolve())
+        if p.resolve() in taken:
+            raise DataFormatError(f"names the same file as {taken[p.resolve()]}", str(path))
+        taken[p.resolve()] = "another output"
 
 
 def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
@@ -134,7 +142,7 @@ def _print_keyrate(result, obs) -> None:
 
 
 def cmd_simulate(args) -> int:
-    _check_writable(args.out, args.events)
+    _check_writable(args.out, args.events, reads=[_config_path(args.config)])
     manifest = _run_manifest(args)
     config = manifest.to_sim_config()
     source = manifest.to_source_params()
@@ -178,7 +186,7 @@ def _observed_from_args(args, manifest) -> ObservedStats:
 
 
 def cmd_estimate(args) -> int:
-    _check_writable(args.out)
+    _check_writable(args.out, reads=[_config_path(args.config), args.tally, args.events])
     manifest = load_manifest(args.config, args.set)
     obs = _observed_from_args(args, manifest)
     if args.calibrate_eta_a:
@@ -240,7 +248,7 @@ def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
 
 
 def cmd_scan_loss(args) -> int:
-    _check_writable(args.out)
+    _check_writable(args.out, reads=[_config_path(args.config)])
     scan, rows = _scan(load_manifest(args.config, args.set),
                        _grid(args.loss_from, args.loss_to, args.step), args.vacuum_credit)
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "

@@ -46,15 +46,12 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object, str]] = {
     "eta_s_db": (float, (0.0, math.inf), 0.0, "sender internal loss, source + encoder, in dB"),
     "eta_a": (float, (0.0, 1.0), 0.1,
               "idler-arm transmittance incl. detector efficiency, linear in [0,1]"),
-    "y0_alice": (float, (0.0, 1.0), 0.0,
+    "y0_alice": (float, (0.0, math.nextafter(1.0, 0.0)), 0.0,
                  "heralding-detector dark-count probability per pulse, linear"),
     "eta_db": (float, (0.0, math.inf), 0.0,
                "total receiver-side loss incl. channel and detector, in dB"),
     "y0_bob": (float, (0.0, 1.0), 0.0, "receiver dark-count probability per pulse, linear"),
     "e_d": (float, (0.0, 1.0), 0.0, "intrinsic detection error rate, linear in [0,1]"),
-    "e0": (float, (0.0, 1.0), 0.5,
-           "dark-count error rate, linear (1/2 unless doing sensitivity studies)"),
-    "q": (float, (0.0, 1.0), 0.5, "sift factor, linear in (0,1]"),
     "f": (float, (1.0, math.inf), 1.2, "error-correction inefficiency, >= 1"),
     "u_alpha": (float, (0.0, math.inf), 5.0,
                 "standard deviations for the fluctuation analysis, >= 0"),
@@ -63,10 +60,13 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object, str]] = {
 }
 
 # keys of older configs, read in the range they had with a warning and ignored: the engine
-# cuts a run into fixed blocks, and both bases are equally likely (no default)
+# cuts a run into fixed blocks, both bases are equally likely, so the sift factor q is 1/2,
+# and a dark count's bit is random, so its error rate e0 is 1/2 (no default)
 _RETIRED: dict[str, tuple[type, tuple[float, float], None]] = {
     "batch_size": (int, (1, math.inf), None),
     "basis_bias": (float, (0.5, 0.5), None),
+    "e0": (float, (0.5, 0.5), None),
+    "q": (float, (0.5, 0.5), None),
 }
 
 
@@ -98,12 +98,10 @@ class RunManifest:
                             eta_a=self["eta_a"], y0_alice=self["y0_alice"])
 
     def to_link_params(self) -> LinkParams:
-        return LinkParams(eta=db_to_linear(self["eta_db"]), y0=self["y0_bob"],
-                          e_d=self["e_d"], e0=self["e0"])
+        return LinkParams(eta=db_to_linear(self["eta_db"]), y0=self["y0_bob"], e_d=self["e_d"])
 
     def to_protocol_params(self) -> ProtocolParams:
-        return ProtocolParams(q=self["q"], f=self["f"], u_alpha=self["u_alpha"],
-                              e0=self["e0"])
+        return ProtocolParams(f=self["f"], u_alpha=self["u_alpha"])
 
     def to_sim_config(self) -> SimConfig:
         return SimConfig(n_pulses=self["n_pulses"], seed=self["seed"])
@@ -326,12 +324,12 @@ class ResultsRow:
     @classmethod
     def from_result(cls, loss_db: float, obs, result: KeyRateResult) -> "ResultsRow":
         return cls(loss_db=loss_db, q_n=obs.q_n, q_t=obs.q_t, e_n=obs.e_n, e_t=obs.e_t,
-                   y1_low=result.y1_low, e1_up=result.single.e1_up,
+                   y1_low=result.y1_low, e1_up=result.branch_n.e1_up,
                    r_n=result.r_n, r_t=result.r_t, r=result.r, key_bits=result.key_bits,
-                   clamped_y1=result.single.y1_clamped,
-                   clamped_e1=result.single.e1_clamped,
-                   clamped_r_n=result.branch_n.clamped,
-                   clamped_r_t=result.branch_t.clamped)
+                   clamped_y1="y1_low" in result.clamps,
+                   clamped_e1=not {"e1_up", "e1_unbounded"}.isdisjoint(result.clamps),
+                   clamped_r_n="r_n_negative" in result.clamps,
+                   clamped_r_t="r_t_negative" in result.clamps)
 
     @classmethod
     def from_scan_point(cls, point: ScanPoint) -> "ResultsRow":

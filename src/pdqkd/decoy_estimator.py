@@ -11,9 +11,10 @@ with negative branches clamped to zero.  Statistical fluctuations over a
 finite number of pulses N are handled by the standard-error recipe: every
 observable X that enters a bound is shifted by ``u_alpha / sqrt(N X)``
 standard deviations in its conservative direction.  N is the pulse count of
-the observations (``ObservedStats.n_pulses``), ``u_alpha`` and the dark-count
-error rate ``e0`` are fields of ``ProtocolParams``, and ``u_alpha = 0`` gives
-the asymptotic rate.
+the observations (``ObservedStats.n_pulses``), ``u_alpha`` is a field of
+``ProtocolParams``, and ``u_alpha = 0`` gives the asymptotic rate.  BB84's
+uniform bases fix the sift factor ``q = SIFT = 1/2``, and a dark count's random
+bit fixes its error rate ``e0 = link_model.E0 = 1/2``.
 
 Conventions baked into this module (all surfaced in diagnostics):
 
@@ -34,8 +35,10 @@ from typing import Sequence
 
 from .errors import (DegenerateHeraldingError, DegenerateStatisticsError,
                      ParameterError, UnboundedErrorRate)
-from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
+from .link_model import E0, AnalyticObservables, LinkParams, db_to_linear, gains_analytic
 from .photon_source import SourceParams
+
+SIFT = 0.5  # sift factor q: both bases are equally likely, so half the detections match
 
 
 @dataclass(frozen=True)
@@ -44,33 +47,22 @@ class ProtocolParams:
 
     Attributes
     ----------
-    q : float
-        Sift factor; 1/2 for standard unbiased BB84.
     f : float
         Error-correction inefficiency relative to the Shannon limit.
     u_alpha : float
         Number of standard deviations for the fluctuation analysis
         (5 corresponds to a failure probability of 5.733e-7 per bound);
         0 evaluates every bound at its central value, the asymptotic rate.
-    e0 : float
-        Error rate of a dark count, which converts the error product
-        ``(E_N Q_N)^U`` into the dark-count yield bound ``Y_0^U``.
     """
 
-    q: float = 0.5
     f: float = 1.2
     u_alpha: float = 5.0
-    e0: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.q <= 1.0):
-            raise ParameterError(f"q must be in (0, 1], got {self.q!r}")
         if not (self.f >= 1.0):
             raise ParameterError(f"f must be >= 1, got {self.f!r}")
         if not (self.u_alpha >= 0.0):
             raise ParameterError(f"u_alpha must be >= 0, got {self.u_alpha!r}")
-        if not (0.0 < self.e0 <= 1.0):
-            raise ParameterError(f"e0 must be in (0, 1], got {self.e0!r}")
 
 
 @dataclass(frozen=True)
@@ -129,53 +121,49 @@ class FluctuationBounds:
 
 
 @dataclass(frozen=True)
-class SinglePhotonBounds:
-    """Single-photon and vacuum quantities derived from one set of observables."""
-
-    y1_low: float
-    e1_up: float
-    q_n1: float
-    q_t1: float
-    q_n0: float
-    q_t0: float
-    y1_clamped: bool = False
-    e1_clamped: bool = False
-
-
-@dataclass(frozen=True)
 class BranchDiagnostics:
     """Per-branch decomposition of the rate formula (all per pulse)."""
 
-    gain: float
-    qber: float
     e1_up: float
+    q1: float            # Q_j1 = P_j(1) Y_1^L
     ec_term: float       # f * Q_j * H(E_j)
     single_term: float   # Q_j1 * [1 - H(e1)]
     vacuum_term: float   # Q_j0
     raw_rate: float      # q * (-ec + single + vacuum), before clamping
-    clamped: bool
 
 
 @dataclass(frozen=True)
 class KeyRateResult:
     """Two-branch key rate with full diagnostics.
 
-    ``r = r_n + r_t`` (bits per pulse) and ``key_bits = r * N``, with N the
-    observed pulse count.
+    ``r_j`` is branch j's raw rate clamped at zero, ``r = r_n + r_t`` (bits per
+    pulse) and ``key_bits = r * N``, with N the observed pulse count.
     ``clamps`` lists every quantity that was pushed back into its physical
     range; an empty tuple means the formulas evaluated cleanly.
     """
 
-    r_n: float
-    r_t: float
-    r: float
-    key_bits: float
     y1_low: float
+    n_pulses: int
     bounds: FluctuationBounds
-    single: SinglePhotonBounds
     branch_n: BranchDiagnostics
     branch_t: BranchDiagnostics
     clamps: tuple[str, ...]
+
+    @property
+    def r_n(self) -> float:
+        return max(0.0, self.branch_n.raw_rate)
+
+    @property
+    def r_t(self) -> float:
+        return max(0.0, self.branch_t.raw_rate)
+
+    @property
+    def r(self) -> float:
+        return self.r_n + self.r_t
+
+    @property
+    def key_bits(self) -> float:
+        return self.r * self.n_pulses
 
 
 def binary_entropy(x: float) -> float:
@@ -200,13 +188,12 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
                        source: SourceParams) -> FluctuationBounds:
     """Standard-error bounds on the observables entering the decoy analysis.
 
-    With ``u = protocol.u_alpha``, ``e0 = protocol.e0`` and
-    ``N = obs.n_pulses``:
+    With ``u = protocol.u_alpha`` and ``N = obs.n_pulses``:
 
     - ``Q_N^L  = Q_N (1 - u / sqrt(N Q_N))``
     - ``Q^U    = Q (1 + u / sqrt(N Q))``
     - ``(E_T Q_T)^U`` and ``(E_N Q_N)^U`` analogously raised
-    - ``Y_0^U  = (E_N Q_N)^U / (e0 P_N(0))``, every N-branch error charged to vacuum
+    - ``Y_0^U  = (E_N Q_N)^U / (E0 P_N(0))``, every N-branch error charged to vacuum
 
     ``u = 0`` reduces every bound to its central value (the dark-count yield
     then becomes its central estimate, still derived from the observations).
@@ -220,7 +207,7 @@ def fluctuation_bounds(obs: ObservedStats, protocol: ProtocolParams,
         q_up=_shift(obs.q, n, u, +1, "Q"),
         etqt_up=_shift(obs.e_t * obs.q_t, n, u, +1, "E_T*Q_T"),
         enqn_up=enqn_up,
-        y0_up=enqn_up / (protocol.e0 * source.branch_terms[0]),
+        y0_up=enqn_up / (E0 * source.branch_terms[0]),
         u_alpha=u,
     )
 
@@ -297,13 +284,11 @@ def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
         if e1 > 0.5:
             clamps.append(f"e1_worthless_{name}")
     single = q1 * pa_factor
-    raw = protocol.q * (-ec + single + q0)
-    clamped = raw < 0.0
-    if clamped:
+    raw = SIFT * (-ec + single + q0)
+    if raw < 0.0:
         clamps.append(f"r_{name}_negative")
-    return BranchDiagnostics(gain=q_gain, qber=qber, e1_up=e1, ec_term=ec,
-                             single_term=single, vacuum_term=q0,
-                             raw_rate=raw, clamped=clamped)
+    return BranchDiagnostics(e1_up=e1, q1=q1, ec_term=ec, single_term=single,
+                             vacuum_term=q0, raw_rate=raw)
 
 
 def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
@@ -336,27 +321,16 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     if y1 > 0.0:
         e1_n, cn = e1_upper(bounds.etqt_up, y1, source)
         e1_t, ct = e1_upper(obs.e_t * obs.q_t, y1, source)
-        e1_clamped = cn or ct
-        if e1_clamped:
+        if cn or ct:
             clamps.append("e1_up")
     else:
         e1_n = e1_t = 1.0
-        e1_clamped = True
         clamps.append("e1_unbounded")
     q_n1, q_t1, q_n0, q_t0 = single_photon_gains(y1, vacuum_credit, source)
-    single = SinglePhotonBounds(y1_low=y1, e1_up=e1_n, q_n1=q_n1, q_t1=q_t1,
-                                q_n0=q_n0, q_t0=q_t0,
-                                y1_clamped=y1_clamped, e1_clamped=e1_clamped)
     branch_n = _branch(obs.q_n, obs.e_n, e1_n, q_n1, q_n0, protocol, clamps, "n")
     branch_t = _branch(obs.q_t, obs.e_t, e1_t, q_t1, q_t0, protocol, clamps, "t")
-    r_n = max(0.0, branch_n.raw_rate)
-    r_t = max(0.0, branch_t.raw_rate)
-    r = r_n + r_t
-    return KeyRateResult(r_n=r_n, r_t=r_t, r=r,
-                         key_bits=r * obs.n_pulses,
-                         y1_low=y1, bounds=bounds, single=single,
-                         branch_n=branch_n, branch_t=branch_t,
-                         clamps=tuple(clamps))
+    return KeyRateResult(y1_low=y1, n_pulses=obs.n_pulses, bounds=bounds,
+                         branch_n=branch_n, branch_t=branch_t, clamps=tuple(clamps))
 
 
 @dataclass(frozen=True)

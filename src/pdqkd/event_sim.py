@@ -31,7 +31,7 @@ table of outcome cells, over which each block draws its multinomial.  Given
   survivors raise the double-click flag, which squashes to a uniformly
   random bit; single-survivor detections flip the encoded bit with
   probability ``e_d`` (mismatched bases decohere to a random outcome);
-  dark-only detections yield a random bit, so a run takes only ``e0 = 1/2``;
+  dark-only detections yield a random bit, the ``E0 = 1/2`` of the closed forms;
 - both bases and Alice's bit are uniform.
 
 The gains of the table equal the closed forms of
@@ -275,9 +275,6 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     Pair numbers are Poisson of mean ``mu0``.  ``workers`` parallelizes over
     blocks without affecting any output value.
     """
-    if link.e0 != 0.5:
-        raise ParameterError(f"e0 must be 0.5 to simulate a run: a dark-only detection gets "
-                             f"a uniformly random bit, got e0={link.e0!r}")
     table = _outcome_table(source, link)
     parts = _map_blocks(lambda lo, hi: _run_batch(lo, hi, table, config), config, workers)
     log = EventLog(sent=tuple(sum(s for s, _ in parts).tolist()),

@@ -4,7 +4,7 @@ Yields and error rates per photon number assume a passive channel (no
 adversary tampering with per-photon-number statistics):
 
 - ``Y_i = 1 - (1 - Y0) (1 - eta)^i``
-- ``e_i Y_i = e_d Y_i + (e0 - e_d) Y0``
+- ``e_i Y_i = e_d Y_i + (E0 - e_d) Y0``, a dark count erring at ``E0 = 1/2``
 
 Combining them with the heralded joint photon-number laws of
 :mod:`pdqkd.photon_source` gives closed forms for the trigger/non-trigger
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from .errors import ParameterError, UndefinedRatioError
 from .photon_source import SourceParams
 
+E0 = 0.5  # error rate of a dark-count detection, whose bit is uniformly random
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -34,18 +36,14 @@ class LinkParams:
         Dark-count probability per pulse of the receiving detection.
     e_d : float
         Intrinsic error rate of the detection apparatus (misalignment).
-    e0 : float
-        Error rate of dark-count detections; 1/2 unless overridden for
-        sensitivity studies.
     """
 
     eta: float
     y0: float
     e_d: float
-    e0: float = 0.5
 
     def __post_init__(self):
-        for name in ("eta", "y0", "e_d", "e0"):
+        for name in ("eta", "y0", "e_d"):
             v = getattr(self, name)
             if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
                 raise ParameterError(f"{name} must be in [0, 1], got {v!r}")
@@ -84,16 +82,16 @@ def gains_analytic(source: SourceParams, link: LinkParams) -> AnalyticObservable
 
     - ``Q_N  = B [1 - (1 - Y0) e^(-mu_N eta)]``
     - ``Q    = 1 - (1 - Y0) e^(-mu eta)`` and ``Q_T = Q - Q_N``
-    - ``E_N Q_N = e_d Q_N + (e0 - e_d) Y0 B``
-    - ``E Q  = e_d Q + (e0 - e_d) Y0`` and ``E_T Q_T = EQ - E_N Q_N``
+    - ``E_N Q_N = e_d Q_N + (E0 - e_d) Y0 B``
+    - ``E Q  = e_d Q + (E0 - e_d) Y0`` and ``E_T Q_T = EQ - E_N Q_N``
     """
-    y0, e_d, e0 = link.y0, link.e_d, link.e0
+    y0, e_d = link.y0, link.e_d
     p_no_trigger = source.no_trigger_prob
     q_n = p_no_trigger * -math.expm1(math.log1p(-y0) - source.mu_n * link.eta)
     q = -math.expm1(math.log1p(-y0) - source.mu * link.eta)
     q_t = q - q_n
-    enqn = e_d * q_n + (e0 - e_d) * y0 * p_no_trigger
-    eq = e_d * q + (e0 - e_d) * y0
+    enqn = e_d * q_n + (E0 - e_d) * y0 * p_no_trigger
+    eq = e_d * q + (E0 - e_d) * y0
     etqt = eq - enqn
     e_n = enqn / q_n if q_n > 0.0 else _degenerate_qber(q_n, enqn)
     e_t = etqt / q_t if q_t > 0.0 else _degenerate_qber(q_t, etqt)

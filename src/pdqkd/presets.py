@@ -78,8 +78,6 @@ class ReferenceRun:
             "eta_db": self.eta_db,
             "y0_bob": self.y0_bob,
             "e_d": E_D,
-            "e0": 0.5,
-            "q": 0.5,
             "f": 1.2,
             "u_alpha": 5.0,
             "n_pulses": N_PULSES,

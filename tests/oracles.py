@@ -12,7 +12,7 @@ from scipy.special import gammaln
 
 from pdqkd import event_sim
 from pdqkd.errors import ParameterError, UndefinedRatioError
-from pdqkd.link_model import LinkParams
+from pdqkd.link_model import E0, LinkParams
 from pdqkd.photon_source import PhotonNumberPmf, SourceParams, poisson_pmf
 
 
@@ -34,13 +34,13 @@ def yield_n(i, link: LinkParams):
 def error_n(i, link: LinkParams):
     """Error rate of detections given i photons entered the channel.
 
-    ``e_i = [e_d Y_i + (e0 - e_d) Y0] / Y_i``; interpolates between the
-    dark-count value e0 (channel fully opaque) and the intrinsic e_d.
+    ``e_i = [e_d Y_i + (E0 - e_d) Y0] / Y_i``; interpolates between the
+    dark-count value E0 (channel fully opaque) and the intrinsic e_d.
     """
     y = yield_n(i, link)
     if np.any(np.asarray(y) == 0.0):
         raise UndefinedRatioError("error rate undefined where the yield is zero")
-    return (link.e_d * y + (link.e0 - link.e_d) * link.y0) / y
+    return (link.e_d * y + (E0 - link.e_d) * link.y0) / y
 
 
 def linear_to_db(transmittance: float) -> float:

@@ -9,9 +9,10 @@ import pytest
 
 from pdqkd import cli, event_sim
 from pdqkd.cli import main
-from pdqkd.dataio import (EVENTS_HEADER, TALLY_HEADER, read_results, read_tally,
-                          write_events, write_tally)
+from pdqkd.dataio import (_SCHEMA, EVENTS_HEADER, TALLY_HEADER, RunManifest, read_results,
+                          read_tally, write_config, write_events, write_tally)
 from pdqkd.event_sim import EVENT_DTYPE, EventLog, Tally
+from pdqkd.link_model import E0
 from pdqkd.photon_source import calibrate_eta_a
 from pdqkd.presets import REFERENCE_RUNS, Y0_BOB, preset_manifest
 
@@ -63,14 +64,6 @@ class TestSimulate:
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
             "d617c2bd8bce0bc1914987a5acbdc0f65ee116b07a584f194a25e6cd0cf661b3")
 
-    def test_dark_count_error_other_than_half_is_a_usage_error(self, tmp_path, capsys):
-        # the engine gives a dark-only detection a random bit, so it simulates e0 = 1/2 alone
-        out = tmp_path / "t.tally"
-        code, stdout, err = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses",
-                                    "1000", "--set", "e0=0.2", "--out", str(out))
-        assert code == 1 and stdout == "" and not out.exists()
-        assert "e0" in err
-
     def test_retired_batch_size_override_changes_no_byte(self, tmp_path, capsys):
         def run(*extra):
             run_dir = tmp_path / str(len(extra))
@@ -89,16 +82,24 @@ class TestSimulate:
         assert len(warning) == 1 and warning[0].startswith("warning:")
         assert "batch_size" in warning[0]
 
-    @pytest.mark.parametrize("source", ["--set", "file"])
-    def test_retired_basis_bias_off_half_exits_2(self, tmp_path, capsys, source):
+    # both bases are equally likely, so the sift factor q is 1/2, and a dark-only detection
+    # gets a random bit, so its error rate e0 is 1/2: each retired key reads at 1/2 alone
+    @pytest.mark.parametrize("key, value, source", [
+        pytest.param(key, value, source, id=source if key == "basis_bias" else f"{key} {source}")
+        for key, value in (("basis_bias", "0.9"), ("e0", "0.2"), ("q", "0.7"))
+        for source in ("--set", "file")])
+    def test_retired_basis_bias_off_half_exits_2(self, tmp_path, capsys, key, value, source):
         if source == "file":
             path = tmp_path / "biased.cfg"
-            path.write_text("basis_bias = 0.9\n")
+            path.write_text(f"{key} = {value}\n")
             argv = ["--config", str(path)]
         else:
-            argv = ["--set", "basis_bias=0.9"]
-        code, _, err = run_cli(capsys, "simulate", "--pulses", "1000", *argv)
-        assert code == 2 and "basis_bias" in err
+            argv = ["--set", f"{key}={value}"]
+        out = tmp_path / "t.tally"
+        code, stdout, err = run_cli(capsys, "simulate", "--pulses", "1000", *argv,
+                                    "--out", str(out))
+        assert (code, stdout) == (2, "") and not out.exists()
+        assert f"key {key}: value {float(value)!r} out of range [0.5, 0.5]" in err
 
     @pytest.mark.parametrize("command", ["simulate", "hbt", "car"])
     @pytest.mark.parametrize("pulses", ["200000.7", "0"])
@@ -159,14 +160,6 @@ class TestEstimate:
                                   "--q-n", "2.43e-5", "--q-t", "2.50e-6",
                                   "--e-n", "0.0399", "--e-t", "0.0306", *extra)
         assert code == 0 and stdout.splitlines()[0] == header
-
-    @pytest.mark.parametrize("key", ["e0", "q"])
-    def test_zero_protocol_rate_is_a_usage_error(self, capsys, key):
-        code, stdout, err = run_cli(capsys, "estimate", "--config", "paper50km",
-                                    "--set", f"{key}=0", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
-                                    "--e-n", "0.0399", "--e-t", "0.0306")
-        assert code == 1 and stdout == ""
-        assert err == f"error: {key} must be in (0, 1], got 0.0\n"
 
     def test_zero_detection_warns_not_fails(self, tmp_path, capsys):
         code, stdout, err = run_cli(
@@ -356,13 +349,13 @@ class TestScanAndReproduce:
 
     @pytest.mark.parametrize("name", ["paper0km", "paper25km"])
     def test_short_distance_dark_count_from_published_qber(self, name):
-        # E_N Q_N = e_d Q_N + (e0 - e_d) Y0 B, solved for Y0 with the shared
+        # E_N Q_N = e_d Q_N + (E0 - e_d) Y0 B, solved for Y0 with the shared
         # e_d and the run's own published Q_N, E_N and heralding fraction
         run = REFERENCE_RUNS[name]
         manifest = preset_manifest(name)
-        e_d, e0 = manifest["e_d"], manifest["e0"]
+        e_d = manifest["e_d"]
         b = (1.0 - manifest["y0_alice"]) * math.exp(-run.mu0 * run.eta_a)
-        y0 = (run.e_n - e_d) * run.q_n / ((e0 - e_d) * b)
+        y0 = (run.e_n - e_d) * run.q_n / ((E0 - e_d) * b)
         assert manifest["y0_bob"] == float(f"{y0:.2g}")
 
     def test_paper50km_keeps_calibrated_dark_count(self):
@@ -480,8 +473,7 @@ class TestHelp:
     def test_help_documents_config_keys_with_units(self, capsys):
         code, stdout, _ = run_cli(capsys, "--help")
         assert code == 0
-        for key in ("mu0", "eta_s_db", "eta_a", "y0_bob", "e_d", "f", "q",
-                    "u_alpha", "n_pulses"):
+        for key in ("mu0", "eta_s_db", "eta_a", "y0_bob", "e_d", "f", "u_alpha", "n_pulses"):
             assert key in stdout
         assert "dB" in stdout and "linear" in stdout
 
@@ -533,6 +525,48 @@ class TestHelp:
 # direct published rates, so that estimate reads no input file
 DIRECT = ["--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6", "--e-n", "0.0399",
           "--e-t", "0.0306"]
+
+
+@pytest.mark.parametrize("argv, digests", [
+    (["reproduce", "fig4", "--out", "fig4.csv"],
+     ("4aa1b59ac8c3a589c8e37f66515972335127f93bdb1abe2cc3a8b6fb87e33a53",
+      "fef72d426ccc07dd8690d8a3efba4b9f13618d2ed4e0a1d31f4107882c495c72")),
+    (["estimate", *DIRECT, "--out", "est.csv"],
+     ("c237c88f5910ec487bba36119accf711942bd32ee323fb4d7e3269d19f954862",
+      "8b51b01223170a12e8f5ed982f5b2d0cbef9885298501e50a648c1f5bcd7e25f")),
+    (["estimate", "--config", "paper0km", "--q-n", "2.13e-4", "--q-t", "2.21e-5",
+      "--e-n", "0.0212", "--e-t", "0.0197"],
+     ("d1aa6eb24d3506d01f8bd45af1e7da4d98ba2438954daec490f597b1e99271d0", None)),
+    (["estimate", "--config", "paper25km", "--q-n", "1.02e-4", "--q-t", "1.02e-5",
+      "--e-n", "0.0315", "--e-t", "0.0281"],
+     ("f07d0fd673a971cf3ccb066f6f0f7953127cbcb032543015009c9c0f98b65707", None)),
+], ids=["fig4", "paper50km", "paper0km", "paper25km"])
+def test_estimator_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, digests):
+    # digests of the stdout and the results table on the published rates; any change to an
+    # estimated value, a clamp flag or the layout of either fails here
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digests[0]
+    if digests[1] is not None:
+        assert hashlib.sha256((tmp_path / argv[-1]).read_bytes()).hexdigest() == digests[1]
+
+
+@pytest.mark.parametrize("key", [key for key, row in _SCHEMA.items() if row[1] is not None])
+def test_schema_range_ends_are_the_libraries_ends(capsys, key):
+    # each finite end of a key's range is a value the parameter classes take, and the value
+    # just beyond it is refused by name with exit 2, never by a class with exit 1
+    kind, bounds = _SCHEMA[key][:2]
+    for end, beyond in zip(bounds, (-math.inf, math.inf)):
+        if not math.isfinite(end):
+            continue
+        manifest = RunManifest(values={key: kind(end)})
+        for to_params in (manifest.to_source_params, manifest.to_link_params,
+                          manifest.to_protocol_params, manifest.to_sim_config):
+            to_params()
+        outside = end + (1 if beyond > 0 else -1) if kind is int else math.nextafter(end, beyond)
+        code, stdout, err = run_cli(capsys, "estimate", *DIRECT, "--set", f"{key}={outside!r}")
+        assert (code, stdout) == (2, "") and err.startswith(f"error: key {key}: value ")
 
 
 @pytest.mark.parametrize("credit", ["2", "-0.1", "nan", "inf"])
@@ -601,6 +635,40 @@ def test_two_outputs_naming_one_file_is_a_data_error(tmp_path, capsys, monkeypat
     assert (code, stdout) == (2, "")
     assert err == f"error: {events}: names the same file as another output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.tally", "sub"]
+
+
+@pytest.mark.parametrize("argv, target, work", [
+    (["simulate", "--pulses", "1000", "--config", "in.cfg", "--out"], "in.cfg",
+     (event_sim, "simulate_run")),
+    (["simulate", "--pulses", "1000", "--config", "in.cfg", "--events"], "in.cfg",
+     (event_sim, "simulate_run")),
+    (["estimate", "--config", "paper50km", "--tally", "in.tally", "--out"], "in.tally",
+     (cli, "key_rate")),
+    (["estimate", "--config", "paper50km", "--events", "in.csv", "--out"], "in.csv",
+     (cli, "key_rate")),
+    (["estimate", *DIRECT[2:], "--config", "in.cfg", "--out"], "in.cfg", (cli, "key_rate")),
+    (["scan-loss", "--to", "1", "--config", "in.cfg", "--out"], "in.cfg", (cli, "scan_loss")),
+], ids=["simulate config", "simulate events", "estimate tally", "estimate events",
+        "estimate config", "scan-loss config"])
+def test_an_output_naming_an_input_is_a_data_error(tmp_path, capsys, monkeypatch, argv, target,
+                                                   work):
+    # writing the output would overwrite the file the command reads, which then no longer
+    # reads back as its kind; the check also sees through another spelling of the path
+    def never(*args, **kwargs):
+        raise AssertionError("the work started before the output paths were checked")
+
+    monkeypatch.chdir(tmp_path)
+    write_config(preset_manifest("paper50km"), "in.cfg")
+    write_tally(Tally(n_pulses=10, sent_n_match=10, det_n_match=3, err_n=1), "in.tally")
+    write_events(EventLog(sent=(0, 1, 0, 0), rows=np.empty(0, EVENT_DTYPE)), "in.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    monkeypatch.setattr(*work, never)
+    (tmp_path / "sub").mkdir()
+    path = f"sub/../{target}"
+    code, stdout, err = run_cli(capsys, *argv, path)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: {path}: names the same file as an input\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
 
 
 def test_a_call_leaves_no_setting_to_the_next(capsys, monkeypatch):

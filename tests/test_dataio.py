@@ -18,7 +18,7 @@ class TestConfig:
         path.write_text("")
         manifest = read_config(path)
         assert manifest == RunManifest(values={})
-        assert manifest["q"] == 0.5 and manifest["f"] == 1.2
+        assert manifest["u_alpha"] == 5.0 and manifest["f"] == 1.2
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         manifest = preset_manifest("paper50km")
@@ -73,15 +73,16 @@ class TestConfig:
             read_config(path)
 
     def test_retired_keys_warn_once_and_are_ignored(self, tmp_path, capsys):
-        # configs written before the engine fixed its batches hold both retired keys
+        # configs written before the engine fixed its batches hold all four retired keys
         manifest = preset_manifest("paper50km")
         path = tmp_path / "old.cfg"
         write_config(manifest, path)
-        path.write_text(path.read_text() + "batch_size = 4000000\nbasis_bias = 0.5\n")
+        path.write_text(path.read_text() + "batch_size = 4000000\nbasis_bias = 0.5\n"
+                        "e0 = 0.5\nq = 0.5\n")
         assert read_config(path) == manifest
         warnings = capsys.readouterr().err.splitlines()
-        assert len(warnings) == 2 and all(w.startswith("warning:") for w in warnings)
-        assert "batch_size" in warnings[0] and "basis_bias" in warnings[1]
+        assert len(warnings) == 4 and all(w.startswith("warning:") for w in warnings)
+        assert [w.split()[3] for w in warnings] == ["batch_size", "basis_bias", "e0", "q"]
 
     @pytest.mark.parametrize("line", ["basis_bias = 0.9", "batch_size = 0"])
     def test_retired_key_outside_its_old_reading_is_an_error(self, tmp_path, line):

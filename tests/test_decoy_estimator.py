@@ -261,16 +261,6 @@ class TestScanLoss:
         assert scan.points[0].result.r == pytest.approx(direct.r, rel=0.1)
         assert scan.points[0].result.r == direct.r  # identical by construction
 
-    def test_config_e0_reaches_the_estimator(self):
-        # the config's e0 must reach the Y_0 bound, not only the channel model
-        manifest = RUN50.manifest().with_overrides({"e0": "0.3"})
-        src, link = manifest.to_source_params(), manifest.to_link_params()
-        point = scan_loss(src, link, manifest.to_protocol_params(), [30.4], N50).points[0]
-        obs = ObservedStats.from_analytic(point.observables, src, N50)
-        assert point.result == key_rate(obs, proto50(e0=0.3), src)
-        assert point.result != key_rate(obs, proto50(), src)
-        assert point.result.key_bits == pytest.approx(153_061, rel=1e-5)
-
     def test_rate_monotone_nonincreasing(self):
         src = src50()
         link = RUN50.manifest().to_link_params()

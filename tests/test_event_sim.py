@@ -91,12 +91,6 @@ class TestSimulateRun:
                 tally, log = simulate_run(source50, link50, config, workers=workers)
                 assert tally == base_tally and log == base_log
 
-    def test_dark_count_error_other_than_half_is_rejected(self, source50):
-        # a dark-only detection gets a uniformly random bit, which is e0 = 1/2 and no other
-        link = replace(scaled_link(60.0), e0=0.2)
-        with pytest.raises(ParameterError, match="e0"):
-            simulate_run(source50, link, SimConfig(n_pulses=1000))
-
     def test_event_log_round_trips_through_tally(self, source50):
         from pdqkd.dataio import tally_from_events
         link = scaled_link(6.0)

@@ -7,7 +7,7 @@ import pytest
 
 from pdqkd.errors import ParameterError, UndefinedRatioError
 from oracles import error_n, gain_series, linear_to_db, yield_n
-from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
+from pdqkd.link_model import E0, LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import SourceParams, calibrate_eta_a
 
 ETA_50KM = 0.0009120108393559096  # 10^(-30.4/10)
@@ -123,7 +123,7 @@ class TestGains:
         ao = gains_analytic(source, link)
         q = 1.0 - (1.0 - link.y0) * math.exp(-source.mu * link.eta)
         assert ao.q == pytest.approx(q, abs=1e-12)
-        assert ao.eq == pytest.approx(link.e_d * q + (link.e0 - link.e_d) * link.y0, abs=1e-12)
+        assert ao.eq == pytest.approx(link.e_d * q + (E0 - link.e_d) * link.y0, abs=1e-12)
         assert 0.0 <= ao.e_n <= 1.0 and 0.0 <= ao.e_t <= 1.0
 
     def test_q_monotone_in_eta_and_mu(self):

@@ -233,7 +233,7 @@ def test_bounds_read_the_heralding_dark_count_from_the_source(run, y0_alice):
     if res.y1_low > 0.0:
         e1 = e1_upper(obs.e_t * obs.q_t, res.y1_low, dark)[0]
         assert e1 >= error_n(1, link) * (1 - 1e-9) - tiny
-    for outcome, q1 in (("N", res.single.q_n1), ("T", res.single.q_t1)):
+    for outcome, q1 in (("N", res.branch_n.q1), ("T", res.branch_t.q1)):
         assert q1 <= joint_signal_pmf(dark, outcome).probs[1] * y1 * (1 + 1e-9)
 
 

@@ -12,9 +12,9 @@ import dataclasses
 import inspect
 
 import pdqkd
-from pdqkd import dataio
+from pdqkd import dataio, decoy_estimator
 from pdqkd.cli import build_parser
-from pdqkd.dataio import _SCHEMA
+from pdqkd.dataio import _RETIRED, _SCHEMA
 
 
 def cli_flags() -> dict[str, int]:
@@ -42,20 +42,21 @@ def test_cli_flag_count():
 
 def test_config_keys():
     assert list(_SCHEMA) == ["mu0", "eta_s_db", "eta_a", "y0_alice", "eta_db", "y0_bob", "e_d",
-                             "e0", "q", "f", "u_alpha", "n_pulses", "seed"]
-    assert len(_SCHEMA) == 13
+                             "f", "u_alpha", "n_pulses", "seed"]
+    assert len(_SCHEMA) == 11
+    assert list(_RETIRED) == ["batch_size", "basis_bias", "e0", "q"]
 
 
 def test_public_names():
     assert sorted(pdqkd.__all__) == [
         "AnalyticObservables", "CarResult", "FluctuationBounds", "HbtHistogram", "KeyRateResult",
         "LinkParams", "ObservedStats", "PhotonNumberPmf", "ProtocolParams", "ScanResult",
-        "SimConfig", "SinglePhotonBounds", "SourceParams", "Tally", "binary_entropy",
+        "SimConfig", "SourceParams", "Tally", "binary_entropy",
         "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper", "end_to_end",
         "fluctuation_bounds", "gains_analytic", "key_rate", "multimode_thermal_pmf",
         "poisson_pmf", "scan_loss", "simulate_car", "simulate_hbt", "simulate_run",
         "single_photon_gains", "thermal_pmf", "y1_lower"]
-    assert len(pdqkd.__all__) == 32
+    assert len(pdqkd.__all__) == 31
 
 
 def test_defaulted_public_parameter_count():
@@ -69,8 +70,8 @@ def test_public_dataclass_fields():
     # each field of a dataclass that callers build is a value they set
     pinned = {
         "SourceParams": ["mu0", "eta_s", "eta_a", "y0_alice"],
-        "LinkParams": ["eta", "y0", "e_d", "e0"],
-        "ProtocolParams": ["q", "f", "u_alpha", "e0"],
+        "LinkParams": ["eta", "y0", "e_d"],
+        "ProtocolParams": ["f", "u_alpha"],
         "SimConfig": ["n_pulses", "seed"],
         "PhotonNumberPmf": ["probs", "tail_mass"],
         "ObservedStats": ["q_n", "q_t", "e_n", "e_t", "n_pulses", "n_triggers"],
@@ -78,6 +79,14 @@ def test_public_dataclass_fields():
     }
     assert {name: [f.name for f in dataclasses.fields(getattr(pdqkd, name))]
             for name in pinned} == pinned
+
+
+def test_key_rate_result_fields():
+    # each number of a result is held once: the rates are properties over the branches
+    assert [f.name for f in dataclasses.fields(pdqkd.KeyRateResult)] == [
+        "y1_low", "n_pulses", "bounds", "branch_n", "branch_t", "clamps"]
+    assert [f.name for f in dataclasses.fields(decoy_estimator.BranchDiagnostics)] == [
+        "e1_up", "q1", "ec_term", "single_term", "vacuum_term", "raw_rate"]
 
 
 def test_traced_dataio_parameter_names():
