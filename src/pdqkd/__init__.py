@@ -13,8 +13,7 @@ Library layout:
 
 from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
                               ProtocolParams, ScanResult, binary_entropy, e1_upper,
-                              fluctuation_bounds, key_rate, scan_loss, single_photon_gains,
-                              y1_lower)
+                              fluctuation_bounds, key_rate, scan_loss, y1_lower)
 from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
                         simulate_car, simulate_hbt, simulate_run)
 from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
@@ -32,6 +31,5 @@ __all__ = [
     "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
     "end_to_end", "fluctuation_bounds", "gains_analytic", "key_rate",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
-    "simulate_hbt", "simulate_run", "single_photon_gains", "thermal_pmf",
-    "y1_lower",
+    "simulate_hbt", "simulate_run", "thermal_pmf", "y1_lower",
 ]

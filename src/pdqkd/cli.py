@@ -128,10 +128,10 @@ def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
     return credit
 
 
-def _print_keyrate(result, obs) -> None:
+def _print_keyrate(result) -> None:
     u = result.bounds.u_alpha
     print(f"mode           : {'finite' if u else 'asymptotic'} (u_alpha={u:g}, "
-          f"N={obs.n_pulses})")
+          f"N={result.obs.n_pulses})")
     print(f"y1_lower       : {result.y1_low:.6e}")
     print(f"e1_upper (N/T) : {result.branch_n.e1_up:.6e} / {result.branch_t.e1_up:.6e}")
     print(f"R_N, R_T       : {result.r_n:.6e}, {result.r_t:.6e} bit/pulse")
@@ -206,9 +206,9 @@ def cmd_estimate(args) -> int:
         print("R              : 0.0 bit/pulse")
         print("key length     : 0.0 bit")
         return EXIT_OK
-    _print_keyrate(result, obs)
+    _print_keyrate(result)
     if args.out:
-        row = dataio.ResultsRow.from_result(manifest["eta_db"], obs, result)
+        row = dataio.ResultsRow.from_result(manifest["eta_db"], result)
         dataio.write_results([row], args.out)
         print(f"results written: {args.out}")
     return EXIT_OK

@@ -56,7 +56,7 @@ _SCHEMA: dict[str, tuple[type, tuple[float, float] | None, object, str]] = {
     "u_alpha": (float, (0.0, math.inf), 5.0,
                 "standard deviations for the fluctuation analysis, >= 0"),
     "n_pulses": (int, (1, math.inf), 1_000_000, "number of pulses sent (N)"),
-    "seed": (int, None, 0, "64-bit random seed"),
+    "seed": (int, (0, 2**64 - 1), 0, "64-bit random seed"),
 }
 
 # keys of older configs, read in the range they had with a warning and ignored: the engine
@@ -242,8 +242,8 @@ def read_tally(path) -> Tally:
     return tallies[0]
 
 
-def _checked_events(log, path=None, lines=None) -> EventLog:
-    """``log`` itself, once it is an :class:`EventLog` that a tally can be made of.
+def _checked_tally(log, path=None, lines=None) -> Tally:
+    """The tally of ``log``, once it is an :class:`EventLog` that a tally can be made of.
 
     Its rows must be ``EVENT_DTYPE`` with 0/1 flags and pulse ids that
     increase strictly and stay below ``n_pulses``, and no cell may hold more
@@ -272,18 +272,17 @@ def _checked_events(log, path=None, lines=None) -> EventLog:
         if len(bad):
             fail(f"{name} must be 0 or 1, got {log.rows[name][bad[0]]}", int(bad[0]))
     try:
-        count_tally(log)
+        return count_tally(log)
     except ParameterError as exc:
         fail(str(exc))
-    return log
 
 
 def write_events(events: EventLog, path) -> None:
     """Write an event log as CSV: tag, per-cell sent counts, header, one line per detection."""
-    log = _checked_events(events)
-    sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, log.sent))
+    _checked_tally(events)
+    sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, events.sent))
     _write_table(path, [_EVENTS_TAG, sent, EVENTS_HEADER],
-                 (map(str, row) for row in log.rows.tolist()))
+                 (map(str, row) for row in events.rows.tolist()))
 
 
 def read_events(path) -> EventLog:
@@ -293,12 +292,13 @@ def read_events(path) -> EventLog:
                                        head=[(_SENT_LINE, "sent-count line")],
                                        dtype=EVENT_DTYPE)
     log = EventLog(sent=tuple(int(n) for n in sent.groups()), rows=rows)
-    return _checked_events(log, path, lines)
+    _checked_tally(log, path, lines)
+    return log
 
 
 def tally_from_events(events: EventLog) -> Tally:
     """Recount an event log into a Tally, exactly as the engine does."""
-    return count_tally(_checked_events(events))
+    return _checked_tally(events)
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,8 @@ class ResultsRow:
     clamped_r_t: bool = False
 
     @classmethod
-    def from_result(cls, loss_db: float, obs, result: KeyRateResult) -> "ResultsRow":
+    def from_result(cls, loss_db: float, result: KeyRateResult) -> "ResultsRow":
+        obs = result.obs
         return cls(loss_db=loss_db, q_n=obs.q_n, q_t=obs.q_t, e_n=obs.e_n, e_t=obs.e_t,
                    y1_low=result.y1_low, e1_up=result.branch_n.e1_up,
                    r_n=result.r_n, r_t=result.r_t, r=result.r, key_bits=result.key_bits,
@@ -333,7 +334,7 @@ class ResultsRow:
 
     @classmethod
     def from_scan_point(cls, point: ScanPoint) -> "ResultsRow":
-        return cls.from_result(point.loss_db, point.observables, point.result)
+        return cls.from_result(point.loss_db, point.result)
 
 
 _RESULTS_FIELDS = [f.name for f in fields(ResultsRow)]

@@ -66,38 +66,20 @@ class ProtocolParams:
 
 
 @dataclass(frozen=True)
-class ObservedStats:
-    """Measured per-pulse rates, split by the heralding outcome.
+class ObservedStats(AnalyticObservables):
+    """Measured rates with the pulse count N they were measured over, and the trigger count
+    of the measurement (0 when it is not known)."""
 
-    All four rates are per sent pulse (not per sifted pulse); QBERs are the
-    error fractions within each branch's detections.
-    """
-
-    q_n: float
-    q_t: float
-    e_n: float
-    e_t: float
     n_pulses: int
     n_triggers: int = 0
 
     def __post_init__(self):
-        for name in ("q_n", "q_t", "e_n", "e_t"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ParameterError(f"{name} must be a rate in [0, 1], got {v!r}")
+        super().__post_init__()
         if not (self.n_pulses >= 1 and float(self.n_pulses).is_integer()):
             raise ParameterError(f"n_pulses must be a whole number >= 1, got {self.n_pulses!r}")
         if not 0 <= self.n_triggers <= self.n_pulses:
             raise ParameterError(f"n_triggers must be in 0..n_pulses, got n_triggers="
                                  f"{self.n_triggers!r} with n_pulses={self.n_pulses!r}")
-
-    @property
-    def q(self) -> float:
-        return self.q_n + self.q_t
-
-    @property
-    def eq(self) -> float:
-        return self.e_n * self.q_n + self.e_t * self.q_t
 
     @classmethod
     def from_analytic(cls, ao: AnalyticObservables, source: SourceParams,
@@ -136,14 +118,15 @@ class BranchDiagnostics:
 class KeyRateResult:
     """Two-branch key rate with full diagnostics.
 
-    ``r_j`` is branch j's raw rate clamped at zero, ``r = r_n + r_t`` (bits per
-    pulse) and ``key_bits = r * N``, with N the observed pulse count.
-    ``clamps`` lists every quantity that was pushed back into its physical
-    range; an empty tuple means the formulas evaluated cleanly.
+    ``obs`` holds the observations the result was computed from.  ``r_j`` is
+    branch j's raw rate clamped at zero, ``r = r_n + r_t`` (bits per pulse) and
+    ``key_bits = r * N``, with N = ``obs.n_pulses``.  ``clamps`` lists every
+    quantity that was pushed back into its physical range; an empty tuple
+    means the formulas evaluated cleanly.
     """
 
+    obs: ObservedStats
     y1_low: float
-    n_pulses: int
     bounds: FluctuationBounds
     branch_n: BranchDiagnostics
     branch_t: BranchDiagnostics
@@ -163,7 +146,7 @@ class KeyRateResult:
 
     @property
     def key_bits(self) -> float:
-        return self.r * self.n_pulses
+        return self.r * self.obs.n_pulses
 
 
 def binary_entropy(x: float) -> float:
@@ -263,16 +246,6 @@ def e1_upper(etqt: float, y1_low: float, source: SourceParams) -> tuple[float, b
     return min(1.0, raw), raw > 1.0
 
 
-def single_photon_gains(y1: float, y0: float,
-                        source: SourceParams) -> tuple[float, float, float, float]:
-    """Single-photon and vacuum gains ``(Q_N1, Q_T1, Q_N0, Q_T0)``: ``Q_j1 = P_j(1) y1``
-    and ``Q_j0 = P_j(0) y0``, with ``y1`` and ``y0`` typically a bound and a vacuum credit."""
-    if not (0.0 <= y1 <= 1.0) or not (0.0 <= y0 <= 1.0):
-        raise ParameterError("y1 and y0 must be probabilities")
-    p_n0, p_t0, p_n1, p_t1 = source.branch_terms
-    return p_n1 * y1, p_t1 * y1, p_n0 * y0, p_t0 * y0
-
-
 def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
             protocol: ProtocolParams, clamps: list[str], name: str) -> BranchDiagnostics:
     ec = protocol.f * q_gain * binary_entropy(qber)
@@ -326,17 +299,18 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     else:
         e1_n = e1_t = 1.0
         clamps.append("e1_unbounded")
-    q_n1, q_t1, q_n0, q_t0 = single_photon_gains(y1, vacuum_credit, source)
-    branch_n = _branch(obs.q_n, obs.e_n, e1_n, q_n1, q_n0, protocol, clamps, "n")
-    branch_t = _branch(obs.q_t, obs.e_t, e1_t, q_t1, q_t0, protocol, clamps, "t")
-    return KeyRateResult(y1_low=y1, n_pulses=obs.n_pulses, bounds=bounds,
-                         branch_n=branch_n, branch_t=branch_t, clamps=tuple(clamps))
+    p_n0, p_t0, p_n1, p_t1 = source.branch_terms
+    branch_n = _branch(obs.q_n, obs.e_n, e1_n, p_n1 * y1, p_n0 * vacuum_credit, protocol,
+                       clamps, "n")
+    branch_t = _branch(obs.q_t, obs.e_t, e1_t, p_t1 * y1, p_t0 * vacuum_credit, protocol,
+                       clamps, "t")
+    return KeyRateResult(obs=obs, y1_low=y1, bounds=bounds, branch_n=branch_n,
+                         branch_t=branch_t, clamps=tuple(clamps))
 
 
 @dataclass(frozen=True)
 class ScanPoint:
     loss_db: float
-    observables: AnalyticObservables
     result: KeyRateResult
 
 
@@ -358,9 +332,8 @@ class ScanResult:
 def _rate_at(loss_db: float, source: SourceParams, link_template: LinkParams,
              protocol: ProtocolParams, n_pulses: int, vacuum_credit: float):
     link = replace(link_template, eta=db_to_linear(loss_db))
-    ao = gains_analytic(source, link)
-    obs = ObservedStats.from_analytic(ao, source, n_pulses)
-    return ao, key_rate(obs, protocol, source, vacuum_credit=vacuum_credit)
+    obs = ObservedStats.from_analytic(gains_analytic(source, link), source, n_pulses)
+    return key_rate(obs, protocol, source, vacuum_credit=vacuum_credit)
 
 
 def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
@@ -393,8 +366,8 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
         raise ParameterError("loss grid must be strictly ascending")
     points = []
     for loss in grid:
-        ao, res = _rate_at(loss, source, link_template, protocol, n_pulses, vacuum_credit)
-        points.append(ScanPoint(loss_db=loss, observables=ao, result=res))
+        points.append(ScanPoint(loss_db=loss, result=_rate_at(
+            loss, source, link_template, protocol, n_pulses, vacuum_credit)))
 
     def cutoff(component) -> float | None:
         vals = [component(p.result) for p in points]
@@ -407,7 +380,7 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
         return _refine_cutoff(
             grid[last_pos], grid[last_pos + 1],
             lambda L: component(_rate_at(L, source, link_template, protocol,
-                                         n_pulses, vacuum_credit)[1]))
+                                         n_pulses, vacuum_credit)))
     return ScanResult(points=tuple(points),
                       r_n_cutoff_db=cutoff(lambda r: r.r_n),
                       r_cutoff_db=cutoff(lambda r: r.r))

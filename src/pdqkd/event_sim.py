@@ -46,6 +46,7 @@ that cross a block edge from the clicks within the largest delay of it.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -84,6 +85,8 @@ class SimConfig:
     def __post_init__(self):
         if not (isinstance(self.n_pulses, int) and self.n_pulses >= 1):
             raise ParameterError(f"n_pulses must be a positive integer, got {self.n_pulses!r}")
+        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+            raise ParameterError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -200,14 +203,15 @@ def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
 
 def _map_blocks(work, config: SimConfig, workers: int) -> list:
     """``work(lo, hi)`` of each ``_BLOCK``-pulse block ``lo..hi-1`` of the run, in pulse
-    order, run on ``workers`` threads."""
+    order, run on ``workers`` threads, but never more than one per block or per core."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
     los = range(0, config.n_pulses, _BLOCK)
     his = [min(lo + _BLOCK, config.n_pulses) for lo in los]
-    if workers == 1 or len(los) == 1:
+    threads = min(workers, len(los), os.cpu_count() or 1)
+    if threads == 1:
         return list(map(work, los, his))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(work, los, his))
 
 
@@ -215,7 +219,7 @@ def _block(probs: np.ndarray, clicked: int, seed: int, slot: int, lo: int, hi: i
     """The draws of the block of pulses ``lo..hi-1``: its count in each cell of ``probs``,
     the sorted places (offsets from ``lo``) of its pulses in the first ``clicked`` cells, and
     the cell of each place."""
-    g = np.random.Generator(np.random.Philox(key=seed % 2**64 | slot << 64,
+    g = np.random.Generator(np.random.Philox(key=seed | slot << 64,
                                              counter=(lo // _BLOCK) << 192))
     counts = g.multinomial(hi - lo, probs)
     # shuffle=False keeps choice on Floyd's algorithm up to 5 % clicks, not a block permutation

@@ -51,7 +51,8 @@ class LinkParams:
 
 @dataclass(frozen=True)
 class AnalyticObservables:
-    """Closed-form per-pulse gains and QBERs, split by heralding outcome."""
+    """Gains per sent pulse (not per sifted pulse) and QBERs, the error fractions within
+    each branch's detections, split by heralding outcome.  ``ObservedStats`` adds N."""
 
     q_n: float
     q_t: float
@@ -59,12 +60,10 @@ class AnalyticObservables:
     e_t: float
 
     def __post_init__(self):
-        for name in ("q_n", "q_t"):
-            if getattr(self, name) < 0.0:
-                raise ParameterError(f"{name} must be non-negative")
-        for name in ("e_n", "e_t"):
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ParameterError(f"{name} must be in [0, 1]")
+        for name in ("q_n", "q_t", "e_n", "e_t"):
+            v = getattr(self, name)
+            if not (isinstance(v, (int, float)) and math.isfinite(v) and 0.0 <= v <= 1.0):
+                raise ParameterError(f"{name} must be a rate in [0, 1], got {v!r}")
 
     @property
     def q(self) -> float:

@@ -415,6 +415,12 @@ class TestScanAndReproduce:
                                   "--step", "1", "--set", "u_alpha=0")
         assert code == 0 and "(3 points)" in stdout
 
+    def test_scan_without_key_on_its_grid_says_so(self, capsys):
+        code, stdout, err = run_cli(capsys, "scan-loss", "--config", "paper50km",
+                                    "--from", "40", "--to", "41", "--step", "0.5")
+        assert (code, err) == (0, "")
+        assert stdout.count(": below the grid (rate zero everywhere)\n") == 2
+
     def test_scan_single_point_matches_estimate(self, tmp_path, capsys):
         out = tmp_path / "one.csv"
         code, stdout, _ = run_cli(capsys, "scan-loss", "--config", "paper50km",
@@ -437,6 +443,14 @@ class TestVirtualExperiments:
         assert code == 0
         g2 = float(stdout.split("g2(0)          :")[1].split()[0])
         assert g2 == pytest.approx(1.0, abs=0.1)
+
+    def test_hbt_on_a_thermal_source(self, capsys):
+        # a single thermal mode doubles the zero-delay bin; about 900 coincidences there
+        code, stdout, _ = run_cli(capsys, "hbt", "--source", "thermal", "--mu0", "0.2",
+                                  "--pulses", "2000000", "--seed", "1", "--detector-eff", "0.15")
+        assert code == 0
+        g2 = float(stdout.split("g2(0)          :")[1].split()[0])
+        assert g2 == pytest.approx(2.0, abs=0.35)
 
     def test_hbt_on_a_many_mode_source(self, capsys):
         code, stdout, _ = run_cli(capsys, "hbt", "--source", "multimode", "--k-modes",
@@ -480,6 +494,11 @@ class TestHelp:
     def test_usage_error_exit_code(self, capsys):
         code, _, _ = run_cli(capsys, "nonsense-command")
         assert code == 1
+
+    @pytest.mark.parametrize("command", ["simulate", "hbt", "car"])
+    def test_zero_workers_is_a_usage_error(self, capsys, command):
+        code, stdout, err = run_cli(capsys, command, "--pulses", "1000", "--workers", "0")
+        assert (code, stdout, err) == (1, "", "error: workers must be >= 1, got 0\n")
 
     @pytest.mark.parametrize("argv", [
         ["estimate", "--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
@@ -540,11 +559,29 @@ DIRECT = ["--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6", "--e-
     (["estimate", "--config", "paper25km", "--q-n", "1.02e-4", "--q-t", "1.02e-5",
       "--e-n", "0.0315", "--e-t", "0.0281"],
      ("f07d0fd673a971cf3ccb066f6f0f7953127cbcb032543015009c9c0f98b65707", None)),
-], ids=["fig4", "paper50km", "paper0km", "paper25km"])
+    (["estimate", *DIRECT[:6], "--e-n", "0.3", "--e-t", "0.3", "--out", "clamped.csv"],
+     ("8180b833df0bcb053f0a1930288091ac47ea1a85eec52c23e40d8f4ef657026b",
+      "a69cabd59392860ea3de3f5c9bd3f6a582acb990683d57f7d3e5e4d37cb02d5c")),
+    (["scan-loss", "--config", "paper25km", "--vacuum-credit", "calibrated", "--out",
+      "scan25.csv"],
+     ("bb00ead62962bd4215aea23c4a730bbbea2d9c9fefe9a329895334ef11a4d602",
+      "9fd2d263d2f911083ff6a4b14704c6e9035a7fd731c28d7cdaa4879a321fb687")),
+    (["estimate", "--config", "paper50km", "--events", "ev.csv", "--calibrate-eta-a"],
+     ("ecf0fa1933f5cb6bbfdcdb23b42da065ec378598a23d880d48eef0f646fdd722", None)),
+    (["estimate", "--config", "paper50km", "--events", "ev.csv", "--calibrate-eta-a", "--set",
+      "u_alpha=0"],
+     ("af403fba723a1be6c3cc8a7534d2eccf7d57c15488bb5502dad5f11d59614f41", None)),
+], ids=["fig4", "paper50km", "paper0km", "paper25km", "fully clamped", "scan-loss credited",
+        "events calibrated", "events calibrated asymptotic"])
 def test_estimator_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, digests):
-    # digests of the stdout and the results table on the published rates; any change to an
-    # estimated value, a clamp flag or the layout of either fails here
+    # digests of the stdout and the results table on the published rates, a fully clamped
+    # estimate and a credited scan, and of an estimate from a simulated event log with eta_a
+    # recalibrated from it; any change to an estimated value, a clamp flag or the layout of
+    # either fails here
     monkeypatch.chdir(tmp_path)
+    if "ev.csv" in argv:
+        assert run_cli(capsys, "simulate", "--config", "paper50km", "--set", "eta_db=3",
+                       "--seed", "1", "--pulses", "2e6", "--events", "ev.csv")[0] == 0
     code, stdout, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(stdout.encode()).hexdigest() == digests[0]
@@ -569,7 +606,7 @@ def test_schema_range_ends_are_the_libraries_ends(capsys, key):
         assert (code, stdout) == (2, "") and err.startswith(f"error: key {key}: value ")
 
 
-@pytest.mark.parametrize("credit", ["2", "-0.1", "nan", "inf"])
+@pytest.mark.parametrize("credit", ["2", "-0.1", "nan", "inf", "banana"])
 @pytest.mark.parametrize("argv", [["estimate", *DIRECT], ["scan-loss"]],
                          ids=["estimate", "scan-loss"])
 def test_vacuum_credit_outside_0_1_is_a_data_error(capsys, argv, credit):
@@ -579,6 +616,28 @@ def test_vacuum_credit_outside_0_1_is_a_data_error(capsys, argv, credit):
     assert code == 2 and stdout == ""
     assert err == ("error: --vacuum-credit must be 'calibrated', 'zero' or a rate in [0, 1], "
                    f"got {credit!r}\n")
+
+
+def test_vacuum_credit_given_as_the_calibrated_rate_prints_the_same(capsys):
+    calibrated = run_cli(capsys, "estimate", *DIRECT)
+    assert calibrated[0] == 0
+    assert run_cli(capsys, "estimate", *DIRECT, "--vacuum-credit", repr(Y0_BOB)) == calibrated
+    assert run_cli(capsys, "estimate", *DIRECT, "--vacuum-credit", "zero")[1] != calibrated[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--set", "eta_a"], "override 'eta_a' must look like key=value"),
+    (["simulate", "--pulses", "1000", "--seed", "-1"],
+     "key seed: value -1 out of range [0, 18446744073709551615]"),
+    (["simulate", "--pulses", "1000", "--seed", "18446744073709551616"],
+     "key seed: value 18446744073709551616 out of range [0, 18446744073709551615]"),
+    (["estimate", *DIRECT[:-2]], "direct input needs all four rates; missing --e-t"),
+    (["calibrate", "--trigger-rate", "0.0665"], "--trigger-rate needs --mu0"),
+], ids=["--set without =", "seed -1", "seed 2**64", "three direct rates",
+        "trigger rate without mu0"])
+def test_malformed_or_incomplete_input_is_a_data_error(capsys, argv, message):
+    # Philox takes a 64-bit key, so a seed outside [0, 2**64 - 1] would run as another seed
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", [

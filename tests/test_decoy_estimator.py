@@ -9,8 +9,7 @@ import pytest
 from oracles import error_n, gain_series, yield_n
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams,
                                    binary_entropy, e1_upper,
-                                   fluctuation_bounds, key_rate, scan_loss,
-                                   single_photon_gains, y1_lower)
+                                   fluctuation_bounds, key_rate, scan_loss, y1_lower)
 from pdqkd.errors import (DegenerateHeraldingError, DegenerateStatisticsError,
                           ParameterError, UnboundedErrorRate)
 from pdqkd.link_model import LinkParams, gains_analytic
@@ -170,27 +169,35 @@ class TestE1Upper:
 
 
 class TestSinglePhotonGains:
+    # key_rate's branches hold Q_j1 = P_j(1) Y_1^L as q1 and Q_j0 = P_j(0) y0 as vacuum_term,
+    # with y0 the vacuum credit
     def test_no_heralding_zeroes_trigger_gains(self):
+        # key_rate refuses eta_a = 0, so the branch terms it multiplies are checked directly
         src = SourceParams(mu0=1.0, eta_s=0.1, eta_a=0.0)
-        _, q_t1, _, q_t0 = single_photon_gains(0.5, 1e-6, src)
-        assert q_t1 == 0.0 and q_t0 == 0.0
+        _, p_t0, _, p_t1 = src.branch_terms
+        assert p_t1 == 0.0 and p_t0 == 0.0
+        with pytest.raises(DegenerateHeraldingError):
+            key_rate(obs50(), proto50(), src, vacuum_credit=1e-6)
 
     def test_branch_sum_identity(self):
         src = src50()
-        y1 = 8.7e-4
-        q_n1, q_t1, _, _ = single_photon_gains(y1, 0.0, src)
-        assert q_n1 + q_t1 == pytest.approx(src.mu * math.exp(-src.mu) * y1, rel=1e-12)
+        res = key_rate(obs50(), proto50(), src, vacuum_credit=1.6e-6)
+        assert res.y1_low > 0.0
+        q1 = res.branch_n.q1 + res.branch_t.q1
+        assert q1 == pytest.approx(src.mu * math.exp(-src.mu) * res.y1_low, rel=1e-12)
+        q0 = res.branch_n.vacuum_term + res.branch_t.vacuum_term
+        assert q0 == pytest.approx(math.exp(-src.mu) * 1.6e-6, rel=1e-12)
 
     def test_matches_gain_series_i1_terms(self):
         # cross-module identity: series terms at i=1 with Y replaced by Y1
         src = src50()
-        y1 = 5.6e-4
+        res = key_rate(obs50(), proto50(), src)
+        y1 = res.y1_low
         link = RUN50.manifest().to_link_params()
         q_n_terms, q_t_terms = gain_series(src, link)
         y1_link = yield_n(1, link)
-        q_n1, q_t1, _, _ = single_photon_gains(y1, 0.0, src)
-        assert q_n1 == pytest.approx(q_n_terms[1] * y1 / y1_link, abs=1e-12)
-        assert q_t1 == pytest.approx(q_t_terms[1] * y1 / y1_link, abs=1e-12)
+        assert res.branch_n.q1 == pytest.approx(q_n_terms[1] * y1 / y1_link, abs=1e-12)
+        assert res.branch_t.q1 == pytest.approx(q_t_terms[1] * y1 / y1_link, abs=1e-12)
 
 
 class TestKeyRate:

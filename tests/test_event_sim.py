@@ -311,6 +311,33 @@ class TestChunking:
                                        event_sim._SLOT_CAR, 1)
         assert (car.coincidences, car.accidentals) == (coinc, acc)
 
+    @pytest.mark.parametrize("cores, threads", [(4, 4), (64, 20), (None, 1)])
+    def test_pool_starts_at_most_one_thread_per_block_and_core(self, cores, threads,
+                                                              monkeypatch):
+        # a million workers on a run of 20 blocks: a stub pool records the size asked of it
+        # and runs the blocks in order on this thread, so no thread starts
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(event_sim, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(event_sim, "_BLOCK", 10_000)
+        monkeypatch.setattr(event_sim.os, "cpu_count", lambda: cores)
+        outputs = self._outputs(workers=10**6)
+        assert sizes == ([threads] * 3 if threads > 1 else [])
+        assert outputs == self._outputs(workers=1)
+
 
 def test_cell_counts_of_a_1e10_pulse_run_fit_the_outcome_table(paper50km):
     # One run at the paper's scale.  Each row is mapped back to its cell of the table, and the

@@ -21,7 +21,7 @@ def test_philox4x64_10_known_answer():
 def test_stream_is_batch_independent():
     # every block reads its own window of the one Philox stream of (seed, slot): the stream
     # advanced by the block's index times 2**192 counter steps, whatever the run around it
-    seed, slot, index, size = 2**64 + 901, 2, 5, 3000
+    seed, slot, index, size = 901, 2, 5, 3000
     g = Generator(Philox(key=901 | 2 << 64).advance(index << 192))
     counts = g.multinomial(size, CELLS)
     places = np.sort(g.choice(size, counts[:3].sum(), replace=False, shuffle=False))
@@ -35,9 +35,8 @@ def test_seeds_and_slots_give_distinct_streams():
         return _block(CELLS, 3, seed, slot, index * _BLOCK, index * _BLOCK + 1000)[1].tolist()
 
     draws = [places(1, 0), places(2, 0), places(1, 1), places(1, 0, index=1),
-             places(2**64 - 1, 0), places(-1, 0)]
-    assert draws[4] == draws[5]  # the seed is taken modulo 2**64
-    assert len({tuple(d) for d in draws[:5]}) == 5
+             places(2**64 - 1, 0)]
+    assert len({tuple(d) for d in draws}) == 5
 
 
 def test_uniformity_and_range():

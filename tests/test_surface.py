@@ -55,8 +55,8 @@ def test_public_names():
         "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper", "end_to_end",
         "fluctuation_bounds", "gains_analytic", "key_rate", "multimode_thermal_pmf",
         "poisson_pmf", "scan_loss", "simulate_car", "simulate_hbt", "simulate_run",
-        "single_photon_gains", "thermal_pmf", "y1_lower"]
-    assert len(pdqkd.__all__) == 31
+        "thermal_pmf", "y1_lower"]
+    assert len(pdqkd.__all__) == 30
 
 
 def test_defaulted_public_parameter_count():
@@ -82,9 +82,10 @@ def test_public_dataclass_fields():
 
 
 def test_key_rate_result_fields():
-    # each number of a result is held once: the rates are properties over the branches
+    # each number of a result is held once: the rates are properties over the branches, and
+    # the observations it came from, with their pulse count, travel with it
     assert [f.name for f in dataclasses.fields(pdqkd.KeyRateResult)] == [
-        "y1_low", "n_pulses", "bounds", "branch_n", "branch_t", "clamps"]
+        "obs", "y1_low", "bounds", "branch_n", "branch_t", "clamps"]
     assert [f.name for f in dataclasses.fields(decoy_estimator.BranchDiagnostics)] == [
         "e1_up", "q1", "ec_term", "single_term", "vacuum_term", "raw_rate"]
 
