@@ -10,9 +10,11 @@ engine's slot draws from its own generator, numpy's counter-based Philox keyed
 by ``(seed, slot)`` with its counter set to ``b << 192`` (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11), in this order: the
 block's cell counts, one multinomial over the engine's outcome table; the
-places of its clicked pulses; the order of their cells.  So a pulse's outcome
-is a pure function of ``(seed, slot, pulse_id // _BLOCK)`` and of its block's
-size.  No value depends on the number of workers; a run of n pulses is a
+places of its clicked pulses; the order of their cells.  So, for a given numpy
+version, a pulse's outcome is a pure function of ``(seed, slot, pulse_id //
+_BLOCK)`` and of its block's size.  Across versions it is not: ``Generator``
+promises no stable stream for its samplers, only ``Philox``'s bit stream is.
+No value depends on the number of workers; a run of n pulses is a
 prefix of a longer run only up to its last whole block; and a change of
 ``_BLOCK`` moves every value, as a change of seed does.  Whole blocks are the
 tasks of the thread pool, and a run's cost follows its blocks and its clicks,

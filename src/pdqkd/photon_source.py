@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import ParameterError, TruncationError
 
@@ -157,6 +156,11 @@ class PhotonNumberPmf:
         return self.probs.size - 1
 
 
+def _log_factorial(k: np.ndarray) -> np.ndarray:
+    """``log(k!)`` for each whole number of ``k``, through the standard library."""
+    return np.array([math.lgamma(x + 1.0) for x in k.tolist()])
+
+
 def _pmf(mu: float, make) -> PhotonNumberPmf:
     """``make()`` for ``mu > 0``, the point mass at 0 for ``mu == 0``; checks ``mu``."""
     if not (math.isfinite(mu) and mu >= 0.0):
@@ -187,7 +191,7 @@ def poisson_pmf(mu: float) -> PhotonNumberPmf:
     """
     def body(n):
         k = np.arange(n + 1, dtype=np.float64)
-        return np.exp(k * math.log(mu) - mu - gammaln(k + 1.0))
+        return np.exp(k * math.log(mu) - mu - _log_factorial(k))
 
     return _pmf(mu, lambda: _summed(body, "poisson"))
 
@@ -225,7 +229,7 @@ def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
         # p_k = mu^k / k! prod_{j<k} (1 + j/K) (1 + mu/K)^-(K+k), stable at any K
         k = np.arange(n + 1, dtype=np.float64)
         rising = np.concatenate(([0.0], np.cumsum(np.log1p(k[:-1] / k_modes))))
-        return np.exp(k * math.log(mu) - gammaln(k + 1.0) + rising
+        return np.exp(k * math.log(mu) - _log_factorial(k) + rising
                       - (k_modes + k) * math.log1p(mu / k_modes))
 
     return _pmf(mu, lambda: _summed(body, "multimode", start=16))
