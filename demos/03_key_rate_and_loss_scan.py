@@ -44,5 +44,6 @@ for loss in (20.0, 30.0, 31.0, 32.0, 32.5):
     print(f"  loss {point.loss_db:5.1f} dB: R_N {r.r_n:.3e}  R_T {r.r_t:.3e}  "
           f"R {r.r:.3e} bit/pulse")
 
-write_results([ResultsRow.from_scan_point(p) for p in scan.points], "loss_scan.csv")
+write_results([ResultsRow.from_result(p.loss_db, p.result) for p in scan.points],
+              "loss_scan.csv")
 print("\nwrote loss_scan.csv (351 points, 0..35 dB)")

@@ -244,7 +244,7 @@ def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
                                         "bound at any loss; set either, or u_alpha=0")
     scan = scan_loss(manifest.to_source_params(), link, protocol, grid, manifest["n_pulses"],
                      vacuum_credit=credit)
-    return scan, [dataio.ResultsRow.from_scan_point(p) for p in scan.points]
+    return scan, [dataio.ResultsRow.from_result(p.loss_db, p.result) for p in scan.points]
 
 
 def cmd_scan_loss(args) -> int:

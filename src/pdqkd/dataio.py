@@ -11,6 +11,8 @@ All formats are text-first and versioned:
 
 Readers report parse failures with file/line context and reject unknown or
 out-of-range keys by name; retired config keys read with a warning and are ignored.
+An event log is checked and counted once, when it is made or read (see
+:class:`~pdqkd.event_sim.EventLog`); its writer and ``tally_from_events`` reuse that tally.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .decoy_estimator import KeyRateResult, ProtocolParams, ScanPoint
+from .decoy_estimator import KeyRateResult, ProtocolParams
 from .errors import ConfigError, DataFormatError, ParameterError
-from .event_sim import CELLS, EVENT_DTYPE, EventLog, SimConfig, Tally, count_tally
+from .event_sim import CELLS, EVENT_DTYPE, EventLog, SimConfig, Tally
 from .link_model import LinkParams, db_to_linear
 from .photon_source import SourceParams
 
@@ -242,63 +244,36 @@ def read_tally(path) -> Tally:
     return tallies[0]
 
 
-def _checked_tally(log, path=None, lines=None) -> Tally:
-    """The tally of ``log``, once it is an :class:`EventLog` that a tally can be made of.
-
-    Its rows must be ``EVENT_DTYPE`` with 0/1 flags and pulse ids that
-    increase strictly and stay below ``n_pulses``, and no cell may hold more
-    rows than pulses sent.  A bad record ``r`` of a file is reported on line
-    ``lines[r]``.
-    """
-    where = None if path is None else str(path)
-
-    def fail(message, record=None):
-        line = None if record is None or lines is None else lines[record]
-        raise DataFormatError(message if record is None else f"{message} at record {record}",
-                              where, line)
-
-    if not (isinstance(log, EventLog) and len(log.sent) == len(CELLS)
-            and getattr(log.rows, "dtype", None) == EVENT_DTYPE):
-        fail(f"events must be an EventLog of {len(CELLS)} sent counts and {EVENT_DTYPE} rows")
-    ids, n_pulses = log.rows["pulse_id"], sum(log.sent)
-    for message, bad in (("pulse_id not strictly increasing",
-                          1 + np.flatnonzero(ids[1:] <= ids[:-1])),
-                         (f"pulse_id not below the {n_pulses} pulses sent",
-                          np.flatnonzero(ids >= n_pulses))):
-        if len(bad):
-            fail(message, int(bad[0]))
-    for name in EVENT_DTYPE.names[1:]:
-        bad = np.flatnonzero(log.rows[name] > 1)
-        if len(bad):
-            fail(f"{name} must be 0 or 1, got {log.rows[name][bad[0]]}", int(bad[0]))
-    try:
-        return count_tally(log)
-    except ParameterError as exc:
-        fail(str(exc))
+def _event_log(events) -> EventLog:
+    """``events``, once it is an :class:`EventLog`, which was checked and counted when made."""
+    if not isinstance(events, EventLog):
+        raise DataFormatError(f"events must be an EventLog, got {type(events).__name__}")
+    return events
 
 
 def write_events(events: EventLog, path) -> None:
     """Write an event log as CSV: tag, per-cell sent counts, header, one line per detection."""
-    _checked_tally(events)
-    sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, events.sent))
+    sent = ",".join(f"sent_{cell}={n}" for cell, n in zip(CELLS, _event_log(events).sent))
     _write_table(path, [_EVENTS_TAG, sent, EVENTS_HEADER],
                  (map(str, row) for row in events.rows.tolist()))
 
 
 def read_events(path) -> EventLog:
-    """Read a CSV event log back into a checked :class:`EventLog`."""
+    """Read a CSV event log back into an :class:`EventLog`; a bad record names its line."""
     (sent,), rows, lines = _read_table(path, _EVENTS_TAG, "event log", EVENTS_HEADER,
                                        lambda fields: tuple(map(int, fields)),
                                        head=[(_SENT_LINE, "sent-count line")],
                                        dtype=EVENT_DTYPE)
-    log = EventLog(sent=tuple(int(n) for n in sent.groups()), rows=rows)
-    _checked_tally(log, path, lines)
-    return log
+    try:
+        return EventLog(sent=tuple(int(n) for n in sent.groups()), rows=rows)
+    except DataFormatError as exc:
+        raise DataFormatError(str(exc), str(path),
+                              None if exc.row is None else lines[exc.row]) from exc
 
 
 def tally_from_events(events: EventLog) -> Tally:
-    """Recount an event log into a Tally, exactly as the engine does."""
-    return _checked_tally(events)
+    """The tally of an event log, exactly as the engine counts it."""
+    return _event_log(events).tally
 
 
 @dataclass(frozen=True)
@@ -331,10 +306,6 @@ class ResultsRow:
                    clamped_e1=not {"e1_up", "e1_unbounded"}.isdisjoint(result.clamps),
                    clamped_r_n="r_n_negative" in result.clamps,
                    clamped_r_t="r_t_negative" in result.clamps)
-
-    @classmethod
-    def from_scan_point(cls, point: ScanPoint) -> "ResultsRow":
-        return cls.from_result(point.loss_db, point.result)
 
 
 _RESULTS_FIELDS = [f.name for f in fields(ResultsRow)]

@@ -50,12 +50,12 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .decoy_estimator import KeyRateResult, ObservedStats, ProtocolParams, key_rate
-from .errors import ParameterError, UndefinedRatioError
+from .errors import DataFormatError, ParameterError, UndefinedRatioError
 from .link_model import LinkParams
 from .photon_source import PhotonNumberPmf, SourceParams, poisson_pmf
 
@@ -159,15 +159,54 @@ class Tally:
 
 @dataclass(frozen=True, eq=False)
 class EventLog:
-    """The detections of a run, with the pulses sent per cell.
+    """The detections of a run, with the pulses sent per cell, checked and counted once.
 
     ``sent`` counts the pulses sent in each of :data:`CELLS`; ``rows`` holds
     one ``EVENT_DTYPE`` row per detected pulse, in pulse order, and ``len()``
     counts them.  A tally needs nothing of the undetected pulses but ``sent``.
+    A log is checked when made: pulse ids increase strictly and stay below the
+    pulses sent, flags are 0 or 1, and no cell holds more rows than pulses sent
+    (a bad record ``r`` raises :class:`DataFormatError` with ``row = r``).  It is
+    then counted into ``tally``, and its rows turn read-only, so it stays valid.
     """
 
     sent: tuple[int, int, int, int]
     rows: np.ndarray
+    tally: Tally = field(init=False)
+
+    def __post_init__(self):
+        def fail(message, record=None):
+            raise DataFormatError(message if record is None else f"{message} at record {record}",
+                                  row=record)
+
+        if not (len(self.sent) == len(CELLS) and getattr(self.rows, "dtype", None) == EVENT_DTYPE):
+            fail(f"events must be an EventLog of {len(CELLS)} sent counts and {EVENT_DTYPE} rows")
+        rows, n_pulses = self.rows, sum(self.sent)
+        ids = rows["pulse_id"]
+        for message, bad in (("pulse_id not strictly increasing",
+                              1 + np.flatnonzero(ids[1:] <= ids[:-1])),
+                             (f"pulse_id not below the {n_pulses} pulses sent",
+                              np.flatnonzero(ids >= n_pulses))):
+            if len(bad):
+                fail(message, int(bad[0]))
+        for name in EVENT_DTYPE.names[1:]:
+            bad = np.flatnonzero(rows[name] > 1)
+            if len(bad):
+                fail(f"{name} must be 0 or 1, got {rows[name][bad[0]]}", int(bad[0]))
+        cell = np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
+        det = np.bincount(cell, minlength=4).tolist()
+        err = np.bincount(cell[rows["alice_bit"] != rows["bob_bit"]], minlength=4).tolist()
+        try:
+            tally = Tally(n_pulses=n_pulses,
+                          **{f"sent_{c}": n for c, n in zip(CELLS, self.sent)},
+                          **{f"det_{c}": n for c, n in zip(CELLS, det)},
+                          err_n=err[1], err_t=err[3],
+                          double_clicks=int(np.count_nonzero(rows["double_click"])),
+                          dark_detections=int(np.count_nonzero(rows["dark_origin"])))
+        except ParameterError as exc:
+            fail(str(exc))
+        rows.flags.writeable = False
+        object.__setattr__(self, "tally", tally)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -175,24 +214,6 @@ class EventLog:
     def __eq__(self, other) -> bool:
         return (isinstance(other, EventLog) and self.sent == other.sent
                 and np.array_equal(self.rows, other.rows))
-
-
-def count_tally(log: EventLog) -> Tally:
-    """Reduce an event log to a :class:`Tally`.
-
-    The sent cells come from ``log.sent``; detections, errors (matched cells
-    only), double clicks and dark-only detections from its rows.
-    """
-    rows = log.rows
-    cell = np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
-    det = np.bincount(cell, minlength=4).tolist()
-    err = np.bincount(cell[rows["alice_bit"] != rows["bob_bit"]], minlength=4).tolist()
-    return Tally(n_pulses=sum(log.sent),
-                 **{f"sent_{c}": n for c, n in zip(CELLS, log.sent)},
-                 **{f"det_{c}": n for c, n in zip(CELLS, det)},
-                 err_n=err[1], err_t=err[3],
-                 double_clicks=int(np.count_nonzero(rows["double_click"])),
-                 dark_detections=int(np.count_nonzero(rows["dark_origin"])))
 
 
 def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
@@ -276,7 +297,7 @@ def _run_batch(lo: int, hi: int, table, config: SimConfig):
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
                  workers: int = 1) -> tuple[Tally, EventLog]:
-    """Simulate a protocol run; returns ``(count_tally(log), log)``.
+    """Simulate a protocol run; returns ``(log.tally, log)``.
 
     Pair numbers are Poisson of mean ``mu0``.  ``workers`` parallelizes over
     blocks without affecting any output value.
@@ -285,7 +306,7 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     parts = _map_blocks(lambda lo, hi: _run_batch(lo, hi, table, config), config, workers)
     log = EventLog(sent=tuple(sum(s for s, _ in parts).tolist()),
                    rows=np.concatenate([r for _, r in parts]))
-    return count_tally(log), log
+    return log.tally, log
 
 
 def _arm_cells(w: np.ndarray, silent_a, silent_b, silent_both) -> np.ndarray:
@@ -401,12 +422,13 @@ def simulate_hbt(pmf: PhotonNumberPmf, detector_eff: float, config: SimConfig,
     coincidences = tuple(cc[abs(k)] for k in delays)
     g2_zero = g2_at(0)
     # first-order counting error: Poisson on the coincidence and singles counts
+    # (an empty zero-delay bin counts as one, so it claims no exact g2 of 0)
     rel = math.sqrt(1.0 / max(cc[0], 1) + 1.0 / n1 + 1.0 / n2)
     off_zero = [g2_at(k) for k in range(1, _HBT_MAX_DELAY + 1)]
     car = g2_zero / (sum(off_zero) / len(off_zero))
-    return HbtHistogram(delays=delays, coincidences=coincidences,
-                        singles_1=n1, singles_2=n2, n_pulses=n_pulses,
-                        g2_zero=g2_zero, g2_zero_sigma=g2_zero * rel, car=car)
+    return HbtHistogram(delays=delays, coincidences=coincidences, singles_1=n1, singles_2=n2,
+                        n_pulses=n_pulses, g2_zero=g2_zero,
+                        g2_zero_sigma=max(cc[0], 1) * norm * rel, car=car)
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,24 @@ class TestEstimate:
         assert code == 0
         assert "R " in stdout or "R    " in stdout
 
+    def test_each_event_log_is_counted_once(self, tmp_path, capsys, monkeypatch):
+        # a log is counted into its tally when the run makes it or the reader reads it; the
+        # writer and tally_from_events reuse that tally
+        made, check = [], Tally.__post_init__
+
+        def counted(tally):
+            made.append(tally)
+            check(tally)
+
+        monkeypatch.setattr(Tally, "__post_init__", counted)
+        path = str(tmp_path / "ev.csv")
+        code, _, _ = run_cli(capsys, "simulate", "--config", "paper50km", "--pulses", "200000",
+                             "--seed", "5", "--set", "eta_db=8.0", "--events", path)
+        assert (code, len(made)) == (0, 1)
+        code, _, _ = run_cli(capsys, "estimate", "--config", "paper50km", "--events", path,
+                             "--set", "u_alpha=0")
+        assert (code, len(made)) == (0, 2)
+
     def test_corrupt_tally_file_is_a_data_error(self, tmp_path, capsys):
         # every field present and non-negative, but 1000 pulses sent out of 10
         path = tmp_path / "bad.tally"
@@ -463,6 +481,12 @@ class TestVirtualExperiments:
         code, stdout, _ = run_cli(capsys, "hbt", "--source", "multimode", "--k-modes",
                                   "100000000", "--mu0", "0.5", "--pulses", "1e5")
         assert code == 0 and "g2(0)" in stdout
+
+    def test_hbt_without_zero_delay_coincidences_has_an_uncertainty(self, capsys):
+        # 0 zero-delay and 2 off-zero coincidences: g2(0) reads 0, but the counts allow more
+        code, stdout, _ = run_cli(capsys, "hbt", "--source", "multimode", "--pulses", "1e4")
+        g2, _, sigma = stdout.split("g2(0)          :")[1].split()[:3]
+        assert code == 0 and float(g2) == 0.0 and float(sigma) > 0.0
 
     def test_car_then_calibrate_round_trip(self, capsys):
         code, stdout, _ = run_cli(capsys, "car", "--mu0", "0.1", "--pulses", "8000000",

@@ -140,6 +140,10 @@ class TestEvents:
         assert len(log) == tally.detections_n + tally.detections_t > 0
         assert log.sent == (tally.sent_n_mismatch, tally.sent_n_match,
                             tally.sent_t_mismatch, tally.sent_t_match)
+        # the log was counted when made, and its rows cannot change under its tally
+        assert log.tally == tally and not log.rows.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            log.rows["bob_bit"] = 0
 
     def test_pipeline_identity(self, tmp_path):
         manifest = preset_manifest("paper50km")
@@ -163,6 +167,26 @@ class TestEvents:
         rows["pulse_id"] = [5, 3]
         with pytest.raises(DataFormatError, match="increasing"):
             write_events(EventLog(sent=(10, 0, 0, 0), rows=rows), tmp_path / "x.csv")
+        # the log itself refuses bad ids, naming the record in its message and in ``row``
+        for ids, message in (([5, 3], "pulse_id not strictly increasing at record 1"),
+                             ([3, 10], "pulse_id not below the 10 pulses sent at record 1")):
+            rows["pulse_id"] = ids
+            with pytest.raises(DataFormatError) as info:
+                EventLog(sent=(10, 0, 0, 0), rows=rows)
+            assert str(info.value) == message and info.value.row == 1
+
+    def test_bad_flag_or_overfull_cell_rejected_when_made(self):
+        rows = np.zeros(3, dtype=EVENT_DTYPE)
+        rows["pulse_id"] = [0, 1, 2]
+        rows["bob_bit"][2] = 2
+        with pytest.raises(DataFormatError) as info:
+            EventLog(sent=(10, 0, 0, 0), rows=rows)
+        assert str(info.value) == "bob_bit must be 0 or 1, got 2 at record 2"
+        assert info.value.row == 2
+        # three detections in the N match cell, which sent two pulses
+        rows["bob_bit"][2] = 0
+        with pytest.raises(DataFormatError, match="detections cannot exceed the pulses sent"):
+            EventLog(sent=(8, 2, 0, 0), rows=rows)
 
     def test_out_of_order_reported_on_its_line(self, tmp_path):
         # tag, sent counts and header take lines 1-3, so record 2 sits on line 6
@@ -185,6 +209,13 @@ class TestEvents:
         rows = np.zeros(1, dtype=[("pulse_id", "<u8")])
         with pytest.raises(DataFormatError, match="EventLog"):
             write_events(EventLog(sent=(1, 0, 0, 0), rows=rows), tmp_path / "x.csv")
+        # a log's parts that were never made into an EventLog are not one
+        parts = ((1, 0, 0, 0), np.zeros(1, dtype=EVENT_DTYPE))
+        with pytest.raises(DataFormatError, match="events must be an EventLog"):
+            write_events(parts, tmp_path / "x.csv")
+        with pytest.raises(DataFormatError, match="events must be an EventLog"):
+            tally_from_events(parts)
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestTallyFile:
@@ -249,7 +280,7 @@ class TestResults:
                          manifest.to_protocol_params(),
                          [float(x) for x in np.arange(0.0, 35.5, 0.5)],
                          manifest["n_pulses"], vacuum_credit=0.0)
-        rows = [ResultsRow.from_scan_point(p) for p in scan.points]
+        rows = [ResultsRow.from_result(p.loss_db, p.result) for p in scan.points]
         path = tmp_path / "scan.csv"
         write_results(rows, path)
         rates = [r.r for r in read_results(path)]

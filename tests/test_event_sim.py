@@ -14,11 +14,11 @@ from scipy.stats import chi2
 from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
-from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, EventLog, SimConfig, Tally, count_tally,
+from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, EventLog, SimConfig, Tally,
                              end_to_end, simulate_car, simulate_hbt, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import (SourceParams, calibrate_mu0_from_car,
-                                 poisson_pmf, thermal_pmf)
+                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
 
 
 def scaled_link(loss_db: float) -> LinkParams:
@@ -113,10 +113,11 @@ class TestTally:
         link = LinkParams(eta=0.5, y0=1e-2, e_d=0.05)
         parts = [simulate_run(source, link, SimConfig(n_pulses=20_000, seed=seed))[1]
                  for seed in (13, 14)]
-        joined = EventLog(sent=tuple(map(sum, zip(*(log.sent for log in parts)))),
-                          rows=np.concatenate([log.rows for log in parts]))
-        a, b = map(count_tally, parts)
-        total = count_tally(joined)
+        rows = np.concatenate([log.rows for log in parts])
+        rows["pulse_id"][len(parts[0]):] += 20_000  # the second run follows the first
+        joined = EventLog(sent=tuple(map(sum, zip(*(log.sent for log in parts)))), rows=rows)
+        a, b = (log.tally for log in parts)
+        total = joined.tally
         for f in fields(Tally):
             assert getattr(a, f.name) > 0 and getattr(b, f.name) > 0
             assert getattr(total, f.name) == getattr(a, f.name) + getattr(b, f.name)
@@ -181,6 +182,13 @@ class TestHbt:
         small = simulate_hbt(pmf, 0.15, SimConfig(n_pulses=1_000_000, seed=5))
         large = simulate_hbt(pmf, 0.15, SimConfig(n_pulses=16_000_000, seed=5))
         assert large.g2_zero_sigma < 0.5 * small.g2_zero_sigma
+
+    def test_empty_zero_delay_bin_has_an_uncertainty(self):
+        # the sigma counts an empty zero-delay bin as one coincidence, not as an exact 0
+        hist = simulate_hbt(multimode_thermal_pmf(0.1, 10), 0.15,
+                            SimConfig(n_pulses=10_000, seed=0))
+        assert hist.coincidences[5] == 0 and sum(hist.coincidences) > 0
+        assert hist.g2_zero == 0.0 and hist.g2_zero_sigma > 0.0
 
 
 class TestCar:
@@ -302,7 +310,7 @@ class TestChunking:
         want = cell_rows[cells[clicked]]
         want["pulse_id"] = clicked
         assert np.array_equal(log.rows, want) and sum(log.sent) == self.N
-        assert count_tally(log) == tally
+        assert log.tally == tally
         n1, n2, *cc = self._dense(event_sim._hbt_cells(thermal_pmf(1.0), 0.8),
                                   event_sim._SLOT_HBT, 5)
         assert (hist.singles_1, hist.singles_2, hist.coincidences) == (
