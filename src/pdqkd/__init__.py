@@ -18,8 +18,7 @@ from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
                         simulate_car, simulate_hbt, simulate_run)
 from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
 from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
-                            calibrate_mu0_from_car, multimode_thermal_pmf, poisson_pmf,
-                            thermal_pmf)
+                            multimode_thermal_pmf, poisson_pmf, thermal_pmf)
 
 __version__ = "0.1.0"
 
@@ -28,8 +27,8 @@ __all__ = [
     "HbtHistogram", "KeyRateResult", "LinkParams", "ObservedStats",
     "PhotonNumberPmf", "ProtocolParams", "ScanResult", "SimConfig",
     "SourceParams", "Tally", "binary_entropy", "calibrate_eta_a",
-    "calibrate_mu0_from_car", "db_to_linear", "e1_upper",
-    "end_to_end", "fluctuation_bounds", "gains_analytic", "key_rate",
+    "db_to_linear", "e1_upper", "end_to_end", "fluctuation_bounds",
+    "gains_analytic", "key_rate",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
     "simulate_hbt", "simulate_run", "thermal_pmf", "y1_lower",
 ]

@@ -23,8 +23,7 @@ from .decoy_estimator import ObservedStats, key_rate, scan_loss
 from .errors import (ConfigError, DataFormatError, DegenerateStatisticsError,
                      EstimatorError, ParameterError, TruncationError,
                      UndefinedRatioError)
-from .photon_source import (calibrate_eta_a, calibrate_mu0_from_car,
-                            multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+from .photon_source import calibrate_eta_a, multimode_thermal_pmf, poisson_pmf, thermal_pmf
 from .presets import PRESET_NAMES, preset_manifest, table1_rows
 
 EXIT_OK = 0
@@ -45,10 +44,6 @@ class _Parser(argparse.ArgumentParser):
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
-
-
-def _warn(message: str) -> None:
-    print(f"warning: {message}", file=sys.stderr)
 
 
 def _config_keys_epilog() -> str:
@@ -202,7 +197,8 @@ def cmd_estimate(args) -> int:
     try:
         result = key_rate(obs, manifest.to_protocol_params(), source, vacuum_credit=credit)
     except DegenerateStatisticsError as exc:
-        _warn(f"degenerate statistics ({exc.observable}); no key can be claimed")
+        print(f"warning: degenerate statistics ({exc.observable}); no key can be claimed",
+              file=sys.stderr)
         print("R              : 0.0 bit/pulse")
         print("key length     : 0.0 bit")
         return EXIT_OK
@@ -305,22 +301,15 @@ def cmd_car(args) -> int:
     print(f"coincidences   : {res.coincidences}")
     print(f"accidentals    : {res.accidentals}")
     print(f"CAR            : {res.car:.4f}{bound}")
-    if not res.is_lower_bound and res.car > 1.0:
-        print(f"mu0 (inverted) : {calibrate_mu0_from_car(res.car):.6f}")
+    if (mu0 := res.mu0(source.y0_alice)) is not None:
+        print(f"mu0 (inverted) : {mu0:.6f}")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    if (args.trigger_rate is None) == (args.car is None):
-        raise ConfigError("provide either --trigger-rate with --mu0, or --car")
-    if args.trigger_rate is not None:
-        if args.mu0 is None:
-            raise ConfigError("--trigger-rate needs --mu0")
-        eta_a = calibrate_eta_a(args.trigger_rate, args.mu0, 0.0)
-        print(f"eta_a          : {eta_a:.6f}")
-    else:
-        mu0 = calibrate_mu0_from_car(args.car)
-        print(f"mu0            : {mu0:.6f}")
+    if args.trigger_rate is None or args.mu0 is None:
+        raise ConfigError("--trigger-rate needs --mu0")
+    print(f"eta_a          : {calibrate_eta_a(args.trigger_rate, args.mu0, 0.0):.6f}")
     return EXIT_OK
 
 
@@ -421,11 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signal-eff", type=float, default=0.15)
     p.set_defaults(func=cmd_car)
 
-    p = sub.add_parser("calibrate", help="invert trigger fraction or CAR into source parameters")
+    p = sub.add_parser("calibrate", help="invert a trigger fraction into eta_a")
     p.add_argument("--trigger-rate", type=float,
                    help="measured N_A / N, inverted with no heralding dark count (y0_alice = 0)")
-    p.add_argument("--mu0", type=float, help="mean pair number for --trigger-rate")
-    p.add_argument("--car", type=float, help="measured coincidence-to-accidental ratio")
+    p.add_argument("--mu0", type=float, help="mean pair number")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("reproduce", help="rebuild the published comparison tables/curves")

@@ -189,12 +189,16 @@ class EventLog:
                               np.flatnonzero(ids >= n_pulses))):
             if len(bad):
                 fail(message, int(bad[0]))
-        for name in EVENT_DTYPE.names[1:]:
-            bad = np.flatnonzero(rows[name] > 1)
-            if len(bad):
-                fail(f"{name} must be 0 or 1, got {rows[name][bad[0]]}", int(bad[0]))
+        # the flag bytes after each 8-byte pulse id, by field and then by record
+        flags = np.ascontiguousarray(rows).view("u1").reshape(-1, EVENT_DTYPE.itemsize)[:, 8:].T
+        for bad in np.flatnonzero(flags.ravel() > 1)[:1]:
+            f, r = divmod(int(bad), len(rows))
+            fail(f"{EVENT_DTYPE.names[1 + f]} must be 0 or 1, got {flags[f, r]}", r)
         cell = np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
         det = np.bincount(cell, minlength=4).tolist()
+        over = [np.flatnonzero(cell == c)[n] for c, n in enumerate(self.sent) if det[c] > n >= 0]
+        if over:  # the first record that passes its cell's sent count
+            fail("detections cannot exceed the pulses sent in their cell", int(min(over)))
         err = np.bincount(cell[rows["alice_bit"] != rows["bob_bit"]], minlength=4).tolist()
         try:
             tally = Tally(n_pulses=n_pulses,
@@ -433,33 +437,51 @@ def simulate_hbt(pmf: PhotonNumberPmf, detector_eff: float, config: SimConfig,
 
 @dataclass(frozen=True)
 class CarResult:
-    """Signal/idler coincidence-to-accidental ratio of a virtual run.
+    """The counts of a virtual signal/idler coincidence run; ``car`` is coincidences over
+    accidentals, a lower bound (``is_lower_bound``) over 1 when no accidental was recorded."""
 
-    When no accidental was recorded, ``car`` holds the lower bound
-    (coincidences / 1) and ``is_lower_bound`` is set.
-    """
-
-    car: float
     coincidences: int
     accidentals: int
-    is_lower_bound: bool
+    singles_signal: int
+    singles_idler: int
+    n_pulses: int
+
+    @property
+    def car(self) -> float:
+        return self.coincidences / max(self.accidentals, 1)
+
+    @property
+    def is_lower_bound(self) -> bool:
+        return self.accidentals == 0
+
+    def mu0(self, y0_alice: float) -> float | None:
+        """The mean pair number of the counts, by the law of :func:`_car_cells` inverted.
+
+        With the signal, idler and coincidence fractions ``P_s, P_i, P_si`` and ``L(p) =
+        ln(1 - p)``, ``mu0 = L(P_s) [L(P_i) - L(y0_alice)] / [L(P_s + P_i - P_si) - L(P_s) -
+        L(P_i)]``, which needs neither efficiency.  None unless each arm clicked on some pulses
+        but not all, the idler more often than its dark count, and coincidences beat chance.
+        """
+        p_s, p_i, p_si = (count / self.n_pulses for count in (
+            self.singles_signal, self.singles_idler, self.coincidences))
+        if not (0.0 < p_s < 1.0 and y0_alice < p_i < 1.0 and p_si > p_s * p_i):
+            return None
+        # the denominator as log1p((P_si - P_s P_i) / ((1 - P_s)(1 - P_i))), accurate near 0
+        return (math.log1p(-p_s) * (math.log1p(-p_i) - math.log1p(-y0_alice))
+                / math.log1p((p_si - p_s * p_i) / ((1.0 - p_s) * (1.0 - p_i))))
 
 
 def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
                  workers: int = 1) -> CarResult:
     """Virtual coincidence experiment between the signal and idler arms.
 
-    Coincidences pair same-pulse clicks; accidentals pair each signal click
-    with the next pulse's idler click.  The ratio estimates ``1 + 1/mu0``
-    for Poisson pair statistics, which is what the mean-pair-number
-    calibration inverts.
+    Coincidences pair same-pulse clicks, and accidentals each signal click with the next
+    pulse's idler click; :meth:`CarResult.mu0` inverts the counts to the mean pair number.
     """
     if not (0.0 < signal_eff <= 1.0):
         raise ParameterError(f"signal_eff must be in (0, 1], got {signal_eff!r}")
-    _, _, coinc, acc = _coincidences(_car_cells(source, signal_eff), _SLOT_CAR, config, 1,
-                                     workers)
-    return CarResult(car=coinc / max(acc, 1), coincidences=coinc, accidentals=acc,
-                     is_lower_bound=acc == 0)
+    s, i, coinc, acc = _coincidences(_car_cells(source, signal_eff), _SLOT_CAR, config, 1, workers)
+    return CarResult(coinc, acc, s, i, config.n_pulses)
 
 
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,

@@ -233,15 +233,3 @@ def multimode_thermal_pmf(mu: float, k_modes: int) -> PhotonNumberPmf:
                       - (k_modes + k) * math.log1p(mu / k_modes))
 
     return _pmf(mu, lambda: _summed(body, "multimode", start=16))
-
-
-def calibrate_mu0_from_car(car: float) -> float:
-    """Mean pair number from a measured coincidence-to-accidental ratio.
-
-    Uses the ideal no-dark-count, single-pair model ``mu0 = 1 / (CAR - 1)``.
-    This is a first-order model choice, validated against the Monte Carlo
-    engine rather than against any closed-form reference.
-    """
-    if not (math.isfinite(car) and car > 1.0):
-        raise ParameterError(f"CAR must be > 1 for the ideal inversion, got {car!r}")
-    return 1.0 / (car - 1.0)

@@ -266,6 +266,14 @@ class TestEstimate:
         code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--events", str(path))
         assert code == 2 and where in err
 
+    def test_overfull_cell_names_its_record_and_line(self, tmp_path, capsys):
+        # the N match cell sent one pulse, and its second detection is record 1, on line 5
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{V2_HEAD}3,0,1,0,1,0,0,0\n4,0,1,0,1,1,0,0\n")
+        code, _, err = run_cli(capsys, "estimate", "--config", "paper50km", "--events", str(path))
+        assert (code, err) == (2, f"error: {path}:row 5: detections cannot exceed the pulses "
+                               "sent in their cell at record 1\n")
+
     @pytest.mark.parametrize("flag", ["--config", "--tally", "--events"])
     @pytest.mark.parametrize("head", [None, 100], ids=["v1 npy log", "its first 100 bytes"])
     def test_binary_input_file_exits_2(self, tmp_path, capsys, flag, head):
@@ -493,11 +501,12 @@ class TestVirtualExperiments:
                                   "--seed", "2", "--set", "eta_a=0.2", "--set", "eta_s_db=0.0",
                                   "--signal-eff", "0.2")
         assert code == 0
-        car = float(stdout.split("CAR            :")[1].split()[0])
-        code, stdout, _ = run_cli(capsys, "calibrate", "--car", repr(car))
-        assert code == 0
-        mu0 = float(stdout.split("mu0            :")[1].split()[0])
+        mu0 = float(stdout.split("mu0 (inverted) :")[1].split()[0])
         assert mu0 == pytest.approx(0.1, rel=0.05)
+
+    def test_car_without_coincidences_prints_no_estimate(self, capsys):
+        code, stdout, _ = run_cli(capsys, "car", "--config", "paper50km", "--pulses", "1000")
+        assert code == 0 and "coincidences   : 0\n" in stdout and "mu0" not in stdout
 
     def test_calibrate_trigger_rate(self, capsys):
         code, stdout, _ = run_cli(capsys, "calibrate", "--trigger-rate", "0.0665",

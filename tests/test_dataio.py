@@ -187,6 +187,25 @@ class TestEvents:
         rows["bob_bit"][2] = 0
         with pytest.raises(DataFormatError, match="detections cannot exceed the pulses sent"):
             EventLog(sent=(8, 2, 0, 0), rows=rows)
+        # the N match cell sent one pulse, so its second record, record 1, is the first too many
+        with pytest.raises(DataFormatError) as info:
+            EventLog(sent=(9, 1, 0, 0), rows=rows)
+        assert str(info.value) == ("detections cannot exceed the pulses sent in their cell "
+                                   "at record 1")
+        assert info.value.row == 1
+
+    @pytest.mark.parametrize("contiguous", [True, False])
+    def test_first_bad_flag_is_named_by_field_then_record(self, contiguous):
+        # bob_bit is bad at record 1 and triggered at record 2: the earlier field is named
+        # first, as a check of one field after another would, on a strided view too
+        rows = np.zeros(6 if contiguous else 12, dtype=EVENT_DTYPE)
+        rows = rows if contiguous else rows[::2]
+        rows["pulse_id"] = range(6)
+        rows["bob_bit"][1], rows["triggered"][2] = 5, 2
+        with pytest.raises(DataFormatError) as info:
+            EventLog(sent=(10, 0, 0, 0), rows=rows)
+        assert str(info.value) == "triggered must be 0 or 1, got 2 at record 2"
+        assert info.value.row == 2
 
     def test_out_of_order_reported_on_its_line(self, tmp_path):
         # tag, sent counts and header take lines 1-3, so record 2 sits on line 6

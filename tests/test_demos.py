@@ -1,13 +1,16 @@
 """Smoke test of the narrative demos and of the README's python blocks: each runs to completion
-against the current API."""
+against the current API; the README's command lines parse against the current flags."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from pdqkd import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ["01_photon_statistics.py", "02_heralded_source_and_gains.py",
@@ -34,3 +37,19 @@ def test_readme_python_blocks_run(tmp_path):
     assert blocks
     for block in blocks:
         run_python(["-c", block], tmp_path)
+
+
+def test_readme_command_lines_parse():
+    # each pdqkd line of the sh blocks, its continuations joined and its comment dropped, is
+    # parsed as the command line would parse it; nothing runs
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.DOTALL | re.MULTILINE)
+    commands = [argv[1:] for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if (argv := shlex.split(line, comments=True))[:1] == ["pdqkd"]]
+    assert commands
+    parser = cli.build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: pdqkd {shlex.join(argv)}")

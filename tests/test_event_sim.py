@@ -14,11 +14,10 @@ from scipy.stats import chi2
 from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
-from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, EventLog, SimConfig, Tally,
+from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, CarResult, EventLog, SimConfig, Tally,
                              end_to_end, simulate_car, simulate_hbt, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
-from pdqkd.photon_source import (SourceParams, calibrate_mu0_from_car,
-                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+from pdqkd.photon_source import SourceParams, multimode_thermal_pmf, poisson_pmf, thermal_pmf
 
 
 def scaled_link(loss_db: float) -> LinkParams:
@@ -196,8 +195,29 @@ class TestCar:
         source = SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.2)
         res = simulate_car(source, 0.2, SimConfig(n_pulses=20_000_000, seed=31))
         assert not res.is_lower_bound
-        mu0_hat = calibrate_mu0_from_car(res.car)
+        mu0_hat = res.mu0(source.y0_alice)
         assert mu0_hat == pytest.approx(0.1, rel=0.05)
+
+    def test_counts_give_a_preset_mu0(self, source50):
+        # paper50km sends 2.33 pairs a pulse; there the first-order 1 / (CAR - 1) reads 3.7 %
+        # high on the table's own expected counts, and the exact inversion has no such bias
+        res = simulate_car(source50, 0.15, SimConfig(n_pulses=200_000_000, seed=1), workers=2)
+        assert res.mu0(source50.y0_alice) == pytest.approx(source50.mu0, rel=0.03)
+
+    @pytest.mark.parametrize("counts", [(0, 0, 0, 5, 1000), (0, 0, 5, 0, 1000),
+                                        (5, 0, 1000, 5, 1000), (5, 0, 5, 1000, 1000),
+                                        (250, 0, 500, 500, 1000), (0, 0, 5, 5, 1000)],
+                             ids=["signal silent", "idler silent", "signal always",
+                                  "idler always", "chance coincidences", "no coincidences"])
+    def test_estimate_undefined_without_a_correlation_to_invert(self, counts):
+        res = CarResult(*counts)
+        assert res.mu0(0.0) is None and res.car == counts[0] / max(counts[1], 1)
+
+    def test_estimate_undefined_at_the_idler_dark_count(self):
+        # 5 idler clicks in 1,000 pulses are all the heralding detector's dark count of 0.5 %
+        res = CarResult(coincidences=2, accidentals=0, singles_signal=10, singles_idler=5,
+                        n_pulses=1000)
+        assert res.mu0(0.004) > 0.0 and res.mu0(0.005) is None
 
     def test_car_decreases_with_mu0(self):
         cars = []
@@ -315,9 +335,10 @@ class TestChunking:
                                   event_sim._SLOT_HBT, 5)
         assert (hist.singles_1, hist.singles_2, hist.coincidences) == (
             n1, n2, tuple(cc[abs(k)] for k in hist.delays))
-        _, _, coinc, acc = self._dense(event_sim._car_cells(self.BRIGHT, 0.5),
-                                       event_sim._SLOT_CAR, 1)
-        assert (car.coincidences, car.accidentals) == (coinc, acc)
+        singles_s, singles_i, coinc, acc = self._dense(event_sim._car_cells(self.BRIGHT, 0.5),
+                                                       event_sim._SLOT_CAR, 1)
+        assert (car.singles_signal, car.singles_idler, car.coincidences, car.accidentals) == (
+            singles_s, singles_i, coinc, acc)
 
     @pytest.mark.parametrize("cores, threads", [(4, 4), (64, 20), (None, 1)])
     def test_pool_starts_at_most_one_thread_per_block_and_core(self, cores, threads,

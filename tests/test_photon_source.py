@@ -12,8 +12,8 @@ from oracles import (g2_of_pmf, joint_signal_pmf, joint_signal_pmf_series, pmf_m
 from pdqkd.errors import ParameterError, TruncationError, UndefinedRatioError
 from pdqkd.event_sim import _pulse_tables
 from pdqkd.photon_source import (DEFAULT_TAIL_CUTOFF, MAX_N_CAP, PhotonNumberPmf,
-                                 SourceParams, calibrate_eta_a, calibrate_mu0_from_car,
-                                 multimode_thermal_pmf, poisson_pmf, thermal_pmf)
+                                 SourceParams, calibrate_eta_a, multimode_thermal_pmf,
+                                 poisson_pmf, thermal_pmf)
 from pdqkd.presets import REFERENCE_RUNS
 
 ETA_S_192DB = 0.012022644346174132  # 10^(-19.2/10)
@@ -358,12 +358,6 @@ class TestCalibrations:
     def test_eta_a_domain(self):
         with pytest.raises(ParameterError):
             calibrate_eta_a(1.0, 2.0, 0.0)
-
-    def test_mu0_from_car(self):
-        assert calibrate_mu0_from_car(2.0) == 1.0
-        assert calibrate_mu0_from_car(1e9) == pytest.approx(0.0, abs=1e-8)
-        with pytest.raises(ParameterError):
-            calibrate_mu0_from_car(1.0)
 
 
 class TestSourceParams:

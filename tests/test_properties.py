@@ -25,9 +25,9 @@ from pdqkd.dataio import (_SCHEMA, RunManifest, read_config, read_events, read_t
 from pdqkd.decoy_estimator import (ObservedStats, ProtocolParams, e1_upper, fluctuation_bounds,
                                    key_rate, y1_lower)
 from pdqkd.errors import UnboundedErrorRate
-from pdqkd.event_sim import (_BLOCK, _CLICKED, EVENT_DTYPE, SimConfig, Tally, _block,
-                             _car_cells, _coincidence_block, _hbt_cells, _outcome_table,
-                             _run_batch, simulate_run)
+from pdqkd.event_sim import (_BLOCK, _CLICKED, EVENT_DTYPE, CarResult, SimConfig, Tally,
+                             _block, _car_cells, _coincidence_block, _hbt_cells,
+                             _outcome_table, _run_batch, simulate_run)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import (PhotonNumberPmf, SourceParams, multimode_thermal_pmf,
                                  poisson_pmf, thermal_pmf)
@@ -302,6 +302,22 @@ def test_car_table_arm_marginals(mu0, eta_s, eta_a, y0_alice, eff):
     # arm a is the signal detector, arm b the heralding (idler) one
     assert abs(cells[2] + cells[3] - pmf.probs @ (1.0 - eta_s * eff) ** k) <= tol
     assert abs(cells[0] + cells[3] - (1.0 - y0_alice) * pmf.probs @ (1.0 - eta_a) ** k) <= tol
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@example(mu0=0.01, eta_s=0.01, eta_a=0.01, y0_alice=0.0, eff=0.01)
+@example(mu0=10.0, eta_s=1.0, eta_a=0.99, y0_alice=0.01, eff=1.0)
+@example(mu0=0.01, eta_s=0.01, eta_a=0.99, y0_alice=0.01, eff=0.01)
+@example(mu0=10.0, eta_s=1.0, eta_a=0.01, y0_alice=0.0, eff=1.0)
+@given(mu0=st.floats(0.01, 10.0), eta_s=st.floats(0.01, 1.0), eta_a=st.floats(0.01, 0.99),
+       y0_alice=st.floats(0.0, 0.01), eff=st.floats(0.01, 1.0))
+def test_car_estimate_inverts_the_car_table(mu0, eta_s, eta_a, y0_alice, eff):
+    # the table's expected fractions, read as the counts of a one-pulse run, give mu0 back
+    a_alone, both, b_alone, _ = _car_cells(
+        SourceParams(mu0=mu0, eta_s=eta_s, eta_a=eta_a, y0_alice=y0_alice), eff)
+    res = CarResult(coincidences=both, accidentals=0, singles_signal=a_alone + both,
+                    singles_idler=both + b_alone, n_pulses=1.0)
+    assert abs(res.mu0(y0_alice) / mu0 - 1.0) <= 1e-6
 
 
 @settings(DERANDOMIZED, max_examples=200)

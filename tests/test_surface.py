@@ -36,8 +36,8 @@ def defaulted_parameters() -> dict[str, int]:
 
 def test_cli_flag_count():
     assert cli_flags() == {"simulate": 7, "estimate": 11, "scan-loss": 7, "hbt": 9, "car": 7,
-                           "calibrate": 3, "reproduce": 1}
-    assert sum(cli_flags().values()) == 45
+                           "calibrate": 2, "reproduce": 1}
+    assert sum(cli_flags().values()) == 44
 
 
 def test_config_keys():
@@ -52,11 +52,11 @@ def test_public_names():
         "AnalyticObservables", "CarResult", "FluctuationBounds", "HbtHistogram", "KeyRateResult",
         "LinkParams", "ObservedStats", "PhotonNumberPmf", "ProtocolParams", "ScanResult",
         "SimConfig", "SourceParams", "Tally", "binary_entropy",
-        "calibrate_eta_a", "calibrate_mu0_from_car", "db_to_linear", "e1_upper", "end_to_end",
+        "calibrate_eta_a", "db_to_linear", "e1_upper", "end_to_end",
         "fluctuation_bounds", "gains_analytic", "key_rate", "multimode_thermal_pmf",
         "poisson_pmf", "scan_loss", "simulate_car", "simulate_hbt", "simulate_run",
         "thermal_pmf", "y1_lower"]
-    assert len(pdqkd.__all__) == 30
+    assert len(pdqkd.__all__) == 29
 
 
 def test_defaulted_public_parameter_count():
@@ -88,6 +88,13 @@ def test_key_rate_result_fields():
         "obs", "y1_low", "bounds", "branch_n", "branch_t", "clamps"]
     assert [f.name for f in dataclasses.fields(decoy_estimator.BranchDiagnostics)] == [
         "e1_up", "q1", "ec_term", "single_term", "vacuum_term", "raw_rate"]
+
+
+def test_car_result_fields():
+    # a CAR run keeps its counts once; its ratio, the lower-bound flag and the mu0 estimate
+    # are read from them
+    assert [f.name for f in dataclasses.fields(pdqkd.CarResult)] == [
+        "coincidences", "accidentals", "singles_signal", "singles_idler", "n_pulses"]
 
 
 def test_traced_dataio_parameter_names():
