@@ -15,7 +15,7 @@ from .decoy_estimator import (FluctuationBounds, KeyRateResult, ObservedStats,
                               ProtocolParams, ScanResult, binary_entropy, e1_upper,
                               fluctuation_bounds, key_rate, scan_loss, y1_lower)
 from .event_sim import (CarResult, HbtHistogram, SimConfig, Tally, end_to_end,
-                        simulate_car, simulate_hbt, simulate_run)
+                        simulate_car, simulate_hbt, simulate_run, simulate_tally)
 from .link_model import AnalyticObservables, LinkParams, db_to_linear, gains_analytic
 from .photon_source import (PhotonNumberPmf, SourceParams, calibrate_eta_a,
                             multimode_thermal_pmf, poisson_pmf, thermal_pmf)
@@ -30,5 +30,5 @@ __all__ = [
     "db_to_linear", "e1_upper", "end_to_end", "fluctuation_bounds",
     "gains_analytic", "key_rate",
     "multimode_thermal_pmf", "poisson_pmf", "scan_loss", "simulate_car",
-    "simulate_hbt", "simulate_run", "thermal_pmf", "y1_lower",
+    "simulate_hbt", "simulate_run", "simulate_tally", "thermal_pmf", "y1_lower",
 ]

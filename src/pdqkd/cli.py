@@ -6,6 +6,9 @@ Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 ``simulate``, ``hbt`` and ``car``, spreads the engine's fixed blocks over
 threads and never changes any output byte; no setting cuts a run up.  Every
 output path is checked, against the others and the inputs too, before any work starts.
+``simulate`` makes an event log only for ``--events``; a tally alone comes from
+the blocks' cell counts.  The parser is built on the first :func:`main` call of
+a process, not at import, and serves every later call.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 """
@@ -13,6 +16,7 @@ Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -142,7 +146,10 @@ def cmd_simulate(args) -> int:
     config = manifest.to_sim_config()
     source = manifest.to_source_params()
     link = manifest.to_link_params()
-    tally, log = event_sim.simulate_run(source, link, config, workers=args.workers)
+    if args.events:
+        tally, log = event_sim.simulate_run(source, link, config, workers=args.workers)
+    else:  # the tally alone, from each block's cell counts
+        tally = event_sim.simulate_tally(source, link, config, workers=args.workers)
     obs = tally.to_observed_stats()
     print(f"pulses         : {tally.n_pulses}")
     print(f"triggers       : {tally.n_triggers} "
@@ -353,7 +360,9 @@ def _add_engine(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, help="override seed")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by later ones: parsing never changes the parser."""
     parser = _Parser(prog="pdqkd",
                      description="Passive decoy-state BB84 simulator and estimator",
                      epilog=_config_keys_epilog(),

@@ -17,8 +17,9 @@ promises no stable stream for its samplers, only ``Philox``'s bit stream is.
 No value depends on the number of workers; a run of n pulses is a
 prefix of a longer run only up to its last whole block; and a change of
 ``_BLOCK`` moves every value, as a change of seed does.  Whole blocks are the
-tasks of the thread pool, and a run's cost follows its blocks and its clicks,
-not its pulses.
+tasks of the thread pool.  A run's cost follows its blocks and, if it makes an
+event log (:func:`simulate_run`), its clicks, never its pulses; a tally alone
+(:func:`simulate_tally`) draws each block's cell counts and no more.
 
 Sampling model per pulse.  Pulses are i.i.d. and no output needs a pulse's
 pair number, only its outcome, so each run sums the per-pair-number model
@@ -65,6 +66,8 @@ _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
 # pulses per block; sets every value, as the seed does.  A block costs ~60 us however few
 # pulses click, and above 5 % clicks its choice permutes a block-long array (8 MiB)
 _BLOCK = 2**20
+# blocks the pool takes per thread at a time: its threads idle at most once per window
+_WINDOW = 64
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -194,19 +197,13 @@ class EventLog:
         for bad in np.flatnonzero(flags.ravel() > 1)[:1]:
             f, r = divmod(int(bad), len(rows))
             fail(f"{EVENT_DTYPE.names[1 + f]} must be 0 or 1, got {flags[f, r]}", r)
-        cell = np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
+        cell = _cells(rows)
         det = np.bincount(cell, minlength=4).tolist()
         over = [np.flatnonzero(cell == c)[n] for c, n in enumerate(self.sent) if det[c] > n >= 0]
         if over:  # the first record that passes its cell's sent count
             fail("detections cannot exceed the pulses sent in their cell", int(min(over)))
-        err = np.bincount(cell[rows["alice_bit"] != rows["bob_bit"]], minlength=4).tolist()
         try:
-            tally = Tally(n_pulses=n_pulses,
-                          **{f"sent_{c}": n for c, n in zip(CELLS, self.sent)},
-                          **{f"det_{c}": n for c, n in zip(CELLS, det)},
-                          err_n=err[1], err_t=err[3],
-                          double_clicks=int(np.count_nonzero(rows["double_click"])),
-                          dark_detections=int(np.count_nonzero(rows["dark_origin"])))
+            tally = _count(rows, 1, self.sent)
         except ParameterError as exc:
             fail(str(exc))
         rows.flags.writeable = False
@@ -220,6 +217,25 @@ class EventLog:
                 and np.array_equal(self.rows, other.rows))
 
 
+def _cells(rows: np.ndarray) -> np.ndarray:
+    """The index in :data:`CELLS` of each event row."""
+    return np.left_shift(rows["triggered"], 1) | (rows["alice_basis"] == rows["bob_basis"])
+
+
+def _count(rows: np.ndarray, weights, sent) -> Tally:
+    """The tally of ``sent`` pulses in each of :data:`CELLS` whose detections are ``rows``, row
+    ``i`` counted ``weights[i]`` times, in integers: a log weighs each row 1."""
+    kind = (rows["dark_origin"].astype(np.int64) << 4 | rows["double_click"] << 3
+            | (rows["alice_bit"] != rows["bob_bit"]) << 2 | _cells(rows))
+    hist = np.zeros(32, dtype=np.int64)
+    np.add.at(hist, kind, weights)
+    h = hist.reshape(2, 2, 2, 4)  # dark alone, double click, bit error, cell
+    det, err = h.sum(axis=(0, 1, 2)).tolist(), h[:, :, 1].sum(axis=(0, 1)).tolist()
+    return Tally(n_pulses=sum(sent), **{f"sent_{c}": n for c, n in zip(CELLS, sent)},
+                 **{f"det_{c}": n for c, n in zip(CELLS, det)}, err_n=err[1], err_t=err[3],
+                 double_clicks=int(h[:, 1].sum()), dark_detections=int(h[1].sum()))
+
+
 def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
     """The pair counts of the support as floats, and their probabilities with the tail
     mass folded into ``n_max``."""
@@ -228,26 +244,35 @@ def _weights(pmf: PhotonNumberPmf) -> tuple[np.ndarray, np.ndarray]:
     return np.arange(pmf.n_max + 1, dtype=np.float64), w
 
 
-def _map_blocks(work, config: SimConfig, workers: int) -> list:
-    """``work(lo, hi)`` of each ``_BLOCK``-pulse block ``lo..hi-1`` of the run, in pulse
-    order, run on ``workers`` threads, but never more than one per block or per core."""
+def _map_blocks(work, config: SimConfig, workers: int):
+    """``work(lo, hi)`` of each ``_BLOCK``-pulse block ``lo..hi-1`` of the run, yielded in pulse
+    order, run on ``workers`` threads, but never more than one per block or per core.  The
+    pool takes ``_WINDOW`` blocks per thread at a time, so no list grows with the run."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers!r}")
-    los = range(0, config.n_pulses, _BLOCK)
-    his = [min(lo + _BLOCK, config.n_pulses) for lo in los]
+    n = config.n_pulses
+    los = range(0, n, _BLOCK)
     threads = min(workers, len(los), os.cpu_count() or 1)
     if threads == 1:
-        return list(map(work, los, his))
+        yield from (work(lo, min(lo + _BLOCK, n)) for lo in los)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(work, los, his))
+        for i in range(0, len(los), _WINDOW * threads):
+            window = los[i:i + _WINDOW * threads]
+            yield from pool.map(work, window, [min(lo + _BLOCK, n) for lo in window])
+
+
+def _generator(seed: int, slot: int, lo: int) -> np.random.Generator:
+    """The generator of the block that starts at pulse ``lo`` of the engine ``slot``."""
+    return np.random.Generator(np.random.Philox(key=seed | slot << 64,
+                                                counter=(lo // _BLOCK) << 192))
 
 
 def _block(probs: np.ndarray, clicked: int, seed: int, slot: int, lo: int, hi: int):
     """The draws of the block of pulses ``lo..hi-1``: its count in each cell of ``probs``,
     the sorted places (offsets from ``lo``) of its pulses in the first ``clicked`` cells, and
     the cell of each place."""
-    g = np.random.Generator(np.random.Philox(key=seed | slot << 64,
-                                             counter=(lo // _BLOCK) << 192))
+    g = _generator(seed, slot, lo)
     counts = g.multinomial(hi - lo, probs)
     # shuffle=False keeps choice on Floyd's algorithm up to 5 % clicks, not a block permutation
     places = np.sort(g.choice(hi - lo, counts[:clicked].sum(), replace=False, shuffle=False))
@@ -264,7 +289,7 @@ def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
 
 def _outcome_table(source: SourceParams, link: LinkParams):
     """The outcome cells of one protocol pulse: their probabilities, the event row of each
-    clicked cell, and each clicked cell's index in :data:`CELLS`.
+    clicked cell, and each cell's index in :data:`CELLS`.
 
     The ``_CLICKED`` clicked cells come first: trigger x Alice's basis x Bob's basis x
     {lone photon, double click, dark click alone} x Alice's bit x Bob's bit.  The four
@@ -287,7 +312,12 @@ def _outcome_table(source: SourceParams, link: LinkParams):
                       ("alice_bit", bit_a), ("bob_bit", bit_b),
                       ("dark_origin", kind == 2), ("double_click", kind == 1)):
         rows[name] = col
-    return probs, rows, 2 * t + match
+    return probs, rows, np.concatenate([2 * t + match, np.arange(len(CELLS))])
+
+
+def _sent(counts: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """The pulses sent in each of :data:`CELLS`, of ``counts`` in the cells of index ``cell``."""
+    return (cell == np.arange(len(CELLS))[:, None]) @ counts
 
 
 def _run_batch(lo: int, hi: int, table, config: SimConfig):
@@ -296,7 +326,7 @@ def _run_batch(lo: int, hi: int, table, config: SimConfig):
     counts, places, cells = _block(probs, _CLICKED, config.seed, _SLOT_RUN, lo, hi)
     rows = cell_rows[cells]
     rows["pulse_id"] = places + lo
-    return np.bincount(cell[cells], minlength=4) + counts[_CLICKED:], rows
+    return _sent(counts, cell), rows
 
 
 def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
@@ -307,10 +337,21 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     blocks without affecting any output value.
     """
     table = _outcome_table(source, link)
-    parts = _map_blocks(lambda lo, hi: _run_batch(lo, hi, table, config), config, workers)
+    parts = list(_map_blocks(lambda lo, hi: _run_batch(lo, hi, table, config), config, workers))
     log = EventLog(sent=tuple(sum(s for s, _ in parts).tolist()),
                    rows=np.concatenate([r for _, r in parts]))
     return log.tally, log
+
+
+def simulate_tally(source: SourceParams, link: LinkParams, config: SimConfig,
+                   workers: int = 1) -> Tally:
+    """The tally of :func:`simulate_run`, from the same draws stopped at each block's cell
+    counts.  Their running sum, so memory stays flat, weighs the clicked cells' rows, which
+    :func:`_count` counts as it counts a log's."""
+    probs, cell_rows, cell = _outcome_table(source, link)
+    counts = sum(_map_blocks(lambda lo, hi: _generator(config.seed, _SLOT_RUN, lo).multinomial(
+        hi - lo, probs), config, workers))
+    return _count(cell_rows, counts[:_CLICKED], _sent(counts, cell).tolist())
 
 
 def _arm_cells(w: np.ndarray, silent_a, silent_b, silent_both) -> np.ndarray:
@@ -385,8 +426,8 @@ def _coincidences(cells: np.ndarray, slot: int, config: SimConfig, max_delay: in
     added from the first block's last and the second's first ``max_delay`` pulses.  Only the
     last block can be shorter than ``max_delay``, so no pair spans two edges.
     """
-    parts = _map_blocks(lambda lo, hi: _coincidence_block(cells, config.seed, slot, max_delay,
-                                                          lo, hi), config, workers)
+    parts = list(_map_blocks(lambda lo, hi: _coincidence_block(
+        cells, config.seed, slot, max_delay, lo, hi), config, workers))
     counts = sum(c for c, _, _ in parts)
     for (_, tail, _), (_, _, head) in zip(parts, parts[1:]):
         delays = np.subtract.outer(head, tail).ravel()
@@ -487,6 +528,6 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,
                config: SimConfig, *, vacuum_credit: float = 0.0,
                workers: int = 1) -> KeyRateResult:
-    """Simulate a run and estimate the key rate purely from its tallies."""
-    tally, _ = simulate_run(source, link, config, workers=workers)
+    """Simulate a run's tally and estimate the key rate from it alone."""
+    tally = simulate_tally(source, link, config, workers=workers)
     return key_rate(tally.to_observed_stats(), protocol, source, vacuum_credit=vacuum_credit)

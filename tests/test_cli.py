@@ -71,6 +71,26 @@ class TestSimulate:
         assert hashlib.sha256(events.read_bytes()).hexdigest() == (
             "d617c2bd8bce0bc1914987a5acbdc0f65ee116b07a584f194a25e6cd0cf661b3"), pinned_under
 
+    def test_tally_alone_builds_no_event_row(self, tmp_path, capsys, monkeypatch):
+        # without --events, simulate stops each block at its cell counts: the row path never
+        # runs, and the summary and tally equal those of the run that writes a log
+        argv = ["simulate", "--config", "paper0km", "--pulses", "3e6", "--seed", "7",
+                "--workers", "2", "--out"]
+        code, with_log, _ = run_cli(capsys, *argv, str(tmp_path / "log.tally"),
+                                    "--events", str(tmp_path / "log.csv"))
+        assert code == 0
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulate built event rows for a tally")
+
+        for name in ("simulate_run", "_run_batch", "_block", "EventLog"):
+            monkeypatch.setattr(event_sim, name, never)
+        code, alone, _ = run_cli(capsys, *argv, str(tmp_path / "alone.tally"))
+        assert code == 0
+        events = f"events written : {tmp_path / 'log.csv'}\n"
+        assert alone.replace("alone.tally", "log.tally") + events == with_log
+        assert (tmp_path / "alone.tally").read_bytes() == (tmp_path / "log.tally").read_bytes()
+
     def test_retired_batch_size_override_changes_no_byte(self, tmp_path, capsys):
         def run(*extra):
             run_dir = tmp_path / str(len(extra))
@@ -697,7 +717,7 @@ def test_unwritable_output_path_is_a_data_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, work", [
-    (["simulate", "--pulses", "1000", "--out"], (event_sim, "simulate_run")),
+    (["simulate", "--pulses", "1000", "--out"], (event_sim, "simulate_tally")),
     (["simulate", "--pulses", "1000", "--out", "ok.tally", "--events"],
      (event_sim, "simulate_run")),
     (["estimate", *DIRECT, "--out"], (cli, "key_rate")),
@@ -738,7 +758,7 @@ def test_two_outputs_naming_one_file_is_a_data_error(tmp_path, capsys, monkeypat
 
 @pytest.mark.parametrize("argv, target, work", [
     (["simulate", "--pulses", "1000", "--config", "in.cfg", "--out"], "in.cfg",
-     (event_sim, "simulate_run")),
+     (event_sim, "simulate_tally")),
     (["simulate", "--pulses", "1000", "--config", "in.cfg", "--events"], "in.cfg",
      (event_sim, "simulate_run")),
     (["estimate", "--config", "paper50km", "--tally", "in.tally", "--out"], "in.tally",
@@ -768,6 +788,44 @@ def test_an_output_naming_an_input_is_a_data_error(tmp_path, capsys, monkeypatch
     assert (code, stdout) == (2, "")
     assert err == f"error: {path}: names the same file as an input\n"
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == before
+
+
+class TestOneParser:
+    """The parser is built on the first call of a process and serves every later one, so no
+    call may leave anything in it that the next call sees."""
+
+    SIM = ["simulate", "--config", "paper0km", "--pulses", "20000", "--seed", "7"]
+
+    @pytest.fixture(autouse=True)
+    def fresh_parser(self):
+        cli.build_parser.cache_clear()
+
+    def _alone(self, capsys, *argv):
+        """The output of ``argv`` as the first call of a process."""
+        cli.build_parser.cache_clear()
+        alone = run_cli(capsys, *argv)
+        cli.build_parser.cache_clear()
+        return alone
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_set_does_not_reach_the_next_call(self, capsys):
+        alone = self._alone(capsys, *self.SIM)
+        assert run_cli(capsys, *self.SIM, "--set", "mu0=0.2") != alone
+        assert run_cli(capsys, *self.SIM) == alone
+
+    def test_usage_error_leaves_nothing_behind(self, capsys):
+        # the --set is parsed before the bad --workers fails the call
+        alone = self._alone(capsys, *self.SIM)
+        assert run_cli(capsys, *self.SIM, "--set", "mu0=0.2", "--workers", "x")[0] == 1
+        assert run_cli(capsys, *self.SIM) == alone
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]])
+    def test_help_is_the_same_on_every_call(self, capsys, argv):
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and first[1]
+        assert run_cli(capsys, *argv) == first
 
 
 def test_a_call_leaves_no_setting_to_the_next(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Monte Carlo engine against the closed-form oracles, plus determinism."""
 
+import itertools
 import math
 import sys
 import threading
@@ -15,9 +16,11 @@ from pdqkd import event_sim
 from pdqkd.decoy_estimator import ProtocolParams
 from pdqkd.errors import ParameterError
 from pdqkd.event_sim import (_CLICKED, EVENT_DTYPE, CarResult, EventLog, SimConfig, Tally,
-                             end_to_end, simulate_car, simulate_hbt, simulate_run)
+                             end_to_end, simulate_car, simulate_hbt, simulate_run,
+                             simulate_tally)
 from pdqkd.link_model import LinkParams, db_to_linear, gains_analytic
 from pdqkd.photon_source import SourceParams, multimode_thermal_pmf, poisson_pmf, thermal_pmf
+from pdqkd.presets import PRESET_NAMES, preset_manifest
 
 
 def scaled_link(loss_db: float) -> LinkParams:
@@ -281,6 +284,16 @@ class TestEndToEnd:
         b = end_to_end(source50, scaled_link(10.0), protocol, config, workers=4)
         assert a.key_bits == b.key_bits and a.r == b.r
 
+    def test_estimates_the_tally_of_the_event_log_run(self, source50):
+        # end_to_end draws the tally alone; its result is that of the event log's tally
+        from pdqkd.decoy_estimator import key_rate
+        protocol = ProtocolParams(u_alpha=5.0)
+        config = SimConfig(n_pulses=3_000_000, seed=17)
+        link = scaled_link(6.0)
+        tally, _ = simulate_run(source50, link, config)
+        assert end_to_end(source50, link, protocol, config, vacuum_credit=1e-6) == key_rate(
+            tally.to_observed_stats(), protocol, source50, vacuum_credit=1e-6)
+
 
 class TestChunking:
     """The engine cuts a run into blocks of ``_BLOCK`` pulses; no count may depend on their edges.
@@ -339,6 +352,36 @@ class TestChunking:
                                                        event_sim._SLOT_CAR, 1)
         assert (car.singles_signal, car.singles_idler, car.coincidences, car.accidentals) == (
             singles_s, singles_i, coinc, acc)
+
+    @pytest.mark.parametrize("block", [1_000, 65_535, 65_537, N])
+    def test_tally_alone_equals_the_event_logs_tally(self, block, monkeypatch):
+        # the same block draws, stopped after the cell counts, at run lengths on each side of
+        # a block edge, on every preset and the bright source, on one worker and two
+        monkeypatch.setattr(event_sim, "_BLOCK", block)
+        runs = [(self.BRIGHT, self.LINK)] + [
+            (preset_manifest(name).to_source_params(), preset_manifest(name).to_link_params())
+            for name in PRESET_NAMES]
+        for (source, link), n, workers in itertools.product(
+                runs, (1, 5, block - 1, block, block + 1, 3 * block + 7), (1, 2)):
+            config = SimConfig(n_pulses=n, seed=n % 3)
+            tally = simulate_tally(source, link, config, workers=workers)
+            assert tally == simulate_run(source, link, config, workers=workers)[0], (n, workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blocks_are_handed_out_as_they_are_taken(self, workers, monkeypatch):
+        # a run of 10,000 blocks: its first three come before more than one window of blocks
+        # is worked, so what the run holds does not grow with its blocks
+        monkeypatch.setattr(event_sim, "_BLOCK", 10)
+        worked = []
+
+        def work(lo, hi):
+            worked.append(lo)
+            return lo, hi
+
+        blocks = event_sim._map_blocks(work, SimConfig(n_pulses=100_000), workers)
+        assert list(itertools.islice(blocks, 3)) == [(0, 10), (10, 20), (20, 30)]
+        assert len(worked) <= event_sim._WINDOW * workers
+        blocks.close()
 
     @pytest.mark.parametrize("cores, threads", [(4, 4), (64, 20), (None, 1)])
     def test_pool_starts_at_most_one_thread_per_block_and_core(self, cores, threads,

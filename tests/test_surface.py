@@ -55,15 +55,15 @@ def test_public_names():
         "calibrate_eta_a", "db_to_linear", "e1_upper", "end_to_end",
         "fluctuation_bounds", "gains_analytic", "key_rate", "multimode_thermal_pmf",
         "poisson_pmf", "scan_loss", "simulate_car", "simulate_hbt", "simulate_run",
-        "thermal_pmf", "y1_lower"]
-    assert len(pdqkd.__all__) == 29
+        "simulate_tally", "thermal_pmf", "y1_lower"]
+    assert len(pdqkd.__all__) == 30
 
 
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
     assert counts == {"end_to_end": 2, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
-                      "simulate_hbt": 1, "simulate_run": 1}
-    assert sum(counts.values()) == 7
+                      "simulate_hbt": 1, "simulate_run": 1, "simulate_tally": 1}
+    assert sum(counts.values()) == 8
 
 
 def test_public_dataclass_fields():
