@@ -4,11 +4,10 @@ Subcommands: ``simulate``, ``estimate``, ``scan-loss``, ``hbt``, ``car``,
 ``calibrate``, ``reproduce``.  Every subcommand is deterministic given
 (config, overrides, seed); ``--workers``, taken by the Monte Carlo commands
 ``simulate``, ``hbt`` and ``car``, spreads the engine's fixed blocks over
-threads and never changes any output byte; no setting cuts a run up.  Every
-output path is checked, against the others and the inputs too, before any work starts.
-``simulate`` makes an event log only for ``--events``; a tally alone comes from
-the blocks' cell counts.  The parser is built on the first :func:`main` call of
-a process, not at import, and serves every later call.
+threads (``simulate`` only for ``--events``: a tally alone comes from the blocks'
+cell counts, on one thread) and never changes any output byte; no setting cuts a
+run up.  Every output path is checked, against the others and the inputs too, before
+any work starts.  The parser is built on the first :func:`main` call of a process.
 
 Exit codes: 0 success, 1 usage, 2 data/parse, 3 numeric/degenerate.
 """
@@ -92,6 +91,8 @@ def load_manifest(name_or_path: str | None, overrides: list[str]) -> dataio.RunM
 
 def _run_manifest(args) -> dataio.RunManifest:
     """Config of an engine command, with its --pulses/--seed/--mu0 flags applied."""
+    if args.workers < 1:  # refused also where no thread would start
+        raise ParameterError(f"workers must be >= 1, got {args.workers!r}")
     manifest = load_manifest(args.config, args.set)
     flags = {"n_pulses": args.pulses, "seed": args.seed, "mu0": getattr(args, "mu0", None)}
     return manifest.with_overrides({k: str(v) for k, v in flags.items() if v is not None})
@@ -149,7 +150,7 @@ def cmd_simulate(args) -> int:
     if args.events:
         tally, log = event_sim.simulate_run(source, link, config, workers=args.workers)
     else:  # the tally alone, from each block's cell counts
-        tally = event_sim.simulate_tally(source, link, config, workers=args.workers)
+        tally = event_sim.simulate_tally(source, link, config)
     obs = tally.to_observed_stats()
     print(f"pulses         : {tally.n_pulses}")
     print(f"triggers       : {tally.n_triggers} "
@@ -355,7 +356,8 @@ def _add_engine(p: argparse.ArgumentParser) -> None:
     """Flags of the Monte Carlo commands ``simulate``, ``hbt`` and ``car``."""
     _add_common(p)
     p.add_argument("--workers", type=int, default=1,
-                   help="worker threads; never changes numeric output")
+                   help="worker threads for hbt, car and simulate --events (a tally alone "
+                   "runs on one); never changes numeric output")
     p.add_argument("--pulses", type=float, help="override n_pulses")
     p.add_argument("--seed", type=int, help="override seed")
 

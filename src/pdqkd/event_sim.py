@@ -6,20 +6,20 @@ beam splitter, and signal/idler coincidence counting).  Serves as the
 empirical oracle for the closed-form gain/QBER model.
 
 The run is cut into fixed blocks of ``_BLOCK`` pulses.  Block ``b`` of an
-engine's slot draws from its own generator, numpy's counter-based Philox keyed
-by ``(seed, slot)`` with its counter set to ``b << 192`` (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11), in this order: the
-block's cell counts, one multinomial over the engine's outcome table; the
-places of its clicked pulses; the order of their cells.  So, for a given numpy
-version, a pulse's outcome is a pure function of ``(seed, slot, pulse_id //
-_BLOCK)`` and of its block's size.  Across versions it is not: ``Generator``
-promises no stable stream for its samplers, only ``Philox``'s bit stream is.
-No value depends on the number of workers; a run of n pulses is a
-prefix of a longer run only up to its last whole block; and a change of
-``_BLOCK`` moves every value, as a change of seed does.  Whole blocks are the
-tasks of the thread pool.  A run's cost follows its blocks and, if it makes an
-event log (:func:`simulate_run`), its clicks, never its pulses; a tally alone
-(:func:`simulate_tally`) draws each block's cell counts and no more.
+engine's slot draws from its own stream, numpy's counter-based Philox keyed by
+``(seed, slot)`` with its counter set to ``b << 192`` (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11), to which each thread sets its one
+generator, in this order: the block's cell counts, one multinomial over the
+engine's outcome table; the places of its clicked pulses; the order of their
+cells.  So, for a given numpy version, a pulse's outcome is a pure function of
+``(seed, slot, pulse_id // _BLOCK)`` and of its block's size.  Across versions
+it is not: ``Generator`` promises no stable stream for its samplers, only
+``Philox``'s bit stream is.  No value depends on the number of workers; a run
+of n pulses is a prefix of a longer run only up to its last whole block; and a
+change of ``_BLOCK`` moves every value, as a change of seed does.  Whole blocks
+are the tasks of the thread pool.  A run's cost follows its blocks and, if it
+makes an event log (:func:`simulate_run`), its clicks, never its pulses; a tally
+alone (:func:`simulate_tally`) draws each block's cell counts, on the calling thread.
 
 Sampling model per pulse.  Pulses are i.i.d. and no output needs a pulse's
 pair number, only its outcome, so each run sums the per-pair-number model
@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -63,11 +64,12 @@ from .photon_source import PhotonNumberPmf, SourceParams, poisson_pmf
 _SLOT_RUN, _SLOT_HBT, _SLOT_CAR = 0, 1, 2  # the generator key of each engine
 _CLICKED = 96  # clicked cells of a protocol pulse, the first cells of its outcome table
 _HBT_MAX_DELAY = 5  # largest pulse delay of the beam-splitter histogram
-# pulses per block; sets every value, as the seed does.  A block costs ~60 us however few
-# pulses click, and above 5 % clicks its choice permutes a block-long array (8 MiB)
+# pulses per block; sets every value, as the seed does.  A block's cell counts cost ~6 us, its
+# clicks ~20-40 us more however few, and above 5 % clicks choice permutes 8 MiB of places
 _BLOCK = 2**20
 # blocks the pool takes per thread at a time: its threads idle at most once per window
 _WINDOW = 64
+_THREAD = threading.local()  # each thread's one generator, which each block sets to its state
 
 #: one row of an event log: a detected pulse
 EVENT_DTYPE = np.dtype([
@@ -263,9 +265,15 @@ def _map_blocks(work, config: SimConfig, workers: int):
 
 
 def _generator(seed: int, slot: int, lo: int) -> np.random.Generator:
-    """The generator of the block that starts at pulse ``lo`` of the engine ``slot``."""
-    return np.random.Generator(np.random.Philox(key=seed | slot << 64,
-                                                counter=(lo // _BLOCK) << 192))
+    """This thread's one generator, set for the block at pulse ``lo`` of the engine ``slot`` to
+    the state of a new ``Philox(key=seed | slot << 64, counter=(lo // _BLOCK) << 192)``."""
+    g = getattr(_THREAD, "generator", None)
+    if g is None:
+        g = _THREAD.generator = np.random.Generator(np.random.Philox(0))
+    g.bit_generator.state = {"bit_generator": "Philox",
+                             "state": {"key": [seed, slot], "counter": [0, 0, 0, lo // _BLOCK]},
+                             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return g
 
 
 def _block(probs: np.ndarray, clicked: int, seed: int, slot: int, lo: int, hi: int):
@@ -287,13 +295,30 @@ def _pulse_tables(n: np.ndarray, source: SourceParams, p_surv: float):
     return p_no_trig, none_prob, none_prob + one_prob
 
 
+def _cell_layout():
+    """The half of :func:`_outcome_table` that no setting moves, built once and read-only:
+    the columns of the clicked cells, the event row of each, and every cell's index."""
+    cols = t, basis_a, basis_b, kind, bit_a, bit_b = np.indices((2, 2, 2, 3, 2, 2)).reshape(6, -1)
+    rows = np.zeros(_CLICKED, dtype=EVENT_DTYPE)
+    for name, col in (("triggered", t), ("alice_basis", basis_a), ("bob_basis", basis_b),
+                      ("alice_bit", bit_a), ("bob_bit", bit_b),
+                      ("dark_origin", kind == 2), ("double_click", kind == 1)):
+        rows[name] = col
+    cell = np.concatenate([2 * t + (basis_a == basis_b), np.arange(len(CELLS))])
+    cols.flags.writeable = rows.flags.writeable = cell.flags.writeable = False
+    return cols, rows, cell
+
+
+_CELL_COLUMNS, _CELL_ROWS, _CELL_INDEX = _cell_layout()
+
+
 def _outcome_table(source: SourceParams, link: LinkParams):
     """The outcome cells of one protocol pulse: their probabilities, the event row of each
     clicked cell, and each cell's index in :data:`CELLS`.
 
     The ``_CLICKED`` clicked cells come first: trigger x Alice's basis x Bob's basis x
     {lone photon, double click, dark click alone} x Alice's bit x Bob's bit.  The four
-    no-click cells of :data:`CELLS` follow.
+    no-click cells of :data:`CELLS` follow.  Only the probabilities depend on the settings.
     """
     n, w = _weights(poisson_pmf(source.mu0))
     no_trig, none, single = _pulse_tables(n, source, source.eta_s * link.eta)
@@ -301,18 +326,12 @@ def _outcome_table(source: SourceParams, link: LinkParams):
     kinds = np.stack([(single - none) * (1.0 - y0), 1.0 - single + (single - none) * y0,
                       none * y0, none * (1.0 - y0)])  # lone photon, double, dark alone, no click
     p = np.einsum("n,tn,kn->tk", w, np.stack([no_trig, 1.0 - no_trig]), kinds)
-    t, basis_a, basis_b, kind, bit_a, bit_b = np.indices((2, 2, 2, 3, 2, 2)).reshape(6, -1)
-    match = basis_a == basis_b
+    t, basis_a, basis_b, kind, bit_a, bit_b = _CELL_COLUMNS
     # a lone photon keeps Alice's bit but for e_d (1/2 in mismatched bases); others are random
-    flip = np.where((kind == 0) & match, link.e_d, 0.5)
+    flip = np.where((kind == 0) & (basis_a == basis_b), link.e_d, 0.5)
     clicked = p[t, kind] / 8.0 * np.where(bit_a == bit_b, 1.0 - flip, flip)
     probs = np.maximum(np.concatenate([clicked, np.repeat(p[:, 3], 2) / 2.0]), 0.0)  # rounding
-    rows = np.zeros(_CLICKED, dtype=EVENT_DTYPE)
-    for name, col in (("triggered", t), ("alice_basis", basis_a), ("bob_basis", basis_b),
-                      ("alice_bit", bit_a), ("bob_bit", bit_b),
-                      ("dark_origin", kind == 2), ("double_click", kind == 1)):
-        rows[name] = col
-    return probs, rows, np.concatenate([2 * t + match, np.arange(len(CELLS))])
+    return probs, _CELL_ROWS, _CELL_INDEX
 
 
 def _sent(counts: np.ndarray, cell: np.ndarray) -> np.ndarray:
@@ -343,14 +362,14 @@ def simulate_run(source: SourceParams, link: LinkParams, config: SimConfig,
     return log.tally, log
 
 
-def simulate_tally(source: SourceParams, link: LinkParams, config: SimConfig,
-                   workers: int = 1) -> Tally:
+def simulate_tally(source: SourceParams, link: LinkParams, config: SimConfig) -> Tally:
     """The tally of :func:`simulate_run`, from the same draws stopped at each block's cell
     counts.  Their running sum, so memory stays flat, weighs the clicked cells' rows, which
-    :func:`_count` counts as it counts a log's."""
+    :func:`_count` counts as it counts a log's.  It runs on the calling thread: a block is
+    one multinomial, too short to gain from a second thread that waits for the GIL."""
     probs, cell_rows, cell = _outcome_table(source, link)
-    counts = sum(_map_blocks(lambda lo, hi: _generator(config.seed, _SLOT_RUN, lo).multinomial(
-        hi - lo, probs), config, workers))
+    counts = sum(_generator(config.seed, _SLOT_RUN, lo).multinomial(
+        min(_BLOCK, config.n_pulses - lo), probs) for lo in range(0, config.n_pulses, _BLOCK))
     return _count(cell_rows, counts[:_CLICKED], _sent(counts, cell).tolist())
 
 
@@ -526,8 +545,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
 
 
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,
-               config: SimConfig, *, vacuum_credit: float = 0.0,
-               workers: int = 1) -> KeyRateResult:
+               config: SimConfig, *, vacuum_credit: float = 0.0) -> KeyRateResult:
     """Simulate a run's tally and estimate the key rate from it alone."""
-    tally = simulate_tally(source, link, config, workers=workers)
+    tally = simulate_tally(source, link, config)
     return key_rate(tally.to_observed_stats(), protocol, source, vacuum_credit=vacuum_credit)

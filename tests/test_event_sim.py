@@ -278,10 +278,13 @@ class TestEndToEnd:
             pass
 
     def test_deterministic_in_workers(self, source50):
+        # end_to_end draws on one thread; its key is that of a four-worker run's tally
+        from pdqkd.decoy_estimator import key_rate
         protocol = ProtocolParams(u_alpha=5.0)
         config = SimConfig(n_pulses=2_000_000, seed=17)
-        a = end_to_end(source50, scaled_link(10.0), protocol, config, workers=1)
-        b = end_to_end(source50, scaled_link(10.0), protocol, config, workers=4)
+        tally, _ = simulate_run(source50, scaled_link(10.0), config, workers=4)
+        a = end_to_end(source50, scaled_link(10.0), protocol, config)
+        b = key_rate(tally.to_observed_stats(), protocol, source50)
         assert a.key_bits == b.key_bits and a.r == b.r
 
     def test_estimates_the_tally_of_the_event_log_run(self, source50):
@@ -356,7 +359,8 @@ class TestChunking:
     @pytest.mark.parametrize("block", [1_000, 65_535, 65_537, N])
     def test_tally_alone_equals_the_event_logs_tally(self, block, monkeypatch):
         # the same block draws, stopped after the cell counts, at run lengths on each side of
-        # a block edge, on every preset and the bright source, on one worker and two
+        # a block edge, on every preset and the bright source, against a log run on one
+        # worker and on two
         monkeypatch.setattr(event_sim, "_BLOCK", block)
         runs = [(self.BRIGHT, self.LINK)] + [
             (preset_manifest(name).to_source_params(), preset_manifest(name).to_link_params())
@@ -364,7 +368,7 @@ class TestChunking:
         for (source, link), n, workers in itertools.product(
                 runs, (1, 5, block - 1, block, block + 1, 3 * block + 7), (1, 2)):
             config = SimConfig(n_pulses=n, seed=n % 3)
-            tally = simulate_tally(source, link, config, workers=workers)
+            tally = simulate_tally(source, link, config)
             assert tally == simulate_run(source, link, config, workers=workers)[0], (n, workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -494,8 +498,9 @@ def test_virtual_experiments_allocate_no_block_length_arrays():
 
 def test_concurrent_runs_in_threads_reproduce_their_serial_results(source50, link50,
                                                                    monkeypatch):
-    # Each block makes its own generator; state shared across threads would mix the draws
-    # of the two runs.  Switching threads every 10 us interleaves their blocks.
+    # Each thread sets its own generator to each block's state; a generator shared across
+    # threads would mix the draws of the two runs.  Switching threads every 10 us interleaves
+    # their blocks.
     bright = SourceParams(mu0=0.5, eta_s=0.5, eta_a=0.2)
     jobs = [(source50, link50, SimConfig(n_pulses=196_625, seed=5)),
             (bright, LinkParams(eta=0.5, y0=1e-3, e_d=0.02), SimConfig(n_pulses=131_075, seed=6))]

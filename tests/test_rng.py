@@ -1,11 +1,14 @@
 """The engine's random draws: numpy's Philox against its published test vector, and the
 generator of each block, keyed by seed and slot with the block's index in its counter."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
+import pytest
 from numpy.random import Generator, Philox
 from oracles import dense_cells
 
-from pdqkd.event_sim import _BLOCK, _block
+from pdqkd.event_sim import _BLOCK, _SLOT_CAR, _SLOT_HBT, _SLOT_RUN, _block, _generator
 
 # four cells, the first three of them clicked
 CELLS = np.array([0.1, 0.05, 0.1, 0.75])
@@ -28,6 +31,35 @@ def test_stream_is_batch_independent():
     cells = g.permutation(np.repeat(np.arange(3), counts[:3]))
     got = _block(CELLS, 3, seed, slot, index * _BLOCK, index * _BLOCK + size)
     assert all(np.array_equal(x, y) for x, y in zip(got, (counts, places, cells)))
+
+
+@pytest.mark.parametrize("slot", [_SLOT_RUN, _SLOT_HBT, _SLOT_CAR])
+def test_reused_generator_gives_each_block_a_new_philox_stream(slot):
+    # each thread sets its one generator to each block's key and counter; after a block of
+    # another slot and seed has drawn from it, on this thread and on a pool thread, a block
+    # still draws what a new Philox of its own key and counter draws
+    seed, size = 2**64 - 2, 3000
+
+    def philox(index):
+        return Philox(key=seed | slot << 64, counter=index << 192)
+
+    def new(index):
+        g = Generator(philox(index))
+        counts = g.multinomial(size, CELLS)
+        places = np.sort(g.choice(size, counts[:3].sum(), replace=False, shuffle=False))
+        return counts, places, g.permutation(np.repeat(np.arange(3), counts[:3]))
+
+    def reused(index):
+        _block(CELLS, 3, 5, (slot + 1) % 3, 7 * _BLOCK, 7 * _BLOCK + 100)
+        state = _generator(seed, slot, index * _BLOCK).bit_generator.state  # all of it, caches too
+        assert repr(state) == repr(philox(index).state)
+        return _block(CELLS, 3, seed, slot, index * _BLOCK, index * _BLOCK + size)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for index in (0, 5, 12_345):
+            want = new(index)
+            for got in (reused(index), pool.submit(reused, index).result()):
+                assert all(np.array_equal(x, y) for x, y in zip(got, want)), index
 
 
 def test_seeds_and_slots_give_distinct_streams():

@@ -61,9 +61,9 @@ def test_public_names():
 
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
-    assert counts == {"end_to_end": 2, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
-                      "simulate_hbt": 1, "simulate_run": 1, "simulate_tally": 1}
-    assert sum(counts.values()) == 8
+    assert counts == {"end_to_end": 1, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
+                      "simulate_hbt": 1, "simulate_run": 1}
+    assert sum(counts.values()) == 6
 
 
 def test_public_dataclass_fields():
