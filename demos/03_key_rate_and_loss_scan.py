@@ -20,7 +20,7 @@ print("published tallies -> finite-size key totals (u_alpha = 5):")
 for name, run in REFERENCE_RUNS.items():
     manifest = run.manifest()
     result = key_rate(run.observed_stats(), manifest.to_protocol_params(),
-                      manifest.to_source_params(), vacuum_credit=manifest["y0_bob"])
+                      manifest.to_source_params())
     print(f"  {name:<10}: Y1^L {result.y1_low:.3e}  e1^U {result.branch_n.e1_up:.4f}  "
           f"key {result.key_bits / 1e3:9.1f} kbit  "
           f"(published {run.key_bits_published / 1e3:7.1f} kbit)")
@@ -30,8 +30,7 @@ source = manifest.to_source_params()
 link = manifest.to_link_params()
 protocol = manifest.to_protocol_params()
 
-print("\nloss scan with the 50 km source calibration (no vacuum credit,")
-print("matching the published curve):")
+print("\nloss scan with the 50 km source calibration:")
 scan = scan_loss(source, link, protocol, [float(x) for x in np.arange(0.0, 35.1, 0.1)],
                  manifest["n_pulses"])
 print(f"  R_N reaches zero at {scan.r_n_cutoff_db:.2f} dB "

@@ -113,21 +113,6 @@ def _check_writable(*outputs, reads=()) -> None:
         taken[p.resolve()] = "another output"
 
 
-def _vacuum_credit(spec: str, manifest: dataio.RunManifest) -> float:
-    if spec == "calibrated":
-        return manifest["y0_bob"]
-    if spec == "zero":
-        return 0.0
-    try:
-        credit = float(spec)
-    except ValueError:
-        credit = math.nan
-    if not 0.0 <= credit <= 1.0:  # nan and inf fail here too
-        raise ConfigError(f"--vacuum-credit must be 'calibrated', 'zero' or a rate in [0, 1], "
-                          f"got {spec!r}")
-    return credit
-
-
 def _print_keyrate(result) -> None:
     u = result.bounds.u_alpha
     print(f"mode           : {'finite' if u else 'asymptotic'} (u_alpha={u:g}, "
@@ -168,7 +153,8 @@ def cmd_simulate(args) -> int:
 
 
 def _observed_from_args(args, manifest) -> ObservedStats:
-    given_direct = args.q_n is not None or args.q_t is not None
+    direct = (("--q-n", args.q_n), ("--q-t", args.q_t), ("--e-n", args.e_n), ("--e-t", args.e_t))
+    given_direct = any(v is not None for _, v in direct)
     sources = sum([args.tally is not None, args.events is not None, given_direct])
     if sources != 1:
         raise ConfigError("provide exactly one input: --tally, --events, "
@@ -180,8 +166,7 @@ def _observed_from_args(args, manifest) -> ObservedStats:
         if not tally.n_pulses:
             raise DataFormatError("holds no pulses", path)
         return tally.to_observed_stats()
-    missing = [name for name, v in (("--q-n", args.q_n), ("--q-t", args.q_t),
-                                    ("--e-n", args.e_n), ("--e-t", args.e_t)) if v is None]
+    missing = [name for name, v in direct if v is None]
     if missing:
         raise ConfigError(f"direct input needs all four rates; missing {', '.join(missing)}")
     return ObservedStats(q_n=args.q_n, q_t=args.q_t, e_n=args.e_n, e_t=args.e_t,
@@ -201,9 +186,8 @@ def cmd_estimate(args) -> int:
                                 manifest["y0_alice"])
         manifest = manifest.with_overrides({"eta_a": repr(eta_a)})
     source = manifest.to_source_params()
-    credit = _vacuum_credit(args.vacuum_credit, manifest)
     try:
-        result = key_rate(obs, manifest.to_protocol_params(), source, vacuum_credit=credit)
+        result = key_rate(obs, manifest.to_protocol_params(), source)
     except DegenerateStatisticsError as exc:
         print(f"warning: degenerate statistics ({exc.observable}); no key can be claimed",
               file=sys.stderr)
@@ -238,23 +222,21 @@ def _grid(start: float, stop: float, step: float) -> list[float]:
     return [start + i * step for i in range(math.floor(span) + 1)]
 
 
-def _scan(manifest: dataio.RunManifest, grid: list[float], vacuum_credit: str):
+def _scan(manifest: dataio.RunManifest, grid: list[float]):
     """The loss scan of ``manifest`` over ``grid``, and its rows."""
     link = manifest.to_link_params()
     protocol = manifest.to_protocol_params()
-    credit = _vacuum_credit(vacuum_credit, manifest)  # a bad flag is reported before any scan
     if protocol.u_alpha and link.e_d == link.y0 == 0.0:  # E_N Q_N is zero at every loss
         raise DegenerateStatisticsError("E_N*Q_N", "e_d = 0 and y0_bob = 0 leave no errors to "
                                         "bound at any loss; set either, or u_alpha=0")
-    scan = scan_loss(manifest.to_source_params(), link, protocol, grid, manifest["n_pulses"],
-                     vacuum_credit=credit)
+    scan = scan_loss(manifest.to_source_params(), link, protocol, grid, manifest["n_pulses"])
     return scan, [dataio.ResultsRow.from_result(p.loss_db, p.result) for p in scan.points]
 
 
 def cmd_scan_loss(args) -> int:
     _check_writable(args.out, reads=[_config_path(args.config)])
     scan, rows = _scan(load_manifest(args.config, args.set),
-                       _grid(args.loss_from, args.loss_to, args.step), args.vacuum_credit)
+                       _grid(args.loss_from, args.loss_to, args.step))
     print(f"grid           : {args.loss_from:g}..{args.loss_to:g} dB, "
           f"step {args.step:g} ({len(rows)} points)")
     return _report_scan(scan, rows, args.out)
@@ -340,9 +322,9 @@ def _reproduce_table() -> int:
 
 
 def _reproduce_fig(out: str) -> int:
-    """The published curve: paper50km at 0..35 dB in 0.1 dB steps, without vacuum credit."""
+    """The published curve: paper50km at 0..35 dB in 0.1 dB steps."""
     _check_writable(out)
-    scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, 0.1), "zero")
+    scan, rows = _scan(preset_manifest("paper50km"), _grid(0.0, 35.0, 0.1))
     return _report_scan(scan, rows, out)
 
 
@@ -388,8 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q-t", type=float, help="direct trigger gain")
     p.add_argument("--e-n", type=float, help="direct non-trigger QBER")
     p.add_argument("--e-t", type=float, help="direct trigger QBER")
-    p.add_argument("--vacuum-credit", default="calibrated",
-                   help="'calibrated' (device y0_bob), 'zero', or a rate")
     p.add_argument("--calibrate-eta-a", action="store_true",
                    help="recalibrate eta_a from the trigger fraction of a --tally "
                    "or --events input")
@@ -401,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="loss_from", type=float, default=0.0, help="grid start, dB")
     p.add_argument("--to", dest="loss_to", type=float, default=35.0, help="grid end, dB")
     p.add_argument("--step", type=float, default=0.1, help="grid step, dB")
-    p.add_argument("--vacuum-credit", default="zero",
-                   help="'calibrated', 'zero' (default: matches published curves), or a rate")
     p.add_argument("--out", help="write the results CSV here")
     p.set_defaults(func=cmd_scan_loss)
 

@@ -5,7 +5,7 @@ heralding outcome and produces a lower bound on the single-photon yield, an
 upper bound on the single-photon error rate, and the two-branch secret key
 rate
 
-    ``R_j >= q { -f Q_j H(E_j) + Q_j1 [1 - H(e1)] + Q_j0 }``,   j in {N, T},
+    ``R_j >= q { -f Q_j H(E_j) + Q_j1 [1 - H(e1)] }``,   j in {N, T},
 
 with negative branches clamped to zero.  Statistical fluctuations over a
 finite number of pulses N are handled by the standard-error recipe: every
@@ -22,9 +22,10 @@ Conventions baked into this module (all surfaced in diagnostics):
   ``(E_T Q_T)^U`` while the T branch uses the central value;
 - the dark-count yield entering the subtraction inside the single-photon
   yield bound is always its estimated upper bound (never the device value);
-- the vacuum credit ``Q_j0`` is an explicit caller choice (``vacuum_credit``,
-  default 0): pass the calibrated device dark-count rate to reproduce
-  published evaluations, or leave 0 for a strictly conservative rate.
+- no vacuum term ``Q_j0`` is credited: the two branches bound the vacuum yield
+  from below by ``[P_T(1) Q_N - P_N(1) Q_T] / [P_T(1) P_N(0) - P_N(1) P_T(0)]``,
+  and with ``Q_N`` lowered and ``Q_T`` raised by ``u_alpha`` standard errors
+  that bound is below zero at every preset, so the observations support no credit.
 """
 
 from __future__ import annotations
@@ -110,8 +111,7 @@ class BranchDiagnostics:
     q1: float            # Q_j1 = P_j(1) Y_1^L
     ec_term: float       # f * Q_j * H(E_j)
     single_term: float   # Q_j1 * [1 - H(e1)]
-    vacuum_term: float   # Q_j0
-    raw_rate: float      # q * (-ec + single + vacuum), before clamping
+    raw_rate: float      # q * (-ec + single), before clamping
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,8 @@ def e1_upper(etqt: float, y1_low: float, source: SourceParams) -> tuple[float, b
     return min(1.0, raw), raw > 1.0
 
 
-def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
-            protocol: ProtocolParams, clamps: list[str], name: str) -> BranchDiagnostics:
+def _branch(q_gain: float, qber: float, e1: float, q1: float, protocol: ProtocolParams,
+            clamps: list[str], name: str) -> BranchDiagnostics:
     ec = protocol.f * q_gain * binary_entropy(qber)
     if e1 < 0.5:
         pa_factor = 1.0 - binary_entropy(e1)
@@ -257,35 +257,23 @@ def _branch(q_gain: float, qber: float, e1: float, q1: float, q0: float,
         if e1 > 0.5:
             clamps.append(f"e1_worthless_{name}")
     single = q1 * pa_factor
-    raw = SIFT * (-ec + single + q0)
+    raw = SIFT * (-ec + single)
     if raw < 0.0:
         clamps.append(f"r_{name}_negative")
-    return BranchDiagnostics(e1_up=e1, q1=q1, ec_term=ec, single_term=single,
-                             vacuum_term=q0, raw_rate=raw)
+    return BranchDiagnostics(e1_up=e1, q1=q1, ec_term=ec, single_term=single, raw_rate=raw)
 
 
-def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
-             *, vacuum_credit: float = 0.0) -> KeyRateResult:
+def key_rate(obs: ObservedStats, protocol: ProtocolParams,
+             source: SourceParams) -> KeyRateResult:
     """Two-branch secret key rate from observed rates.
 
-    Parameters
-    ----------
-    obs, protocol, source
-        Observed rates and their pulse count N, post-processing parameters
-        (``protocol.u_alpha = 0`` gives the asymptotic rate) and source
-        calibration.
-    vacuum_credit : float
-        Dark-count yield credited through the vacuum gains ``Q_j0``.  Pass
-        the calibrated device dark-count rate to mirror published
-        evaluations, or 0 (default) for a conservative rate.  The
-        subtraction inside the yield bound is unaffected (it always uses the
-        estimated upper bound).
+    ``obs`` holds the observed rates and their pulse count N, ``protocol`` the
+    post-processing parameters (``protocol.u_alpha = 0`` gives the asymptotic rate)
+    and ``source`` the source calibration.  No vacuum term is credited.
 
     Returns a :class:`KeyRateResult`; negative branch rates clamp to zero and
     every clamp is listed in ``clamps``.
     """
-    if not (0.0 <= vacuum_credit <= 1.0):
-        raise ParameterError(f"vacuum_credit must be a probability, got {vacuum_credit!r}")
     bounds = fluctuation_bounds(obs, protocol, source)
     clamps: list[str] = []
     y1, y1_clamped = y1_lower(bounds.q_n_low, bounds.q_up, bounds.y0_up, source)
@@ -299,11 +287,9 @@ def key_rate(obs: ObservedStats, protocol: ProtocolParams, source: SourceParams,
     else:
         e1_n = e1_t = 1.0
         clamps.append("e1_unbounded")
-    p_n0, p_t0, p_n1, p_t1 = source.branch_terms
-    branch_n = _branch(obs.q_n, obs.e_n, e1_n, p_n1 * y1, p_n0 * vacuum_credit, protocol,
-                       clamps, "n")
-    branch_t = _branch(obs.q_t, obs.e_t, e1_t, p_t1 * y1, p_t0 * vacuum_credit, protocol,
-                       clamps, "t")
+    _, _, p_n1, p_t1 = source.branch_terms
+    branch_n = _branch(obs.q_n, obs.e_n, e1_n, p_n1 * y1, protocol, clamps, "n")
+    branch_t = _branch(obs.q_t, obs.e_t, e1_t, p_t1 * y1, protocol, clamps, "t")
     return KeyRateResult(obs=obs, y1_low=y1, bounds=bounds, branch_n=branch_n,
                          branch_t=branch_t, clamps=tuple(clamps))
 
@@ -330,10 +316,10 @@ class ScanResult:
 
 
 def _rate_at(loss_db: float, source: SourceParams, link_template: LinkParams,
-             protocol: ProtocolParams, n_pulses: int, vacuum_credit: float):
+             protocol: ProtocolParams, n_pulses: int):
     link = replace(link_template, eta=db_to_linear(loss_db))
     obs = ObservedStats.from_analytic(gains_analytic(source, link), source, n_pulses)
-    return key_rate(obs, protocol, source, vacuum_credit=vacuum_credit)
+    return key_rate(obs, protocol, source)
 
 
 def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
@@ -349,15 +335,12 @@ def _refine_cutoff(lo: float, hi: float, value, iterations: int = 40) -> float:
 
 def scan_loss(source: SourceParams, link_template: LinkParams,
               protocol: ProtocolParams, loss_db_grid: Sequence[float],
-              n_pulses: int, *, vacuum_credit: float = 0.0) -> ScanResult:
+              n_pulses: int) -> ScanResult:
     """Evaluate the key rate over an ascending grid of total loss figures.
 
     Each grid point feeds the closed-form observables at that loss, taken as
     if measured over ``n_pulses`` pulses, into :func:`key_rate` (the
-    template supplies the loss-independent receiver parameters).  By default
-    no vacuum credit is taken, matching the published rate-versus-loss
-    behaviour; pass ``vacuum_credit`` explicitly to study the credited
-    variant.
+    template supplies the loss-independent receiver parameters).
     """
     grid = [float(x) for x in loss_db_grid]
     if len(grid) == 0:
@@ -367,7 +350,7 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
     points = []
     for loss in grid:
         points.append(ScanPoint(loss_db=loss, result=_rate_at(
-            loss, source, link_template, protocol, n_pulses, vacuum_credit)))
+            loss, source, link_template, protocol, n_pulses)))
 
     def cutoff(component) -> float | None:
         vals = [component(p.result) for p in points]
@@ -379,8 +362,7 @@ def scan_loss(source: SourceParams, link_template: LinkParams,
             return math.inf
         return _refine_cutoff(
             grid[last_pos], grid[last_pos + 1],
-            lambda L: component(_rate_at(L, source, link_template, protocol,
-                                         n_pulses, vacuum_credit)))
+            lambda L: component(_rate_at(L, source, link_template, protocol, n_pulses)))
     return ScanResult(points=tuple(points),
                       r_n_cutoff_db=cutoff(lambda r: r.r_n),
                       r_cutoff_db=cutoff(lambda r: r.r))

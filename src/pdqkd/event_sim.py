@@ -545,7 +545,7 @@ def simulate_car(source: SourceParams, signal_eff: float, config: SimConfig,
 
 
 def end_to_end(source: SourceParams, link: LinkParams, protocol: ProtocolParams,
-               config: SimConfig, *, vacuum_credit: float = 0.0) -> KeyRateResult:
+               config: SimConfig) -> KeyRateResult:
     """Simulate a run's tally and estimate the key rate from it alone."""
     tally = simulate_tally(source, link, config)
-    return key_rate(tally.to_observed_stats(), protocol, source, vacuum_credit=vacuum_credit)
+    return key_rate(tally.to_observed_stats(), protocol, source)

@@ -63,8 +63,7 @@ def test_criterion_2_key_totals(capsys):
     for name, run in REFERENCE_RUNS.items():
         manifest = run.manifest()
         obs = run.observed_stats()
-        result = key_rate(obs, manifest.to_protocol_params(),
-                          manifest.to_source_params(), vacuum_credit=manifest["y0_bob"])
+        result = key_rate(obs, manifest.to_protocol_params(), manifest.to_source_params())
         results[name] = (result.key_bits, result.key_bits / run.key_bits_published)
     elapsed = time.time() - t0
     ok = all(0.5 <= ratio <= 1.5 for _, ratio in results.values())
@@ -74,6 +73,24 @@ def test_criterion_2_key_totals(capsys):
         report(2, "key totals within +/-50%", ok, f"{detail}; {elapsed:.2f}s")
     assert elapsed < 1.0
     assert ok, detail
+
+
+def test_published_observations_support_no_vacuum_credit():
+    # the estimator credits no vacuum term Q_j0 because the two branches bound Y_0 from
+    # below by [P_T(1) Q_N - P_N(1) Q_T] / [P_T(1) P_N(0) - P_N(1) P_T(0)] (P_T(i) / P_N(i)
+    # grows with i, so the denominator is positive), and with Q_N lowered and Q_T raised by
+    # u_alpha standard errors that bound is below zero at every preset
+    bounds = {}
+    for name, run in REFERENCE_RUNS.items():
+        manifest = run.manifest()
+        obs, u = run.observed_stats(), manifest.to_protocol_params().u_alpha
+        p_n0, p_t0, p_n1, p_t1 = manifest.to_source_params().branch_terms
+        q_n_low = obs.q_n * (1.0 - u / math.sqrt(obs.n_pulses * obs.q_n))
+        q_t_up = obs.q_t * (1.0 + u / math.sqrt(obs.n_pulses * obs.q_t))
+        denominator = p_t1 * p_n0 - p_n1 * p_t0
+        assert u == 5.0 and denominator > 0.0
+        bounds[name] = (p_t1 * q_n_low - p_n1 * q_t_up) / denominator
+    assert all(y0_low < 0.0 for y0_low in bounds.values()), bounds
 
 
 def test_criterion_3_inflection_point(tmp_path, capsys):

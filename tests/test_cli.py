@@ -478,7 +478,7 @@ class TestScanAndReproduce:
         out = tmp_path / "one.csv"
         code, stdout, _ = run_cli(capsys, "scan-loss", "--config", "paper50km",
                                   "--from", "30.4", "--to", "30.4", "--step", "1",
-                                  "--vacuum-credit", "calibrated", "--out", str(out))
+                                  "--out", str(out))
         assert code == 0
         row = read_results(out)[0]
         _, est_out, _ = run_cli(
@@ -577,6 +577,9 @@ class TestHelp:
          "--e-n", "0.0399", "--e-t", "0.0306", "--u-alpha", "0"],
         ["reproduce", "fig4", "--step", "0.5"],
         ["reproduce", "fig4", "--vacuum-credit", "calibrated"],
+        ["estimate", "--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6",
+         "--e-n", "0.0399", "--e-t", "0.0306", "--vacuum-credit", "zero"],
+        ["scan-loss", "--config", "paper50km", "--vacuum-credit", "zero"],
     ])
     def test_removed_flags_are_usage_errors(self, capsys, argv):
         code, _, err = run_cli(capsys, *argv)
@@ -611,33 +614,33 @@ DIRECT = ["--config", "paper50km", "--q-n", "2.43e-5", "--q-t", "2.50e-6", "--e-
      ("4aa1b59ac8c3a589c8e37f66515972335127f93bdb1abe2cc3a8b6fb87e33a53",
       "fef72d426ccc07dd8690d8a3efba4b9f13618d2ed4e0a1d31f4107882c495c72")),
     (["estimate", *DIRECT, "--out", "est.csv"],
-     ("c237c88f5910ec487bba36119accf711942bd32ee323fb4d7e3269d19f954862",
-      "8b51b01223170a12e8f5ed982f5b2d0cbef9885298501e50a648c1f5bcd7e25f")),
+     ("f5f83b6834ce0a9ce9c2ad0b27bad32559ce23df3a425908f6fb4fae47c62c7d",
+      "72dfb81e338bbec6ef5c57a0731be03b02e55eb6ad6b3e44a1e8d0ef861e8c07")),
     (["estimate", "--config", "paper0km", "--q-n", "2.13e-4", "--q-t", "2.21e-5",
       "--e-n", "0.0212", "--e-t", "0.0197"],
-     ("d1aa6eb24d3506d01f8bd45af1e7da4d98ba2438954daec490f597b1e99271d0", None)),
+     ("13719600566c1eba13932903db0b8474e8ef62f8ed3e6f0660cc24d63ec59f30", None)),
     (["estimate", "--config", "paper25km", "--q-n", "1.02e-4", "--q-t", "1.02e-5",
       "--e-n", "0.0315", "--e-t", "0.0281"],
-     ("f07d0fd673a971cf3ccb066f6f0f7953127cbcb032543015009c9c0f98b65707", None)),
+     ("bb26239f6d3ce4284147bda726399a58e1dd7c5ffacca2ff05258339ba343f46", None)),
     (["estimate", *DIRECT[:6], "--e-n", "0.3", "--e-t", "0.3", "--out", "clamped.csv"],
      ("8180b833df0bcb053f0a1930288091ac47ea1a85eec52c23e40d8f4ef657026b",
       "a69cabd59392860ea3de3f5c9bd3f6a582acb990683d57f7d3e5e4d37cb02d5c")),
-    (["scan-loss", "--config", "paper25km", "--vacuum-credit", "calibrated", "--out",
-      "scan25.csv"],
-     ("bb00ead62962bd4215aea23c4a730bbbea2d9c9fefe9a329895334ef11a4d602",
-      "9fd2d263d2f911083ff6a4b14704c6e9035a7fd731c28d7cdaa4879a321fb687")),
+    (["scan-loss", "--config", "paper25km", "--out", "scan25.csv"],
+     ("fa2b7ec4251041805423b6c4bd45a862937d14fc176215afa2751ac20b272ff7",
+      "f5e170ea0e0b52a5c242e089a1eb40bf114b5c338d6c0ecd3100b37351931603")),
     (["estimate", "--config", "paper50km", "--events", "ev.csv", "--calibrate-eta-a"],
      ("ecf0fa1933f5cb6bbfdcdb23b42da065ec378598a23d880d48eef0f646fdd722", None)),
     (["estimate", "--config", "paper50km", "--events", "ev.csv", "--calibrate-eta-a", "--set",
       "u_alpha=0"],
-     ("af403fba723a1be6c3cc8a7534d2eccf7d57c15488bb5502dad5f11d59614f41", None)),
-], ids=["fig4", "paper50km", "paper0km", "paper25km", "fully clamped", "scan-loss credited",
+     ("db109b474a857bdf1fb04015861fab2d6d6aa5b1f140b07983a995fb7a2da49e", None)),
+], ids=["fig4", "paper50km", "paper0km", "paper25km", "fully clamped", "scan-loss",
         "events calibrated", "events calibrated asymptotic"])
 def test_estimator_output_bytes_pinned(tmp_path, capsys, monkeypatch, argv, digests):
     # digests of the stdout and the results table on the published rates, a fully clamped
-    # estimate and a credited scan, and of an estimate from a simulated event log with eta_a
+    # estimate and a 25 km scan, and of an estimate from a simulated event log with eta_a
     # recalibrated from it; any change to an estimated value, a clamp flag or the layout of
-    # either fails here
+    # either fails here (the estimates were re-pinned when the vacuum credit went: each
+    # digest is that of the credit-free estimate from before)
     monkeypatch.chdir(tmp_path)
     if "ev.csv" in argv:
         assert run_cli(capsys, "simulate", "--config", "paper50km", "--set", "eta_db=3",
@@ -666,25 +669,6 @@ def test_schema_range_ends_are_the_libraries_ends(capsys, key):
         assert (code, stdout) == (2, "") and err.startswith(f"error: key {key}: value ")
 
 
-@pytest.mark.parametrize("credit", ["2", "-0.1", "nan", "inf", "banana"])
-@pytest.mark.parametrize("argv", [["estimate", *DIRECT], ["scan-loss"]],
-                         ids=["estimate", "scan-loss"])
-def test_vacuum_credit_outside_0_1_is_a_data_error(capsys, argv, credit):
-    # scan-loss runs on the default config, whose scan would exit 3 for want of errors to
-    # bound: the flag is checked first
-    code, stdout, err = run_cli(capsys, *argv, f"--vacuum-credit={credit}")
-    assert code == 2 and stdout == ""
-    assert err == ("error: --vacuum-credit must be 'calibrated', 'zero' or a rate in [0, 1], "
-                   f"got {credit!r}\n")
-
-
-def test_vacuum_credit_given_as_the_calibrated_rate_prints_the_same(capsys):
-    calibrated = run_cli(capsys, "estimate", *DIRECT)
-    assert calibrated[0] == 0
-    assert run_cli(capsys, "estimate", *DIRECT, "--vacuum-credit", repr(Y0_BOB)) == calibrated
-    assert run_cli(capsys, "estimate", *DIRECT, "--vacuum-credit", "zero")[1] != calibrated[1]
-
-
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--set", "eta_a"], "override 'eta_a' must look like key=value"),
     (["simulate", "--pulses", "1000", "--seed", "-1"],
@@ -692,11 +676,18 @@ def test_vacuum_credit_given_as_the_calibrated_rate_prints_the_same(capsys):
     (["simulate", "--pulses", "1000", "--seed", "18446744073709551616"],
      "key seed: value 18446744073709551616 out of range [0, 18446744073709551615]"),
     (["estimate", *DIRECT[:-2]], "direct input needs all four rates; missing --e-t"),
+    (["estimate", "--config", "paper50km", "--e-n", "0.03"],
+     "direct input needs all four rates; missing --q-n, --q-t, --e-t"),
+    (["estimate", "--config", "paper50km", "--tally", "t.tally", "--e-n", "0.3"],
+     "provide exactly one input: --tally, --events, or the direct --q-n/--q-t/--e-n/--e-t "
+     "rates"),
     (["calibrate", "--trigger-rate", "0.0665"], "--trigger-rate needs --mu0"),
-], ids=["--set without =", "seed -1", "seed 2**64", "three direct rates",
-        "trigger rate without mu0"])
+], ids=["--set without =", "seed -1", "seed 2**64", "three direct rates", "one QBER alone",
+        "a QBER beside a tally", "trigger rate without mu0"])
 def test_malformed_or_incomplete_input_is_a_data_error(capsys, argv, message):
-    # Philox takes a 64-bit key, so a seed outside [0, 2**64 - 1] would run as another seed
+    # Philox takes a 64-bit key, so a seed outside [0, 2**64 - 1] would run as another seed;
+    # any direct rate counts as an input, so a QBER given beside a tally is never dropped (the
+    # two inputs are refused before the tally is read)
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 

@@ -298,7 +298,7 @@ class TestResults:
         scan = scan_loss(manifest.to_source_params(), manifest.to_link_params(),
                          manifest.to_protocol_params(),
                          [float(x) for x in np.arange(0.0, 35.5, 0.5)],
-                         manifest["n_pulses"], vacuum_credit=0.0)
+                         manifest["n_pulses"])
         rows = [ResultsRow.from_result(p.loss_db, p.result) for p in scan.points]
         path = tmp_path / "scan.csv"
         write_results(rows, path)

@@ -169,24 +169,21 @@ class TestE1Upper:
 
 
 class TestSinglePhotonGains:
-    # key_rate's branches hold Q_j1 = P_j(1) Y_1^L as q1 and Q_j0 = P_j(0) y0 as vacuum_term,
-    # with y0 the vacuum credit
+    # key_rate's branches hold Q_j1 = P_j(1) Y_1^L as q1
     def test_no_heralding_zeroes_trigger_gains(self):
         # key_rate refuses eta_a = 0, so the branch terms it multiplies are checked directly
         src = SourceParams(mu0=1.0, eta_s=0.1, eta_a=0.0)
         _, p_t0, _, p_t1 = src.branch_terms
         assert p_t1 == 0.0 and p_t0 == 0.0
         with pytest.raises(DegenerateHeraldingError):
-            key_rate(obs50(), proto50(), src, vacuum_credit=1e-6)
+            key_rate(obs50(), proto50(), src)
 
     def test_branch_sum_identity(self):
         src = src50()
-        res = key_rate(obs50(), proto50(), src, vacuum_credit=1.6e-6)
+        res = key_rate(obs50(), proto50(), src)
         assert res.y1_low > 0.0
         q1 = res.branch_n.q1 + res.branch_t.q1
         assert q1 == pytest.approx(src.mu * math.exp(-src.mu) * res.y1_low, rel=1e-12)
-        q0 = res.branch_n.vacuum_term + res.branch_t.vacuum_term
-        assert q0 == pytest.approx(math.exp(-src.mu) * 1.6e-6, rel=1e-12)
 
     def test_matches_gain_series_i1_terms(self):
         # cross-module identity: series terms at i=1 with Y replaced by Y1
@@ -202,7 +199,7 @@ class TestSinglePhotonGains:
 
 class TestKeyRate:
     def test_50km_key_bits_band(self):
-        result = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
+        result = key_rate(obs50(), proto50(), src50())
         assert 0.5 * 89.8e3 <= result.key_bits <= 1.5 * 89.8e3
 
     def test_high_error_clamps_to_zero(self):
@@ -213,8 +210,8 @@ class TestKeyRate:
         assert "r_n_negative" in result.clamps and "r_t_negative" in result.clamps
 
     def test_asymptotic_beats_finite(self):
-        fin = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
-        asy = key_rate(obs50(), proto50(u_alpha=0.0), src50(), vacuum_credit=1.6e-6)
+        fin = key_rate(obs50(), proto50(), src50())
+        asy = key_rate(obs50(), proto50(u_alpha=0.0), src50())
         assert asy.key_bits > fin.key_bits
 
     def test_branch_split_of_e1(self):
@@ -223,7 +220,7 @@ class TestKeyRate:
         assert result.branch_n.e1_up > result.branch_t.e1_up
 
     def test_r_is_branch_sum(self):
-        result = key_rate(obs50(), proto50(), src50(), vacuum_credit=1.6e-6)
+        result = key_rate(obs50(), proto50(), src50())
         assert result.r == result.r_n + result.r_t
         assert result.r_n >= 0.0 and result.r_t >= 0.0
 
@@ -261,18 +258,17 @@ class TestScanLoss:
         src = src50()
         link = RUN50.manifest().to_link_params()
         proto = proto50()
-        scan = scan_loss(src, link, proto, [0.0], N50, vacuum_credit=0.0)
+        scan = scan_loss(src, link, proto, [0.0], N50)
         ao = gains_analytic(src, replace(link, eta=1.0))
         obs = ObservedStats.from_analytic(ao, src, N50)
-        direct = key_rate(obs, proto, src, vacuum_credit=0.0)
+        direct = key_rate(obs, proto, src)
         assert scan.points[0].result.r == pytest.approx(direct.r, rel=0.1)
         assert scan.points[0].result.r == direct.r  # identical by construction
 
     def test_rate_monotone_nonincreasing(self):
         src = src50()
         link = RUN50.manifest().to_link_params()
-        scan = scan_loss(src, link, proto50(), list(np.arange(0.0, 35.5, 0.5)), N50,
-                         vacuum_credit=0.0)
+        scan = scan_loss(src, link, proto50(), list(np.arange(0.0, 35.5, 0.5)), N50)
         rates = [p.result.r for p in scan.points]
         assert all(b <= a + 1e-18 for a, b in zip(rates, rates[1:]))
 

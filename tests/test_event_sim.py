@@ -257,12 +257,10 @@ class TestEndToEnd:
         link = scaled_link(0.0)
         protocol = ProtocolParams(u_alpha=0.0)
         n_pulses = 10_000_000
-        scan = scan_loss(source50, link, protocol, [6.0, 9.0, 12.0], n_pulses,
-                         vacuum_credit=0.0)
+        scan = scan_loss(source50, link, protocol, [6.0, 9.0, 12.0], n_pulses)
         for point in scan.points:
             config = SimConfig(n_pulses=n_pulses, seed=int(101 + point.loss_db))
-            result = end_to_end(source50, scaled_link(point.loss_db), protocol, config,
-                                vacuum_credit=0.0)
+            result = end_to_end(source50, scaled_link(point.loss_db), protocol, config)
             assert result.r == pytest.approx(point.result.r, rel=0.30)
 
     def test_zero_key_beyond_cutoff(self, source50):
@@ -294,8 +292,8 @@ class TestEndToEnd:
         config = SimConfig(n_pulses=3_000_000, seed=17)
         link = scaled_link(6.0)
         tally, _ = simulate_run(source50, link, config)
-        assert end_to_end(source50, link, protocol, config, vacuum_credit=1e-6) == key_rate(
-            tally.to_observed_stats(), protocol, source50, vacuum_credit=1e-6)
+        assert end_to_end(source50, link, protocol, config) == key_rate(
+            tally.to_observed_stats(), protocol, source50)
 
 
 class TestChunking:

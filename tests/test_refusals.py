@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from pdqkd.dataio import RunManifest
-from pdqkd.decoy_estimator import ObservedStats, ProtocolParams, e1_upper, key_rate, y1_lower
+from pdqkd.decoy_estimator import ObservedStats, ProtocolParams, e1_upper, y1_lower
 from pdqkd.errors import ConfigError, ParameterError
 from pdqkd.event_sim import SimConfig, Tally, simulate_car, simulate_hbt
 from pdqkd.link_model import AnalyticObservables, LinkParams
@@ -41,10 +41,6 @@ def test_one_rate_check_guards_both_rate_types(kind, extra, value, name):
      ParameterError, "single-photon bounds require mu > 0"),
     (lambda: e1_upper(-1e-9, 1e-3, SRC50), ParameterError,
      "E_T*Q_T must be non-negative, got -1e-09"),
-    (lambda: key_rate(RUN50.observed_stats(), ProtocolParams(), SRC50, vacuum_credit=1.5),
-     ParameterError, "vacuum_credit must be a probability, got 1.5"),
-    (lambda: key_rate(RUN50.observed_stats(), ProtocolParams(), SRC50, vacuum_credit=-0.1),
-     ParameterError, "vacuum_credit must be a probability, got -0.1"),
     (lambda: SimConfig(n_pulses=0), ParameterError, "n_pulses must be a positive integer, got 0"),
     (lambda: SimConfig(n_pulses=10, seed=-1), ParameterError,
      "seed must be an integer in [0, 2**64 - 1], got -1"),
@@ -75,8 +71,8 @@ def test_one_rate_check_guards_both_rate_types(kind, extra, value, name):
      "key n_pulses: expected an integer, got 1.5"),
     (lambda: preset_manifest("paper75km"), KeyError,
      "unknown preset 'paper75km'; available: paper0km, paper25km, paper50km"),
-], ids=["f < 1", "u_alpha < 0", "mu = 0", "E_T*Q_T < 0", "credit 1.5", "credit -0.1",
-        "n_pulses 0", "seed -1", "seed 2**64", "seed 1.5", "negative count",
+], ids=["f < 1", "u_alpha < 0", "mu = 0", "E_T*Q_T < 0", "n_pulses 0", "seed -1",
+        "seed 2**64", "seed 1.5", "negative count",
         "errors above matched detections", "no pulses", "detector_eff 0", "detector_eff 1.5",
         "signal_eff 0", "eta 1.5", "y0 nan", "mu0 0", "mu0 -1", "pmf nan", "pmf inf",
         "fractional n_pulses", "unknown preset"])

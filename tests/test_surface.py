@@ -35,9 +35,9 @@ def defaulted_parameters() -> dict[str, int]:
 
 
 def test_cli_flag_count():
-    assert cli_flags() == {"simulate": 7, "estimate": 11, "scan-loss": 7, "hbt": 9, "car": 7,
+    assert cli_flags() == {"simulate": 7, "estimate": 10, "scan-loss": 6, "hbt": 9, "car": 7,
                            "calibrate": 2, "reproduce": 1}
-    assert sum(cli_flags().values()) == 44
+    assert sum(cli_flags().values()) == 42
 
 
 def test_config_keys():
@@ -61,9 +61,8 @@ def test_public_names():
 
 def test_defaulted_public_parameter_count():
     counts = {name: n for name, n in defaulted_parameters().items() if n}
-    assert counts == {"end_to_end": 1, "key_rate": 1, "scan_loss": 1, "simulate_car": 1,
-                      "simulate_hbt": 1, "simulate_run": 1}
-    assert sum(counts.values()) == 6
+    assert counts == {"simulate_car": 1, "simulate_hbt": 1, "simulate_run": 1}
+    assert sum(counts.values()) == 3
 
 
 def test_public_dataclass_fields():
@@ -87,7 +86,7 @@ def test_key_rate_result_fields():
     assert [f.name for f in dataclasses.fields(pdqkd.KeyRateResult)] == [
         "obs", "y1_low", "bounds", "branch_n", "branch_t", "clamps"]
     assert [f.name for f in dataclasses.fields(decoy_estimator.BranchDiagnostics)] == [
-        "e1_up", "q1", "ec_term", "single_term", "vacuum_term", "raw_rate"]
+        "e1_up", "q1", "ec_term", "single_term", "raw_rate"]
 
 
 def test_car_result_fields():
