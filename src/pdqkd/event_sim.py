@@ -424,15 +424,23 @@ def _coincidence_block(cells: np.ndarray, seed: int, slot: int, max_delay: int, 
     arm-b places within ``max_delay`` of its start.
 
     Arm a clicks in the cells ``[a alone | both]`` of ``cells``, arm b in ``[both | b alone]``;
-    ``cc_k`` counts the arm-a places ``p`` for which ``p + k`` is an arm-b place.
+    ``cc_k`` counts the arm-a places ``p`` for which ``p + k`` is an arm-b place.  The singles
+    and ``cc_0``, the "both" cell, are read off the cell counts.  The places are sorted and
+    distinct, so a pair ``k >= 1`` apart lies at most ``k`` entries apart: ``cc`` bins the
+    gaps of at most ``max_delay`` between each place and the ``s``-th next, for ``s = 1 ..
+    max_delay``, from an arm-a place to an arm-b place.
     """
-    _, places, cell = _block(cells, 3, seed, slot, lo, hi)  # all but "neither" clicked
+    counts, places, cell = _block(cells, 3, seed, slot, lo, hi)  # all but "neither" clicked
     size = hi - lo
-    a, b = places[cell < 2], places[cell > 0]
-    b_end = np.append(b, -1)  # b_end[len(b)], past every b-place, equals no a + k
-    cc = [np.count_nonzero(b_end[np.searchsorted(b, a + k)] == a + k)
-          for k in range(max_delay + 1)]
-    return np.array([len(a), len(b), *cc]), a[a >= size - max_delay] - size, b[b < max_delay]
+    in_a, in_b = cell < 2, cell > 0
+    cc = np.zeros(max_delay + 1, dtype=np.int64)
+    for s in range(1, max_delay + 1):
+        gap = places[s:] - places[:-s]
+        cc += np.bincount(gap[(gap <= max_delay) & in_a[:-s] & in_b[s:]], minlength=max_delay + 1)
+    cc[0] = counts[1]
+    tail, head = np.searchsorted(places, [size - max_delay, max_delay])
+    return (np.concatenate([counts[:2] + counts[1:3], cc]), places[tail:][in_a[tail:]] - size,
+            places[:head][in_b[:head]])
 
 
 def _coincidences(cells: np.ndarray, slot: int, config: SimConfig, max_delay: int,

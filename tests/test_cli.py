@@ -524,6 +524,27 @@ class TestVirtualExperiments:
         mu0 = float(stdout.split("mu0 (inverted) :")[1].split()[0])
         assert mu0 == pytest.approx(0.1, rel=0.05)
 
+    @pytest.mark.parametrize("argv, digest", [
+        (["hbt", "--source", "thermal", "--mu0", "0.1"],
+         "1792adad78a1a5aa5caceb55e0657aef18c6f81e22164c9a9bdf1a9465025c5f"),
+        (["hbt", "--source", "poisson", "--mu0", "2", "--detector-eff", "0.5"],
+         "d98cc05bf3ea3b59d1318a95bf332d209bb4fddf368c7348634aadeceba1a70b"),
+        (["hbt", "--source", "multimode", "--mu0", "0.5"],
+         "67f6722d4da2e1dd203e79307c8c76abf7d88c1cb22a6e911e2844246a7c9590"),
+        (["car", "--mu0", "0.1", "--set", "eta_a=0.2", "--signal-eff", "0.2"],
+         "d7ba61b17317c5b91c01be10149976ba406faa3a7701602fb10aa0a63571a960"),
+    ], ids=["hbt-thermal", "hbt-poisson", "hbt-multimode", "car"])
+    def test_report_bytes_pinned(self, capsys, argv, digest):
+        # digests of the report over three blocks, so that pairs across the block edges
+        # count; any change to a drawn or counted value fails here, with one worker or two
+        pinned_under = (f"pinned under numpy 2.4.6, running numpy {np.__version__}; "
+                        "the samplers' streams may differ across numpy versions")
+        for workers in ("1", "2"):
+            code, stdout, _ = run_cli(capsys, *argv, "--pulses", "3e6", "--seed", "11",
+                                      "--workers", workers)
+            assert code == 0
+            assert hashlib.sha256(stdout.encode()).hexdigest() == digest, pinned_under
+
     def test_car_without_coincidences_prints_no_estimate(self, capsys):
         code, stdout, _ = run_cli(capsys, "car", "--config", "paper50km", "--pulses", "1000")
         assert code == 0 and "coincidences   : 0\n" in stdout and "mu0" not in stdout

@@ -479,8 +479,8 @@ def test_warmed_run_allocates_no_chunk_length_float_arrays(paper50km):
 def test_virtual_experiments_allocate_no_block_length_arrays():
     # The benchmark's sources: a thermal beam splitter with 1.5 % of its pulses clicking and
     # a CAR run with 3.5 %.  A block holds its clicked places, a hash set to draw them and a
-    # few arrays of arm clicks, 0.55 and 1.4 MiB at peak; one float64 array per pulse of a
-    # block would add 8 MiB.
+    # few masks and gaps over the places, 1.2 and 1.0 MiB at peak; one float64 array per pulse
+    # of a block would add 8 MiB.
     config = SimConfig(n_pulses=4_000_000, seed=7)
     runs = (lambda: simulate_hbt(thermal_pmf(0.1), 0.15, config),
             lambda: simulate_car(SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.2), 0.2, config))

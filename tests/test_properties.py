@@ -320,6 +320,41 @@ def test_car_estimate_inverts_the_car_table(mu0, eta_s, eta_a, y0_alice, eff):
     assert abs(res.mu0(y0_alice) / mu0 - 1.0) <= 1e-6
 
 
+# arm cells [a alone | both | b alone | neither]: the benchmark's hbt and car sources (1.5 %
+# and 3.5 % of pulses clicking), a bright table, and one where every pulse clicks
+DIM_HBT = _hbt_cells(thermal_pmf(0.1), 0.15)
+DIM_CAR = _car_cells(SourceParams(mu0=0.1, eta_s=1.0, eta_a=0.2), 0.2)
+BRIGHT = np.array([0.2, 0.3, 0.2, 0.3])
+ALL_CLICK = np.array([0.25, 0.5, 0.25, 0.0])
+arm_tables = st.sampled_from([DIM_HBT, DIM_CAR, BRIGHT, ALL_CLICK]) | st.lists(
+    st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0.0).map(
+    lambda w: np.array(w) / sum(w))
+
+
+@settings(DERANDOMIZED, max_examples=200)
+@example(cells=DIM_HBT, max_delay=5, seed=0, block=1, size=1)
+@example(cells=ALL_CLICK, max_delay=5, seed=SEED_MAX, block=2**40, size=5)
+@example(cells=ALL_CLICK, max_delay=5, seed=0, block=1, size=6)
+@example(cells=BRIGHT, max_delay=1, seed=0, block=7, size=3000)
+@example(cells=ALL_CLICK, max_delay=1, seed=SEED_MAX, block=1, size=3000)
+@example(cells=DIM_CAR, max_delay=1, seed=SEED_MAX, block=2**40, size=3000)
+@given(cells=arm_tables, max_delay=st.sampled_from([1, 5]), seed=st.integers(0, 2**64 - 1),
+       block=st.integers(1, 2**40), size=st.integers(1, 3000))
+def test_block_coincidences_equal_a_dense_count(cells, max_delay, seed, block, size):
+    # each pulse's cell, rebuilt from the block's draws as oracles.dense_cells does
+    lo = block * _BLOCK
+    _, places, block_cells = _block(cells, 3, seed, 0, lo, lo + size)
+    dense = np.full(size, 3)
+    dense[places] = block_cells
+    a, b = dense < 2, (dense == 1) | (dense == 2)
+    counts, tail, head = _coincidence_block(cells, seed, 0, max_delay, lo, lo + size)
+    assert counts.tolist() == [a.sum(), b.sum(), *(
+        np.count_nonzero(a[:size - k] & b[k:]) for k in range(max_delay + 1))]
+    edge = max(size - max_delay, 0)
+    assert tail.tolist() == (np.flatnonzero(a[edge:]) + edge - size).tolist()
+    assert head.tolist() == np.flatnonzero(b[:max_delay]).tolist()
+
+
 @settings(DERANDOMIZED, max_examples=200)
 @example(mu0=0.05, eta_s=0.002, eta_a=0.005, log_eta=-4.0, y0=0.0, e_d=0.0)
 @example(mu0=4.0, eta_s=1.0, eta_a=0.6, log_eta=0.0, y0=1e-4, e_d=0.05)
